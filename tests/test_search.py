@@ -31,7 +31,7 @@ from supermono.search import (
     xy_inverse,
     xy_transform,
 )
-from supermono.words import ExplicitPrefix, Periodic
+from supermono.words import ExplicitPrefix, Periodic, parse_word_spec
 
 
 def test_parse_colouring_families():
@@ -277,3 +277,196 @@ def test_scan_starved_colours_count_as_unknown_aborts():
 def test_search_mode_validation():
     with pytest.raises(ValueError):
         altsum_search(parse_colouring("const"), 4, 2, mode="sampled")
+
+
+_col = parse_colouring
+_word = parse_word_spec
+_FIB = "morphic:a->ab,b->a|a"
+
+# Each case: a search on small bounds and its whole outcome, (witnesses,
+# exhausted, nodes_explored, max_depth_reached, counts), recorded from the
+# searches as they were before the five loops shared one engine.
+_PINNED_OUTCOMES = [
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 8, 3, X_ALTERNATING, "all"),
+        ([], True, 92, 2, {"constraints_checked": 140}),
+        id="altsum-theta-x-all"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, X_ALTERNATING, "all",
+                              allow_k1_equal_1=False),
+        ([], True, 14, 2, {"constraints_checked": 14}),
+        id="altsum-theta-x-alternating-k2"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, X_ALTERNATING, "all",
+                              allow_k1_equal_1=True),
+        ([], True, 14, 2, {"constraints_checked": 14}),
+        id="altsum-theta-x-alternating-k1"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, Y_SUBSET, "all",
+                              allow_k1_equal_1=False),
+        ([], True, 340, 3, {"constraints_checked": 832}),
+        id="altsum-theta-y-subset-k2"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, Y_SUBSET, "all",
+                              allow_k1_equal_1=True),
+        ([], True, 164, 3, {"constraints_checked": 588}),
+        id="altsum-theta-y-subset-k1"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, Y_BLOCK, "all",
+                              allow_k1_equal_1=False),
+        ([], True, 84, 2, {"constraints_checked": 144}),
+        id="altsum-theta-y-block-k2"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 4, 4, Y_BLOCK, "all",
+                              allow_k1_equal_1=True),
+        ([], True, 84, 2, {"constraints_checked": 144}),
+        id="altsum-theta-y-block-k1"),
+    pytest.param(
+        lambda: altsum_search(_col("theta:stage1"), 8, 3, Y_BLOCK, "all"),
+        ([[1, 8, 1], [2, 1, 8], [4, 1, 8], [5, 1, 8], [6, 1, 8], [8, 1, 8]],
+         True,
+         584,
+         3,
+         {"constraints_checked": 1088}),
+        id="altsum-stage1-y-block-all"),
+    pytest.param(
+        lambda: altsum_search(_col("valmod:3@diff"), 6, 3, X_ALTERNATING,
+                              "all"),
+        ([], True, 41, 2, {"constraints_checked": 55}),
+        id="altsum-diff-x-all"),
+    pytest.param(
+        lambda: altsum_search(_col("const"), 10, 6),
+        ([[1, 2, 3, 4, 5, 6]], False, 6, 6, {"constraints_checked": 31}),
+        id="altsum-const-first"),
+    pytest.param(
+        lambda: altsum_search(_col("dbl"), 8, 3, Y_BLOCK),
+        ([[2, 6, 1]], False, 121, 3, {"constraints_checked": 224}),
+        id="altsum-dbl-first-late-branch"),
+    pytest.param(
+        lambda: supermono_search(_word("periodic:ab"), _col("lenmod:2"), 3,
+                                 2, 8),
+        ([[1, "ab", "ab"]],
+         False,
+         11,
+         2,
+         {"colour_evaluations": 15, "unknown_aborts": 0}),
+        id="supermono-lenmod-first"),
+    pytest.param(
+        lambda: supermono_search(_word("evper:c|ab"), _col("lenmod:2"), 4, 3,
+                                 8, 64),
+        ([[1, "ca", "ba", "ba"]],
+         False,
+         13,
+         3,
+         {"colour_evaluations": 20, "unknown_aborts": 0}),
+        id="supermono-evper-first"),
+    pytest.param(
+        lambda: supermono_search(_word("periodic:ab"), _col("theta"), 3, 2, 8),
+        ([], True, 108, 1, {"colour_evaluations": 108, "unknown_aborts": 0}),
+        id="supermono-theta-first-empty"),
+    pytest.param(
+        lambda: supermono_search(_word(_FIB), _col("theta"), 3, 2, 8, 8,
+                                 "all"),
+        ([], True, 107, 1, {"colour_evaluations": 107, "unknown_aborts": 22}),
+        id="supermono-fib-theta-unknown"),
+    pytest.param(
+        lambda: supermono_search(_word("prefix:abaab"), _col("lenmod:2"), 5,
+                                 2, 6, mode="all"),
+        ([[1, "ab", "aa"], [2, "ba", "ab"]],
+         True,
+         35,
+         2,
+         {"colour_evaluations": 42, "unknown_aborts": 0}),
+        id="supermono-prefix-truncated"),
+    pytest.param(
+        lambda: hindman_search("a", _col("lenmod:2"), 3, 10),
+        ([[2, 4, 6]],
+         False,
+         15,
+         3,
+         {"colour_evaluations": 24, "unknown_aborts": 0}),
+        id="hindman-lenmod-first-late-branch"),
+    pytest.param(
+        lambda: hindman_search("a", _col("lenmod:3"), 3, 9, mode="all"),
+        ([[3, 6, 9]],
+         True,
+         48,
+         3,
+         {"colour_evaluations": 66, "unknown_aborts": 0}),
+        id="hindman-lenmod-all"),
+    pytest.param(
+        lambda: hindman_search("ab", _col("theta"), 2, 5, x=_word(_FIB),
+                               scan_bound=64, mode="all"),
+        ([], True, 12, 1, {"colour_evaluations": 12, "unknown_aborts": 10}),
+        id="hindman-theta-word-all"),
+    pytest.param(
+        lambda: hindman_search("ab", _col("theta"), 2, 8,
+                               x=_word("periodic:ab"), scan_bound=64),
+        ([], True, 36, 1, {"colour_evaluations": 37, "unknown_aborts": 0}),
+        id="hindman-theta-word-first"),
+    pytest.param(
+        lambda: plus_pair_search(_col("valmod:2"), 3, 16),
+        ([[2, 4, 8]], False, 123, 3, {"constraints_checked": 329}),
+        id="plus-first-late-branch"),
+    pytest.param(
+        lambda: plus_pair_search(_col("theta"), 3, 12, "all"),
+        ([], True, 173, 2, {"constraints_checked": 351}),
+        id="plus-theta-all"),
+    pytest.param(
+        lambda: plus_pair_search(_col("valmod:3@diff"), 3, 14, "all"),
+        ([[3, 6, 12]], True, 266, 3, {"constraints_checked": 574}),
+        id="plus-diff-all"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "plain", 3, 5, "all"),
+        ([[1, 2, 4],
+          [1, 3, 3],
+          [1, 3, 5],
+          [2, 3, 3],
+          [2, 4, 5],
+          [3, 1, 5],
+          [3, 4, 2],
+          [3, 4, 5],
+          [4, 3, 2],
+          [4, 3, 3],
+          [5, 3, 3]],
+         True,
+         80,
+         3,
+         {"sums_checked": 102}),
+        id="q5-plain-all"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "a1free", 3, 5, "all"),
+        ([], True, 5, 0, {"sums_checked": 10}),
+        id="q5-a1free-all"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "akfree", 3, 5, "all"),
+        ([], True, 5, 0, {"sums_checked": 10}),
+        id="q5-akfree-all"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "with_gaps", 3, 5, "all"),
+        ([[1, 3, 3], [2, 3, 3], [4, 3, 3], [5, 3, 3]],
+         True,
+         80,
+         3,
+         {"sums_checked": 106}),
+        id="q5-with_gaps-all"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "plain", 3, 243),
+        ([[1, 2, 4]], False, 7, 3, {"sums_checked": 9}),
+        id="q5-plain-first"),
+    pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "a1free", 3, 243),
+        ([], True, 243, 0, {"sums_checked": 486}),
+        id="q5-a1free-first-empty"),
+    pytest.param(
+        lambda: q5_search(_col("valmod:4"), "akfree", 3, 20),
+        ([[4, 4, 4]], False, 12, 3, {"sums_checked": 20}),
+        id="q5-akfree-first-late-branch"),
+]
+
+
+@pytest.mark.parametrize("run, expected", _PINNED_OUTCOMES)
+def test_search_outcomes_are_pinned(run, expected):
+    rep = run()
+    assert (rep.witnesses, rep.exhausted, rep.nodes_explored,
+            rep.max_depth_reached, rep.counts) == expected
