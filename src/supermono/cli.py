@@ -44,11 +44,21 @@ def _aligned(rows) -> str:
     return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
 
 
-def _parse_colouring(text: str) -> search.Colouring:
+def _parse_colouring(text: str, role: str) -> search.Colouring:
+    """Parse a colouring and check that its family colours the role's
+    objects: "number", "pair" or "word"."""
     try:
-        return search.parse_colouring(text)
+        col = search.parse_colouring(text)
     except ValueError as err:
         raise click.UsageError(str(err))
+    families = search.ROLE_FAMILIES[role]
+    if col.family not in families:
+        raise click.UsageError(
+            f"{col.family} does not colour {role}s; use one of "
+            f"{', '.join(families)}")
+    if role == "word" and col.family == "theta" and col.args != ("full",):
+        raise click.UsageError("word-side theta colouring uses the full stage")
+    return col
 
 
 def _parse_word(text: str) -> words.WordSource:
@@ -200,9 +210,6 @@ def _search_options(fn):
     fn = click.option("--mode", type=click.Choice(("first", "all")),
                       default="first", show_default=True,
                       help="Stop at the first witness or enumerate all.")(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      help="Parallel top-level branches; never changes the "
-                           "report payload.")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(report.FORMATS), default="text",
                       show_default=True, help="Report format.")(fn)
@@ -236,13 +243,13 @@ def _check_positive(**named: int) -> None:
               help="Let index families start at the first element.")
 @_search_options
 def search_altsum(colouring: str, bound: int, max_len: int, form: str,
-                  allow_k1_equal_1: bool, mode: str, jobs: int, fmt: str,
+                  allow_k1_equal_1: bool, mode: str, fmt: str,
                   out: str | None, expect_none: bool) -> None:
     """Sequences whose alternating-sum constraint pairs are one colour."""
-    _check_positive(B=bound, L=max_len, jobs=jobs)
-    col = _parse_colouring(colouring)
-    rep = search.altsum_search(col, bound, max_len, form, mode, jobs,
-                               allow_k1_equal_1)
+    _check_positive(B=bound, L=max_len)
+    col = _parse_colouring(colouring, "pair")
+    rep = search.altsum_search(col, bound, max_len, form, mode,
+                               allow_k1_equal_1=allow_k1_equal_1)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -260,16 +267,16 @@ def search_altsum(colouring: str, bound: int, max_len: int, form: str,
 @_search_options
 def search_supermono(word: str, colouring: str, n_factors: int,
                      suffix_bound: int, len_bound: int, scan_bound: int,
-                     mode: str, jobs: int, fmt: str, out: str | None,
+                     mode: str, fmt: str, out: str | None,
                      expect_none: bool) -> None:
     """Consecutive factors of a suffix whose ordered-subset concatenations
     are one colour."""
     _check_positive(n=n_factors, suffix_bound=suffix_bound,
-                    len_bound=len_bound, scan_bound=scan_bound, jobs=jobs)
+                    len_bound=len_bound, scan_bound=scan_bound)
     x = _parse_word(word)
-    col = _parse_colouring(colouring)
+    col = _parse_colouring(colouring, "word")
     rep = search.supermono_search(x, col, suffix_bound, n_factors, len_bound,
-                                  scan_bound, mode, jobs)
+                                  scan_bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -287,16 +294,17 @@ def search_supermono(word: str, colouring: str, n_factors: int,
               help="Occurrence scan horizon for word colourings.")
 @_search_options
 def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
-                   bound: int, scan_bound: int, mode: str, jobs: int,
+                   bound: int, scan_bound: int, mode: str,
                    fmt: str, out: str | None, expect_none: bool) -> None:
     """Value sequences whose nonempty subset sums s all give u^s one
     colour."""
-    _check_positive(n=n_values, bound=bound, scan_bound=scan_bound,
-                    jobs=jobs)
-    col = _parse_colouring(colouring)
+    _check_positive(n=n_values, bound=bound, scan_bound=scan_bound)
+    col = _parse_colouring(colouring, "word")
+    if col.family == "theta" and word is None:
+        raise click.UsageError("the theta colouring needs --word")
     x = _parse_word(word) if word is not None else None
     rep = search.hindman_search(u, col, n_values, bound, x=x,
-                                scan_bound=scan_bound, mode=mode, jobs=jobs)
+                                scan_bound=scan_bound, mode=mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -308,12 +316,11 @@ def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
               help="Largest sequence value.")
 @_search_options
 def search_plus(colouring: str, n_values: int, bound: int, mode: str,
-                jobs: int, fmt: str, out: str | None,
-                expect_none: bool) -> None:
+                fmt: str, out: str | None, expect_none: bool) -> None:
     """Sequences whose pairs (value, later subset sum) are one colour."""
-    _check_positive(n=n_values, bound=bound, jobs=jobs)
-    col = _parse_colouring(colouring)
-    rep = search.plus_pair_search(col, n_values, bound, mode, jobs)
+    _check_positive(n=n_values, bound=bound)
+    col = _parse_colouring(colouring, "pair")
+    rep = search.plus_pair_search(col, n_values, bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -327,12 +334,12 @@ def search_plus(colouring: str, n_values: int, bound: int, mode: str,
               help="Largest sequence value.")
 @_search_options
 def search_q5(colouring: str, variant: str, max_len: int, bound: int,
-              mode: str, jobs: int, fmt: str, out: str | None,
+              mode: str, fmt: str, out: str | None,
               expect_none: bool) -> None:
     """Sequences whose coefficient-weighted prefix sums are one colour."""
-    _check_positive(L=max_len, bound=bound, jobs=jobs)
-    col = _parse_colouring(colouring)
-    rep = search.q5_search(col, variant, max_len, bound, mode, jobs)
+    _check_positive(L=max_len, bound=bound)
+    col = _parse_colouring(colouring, "number")
+    rep = search.q5_search(col, variant, max_len, bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 

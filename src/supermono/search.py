@@ -3,18 +3,16 @@ reductions: alternating-sum pairs, super-monochromatic factorisations,
 finite Hindman sums, the all-plus pair family, and coefficient-pattern sums.
 
 Every search is an exhaustive depth-first enumeration within its stated
-bounds, extending by the smallest candidate first. Reports are
-deterministic functions of the search parameters alone. Parallel runs
-explore top-level branches concurrently and merge them in canonical branch
-order with sequential stop accounting, so they reproduce the sequential
-report byte for byte; the parallelism degree is execution plumbing and is
-deliberately kept out of the report.
+bounds, extending by the smallest candidate first, and all five run on one
+engine, _dfs. Reports are deterministic functions of the search parameters
+alone. The searches still accept a jobs argument for existing callers, but
+ignore it: every search runs in the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bits
@@ -33,6 +31,12 @@ LIFT_MODES = ("left", "right", "diff", "sum", "both")
 
 _NUMBER_FAMILIES = ("const", "valmod", "fpmod", "base-lsnz", "gaps", "dbl")
 _WORD_FAMILIES = ("const", "lenmod", "theta")
+# The families that colour each kind of object a search colours.
+ROLE_FAMILIES = {
+    "number": _NUMBER_FAMILIES,
+    "pair": ("theta",) + _NUMBER_FAMILIES,
+    "word": _WORD_FAMILIES,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Reports and the deterministic branch runner
+# Reports and the depth-first engine
 
 
 @dataclass
@@ -327,54 +331,64 @@ class SearchReport:
     counts: dict = field(default_factory=dict)
 
 
-@dataclass
-class _BranchResult:
-    witnesses: list
-    nodes: int
-    max_depth: int
-    counts: dict
-
-
-def _merge_counts(total: dict, extra: dict) -> None:
-    for key, value in extra.items():
-        total[key] = total.get(key, 0) + value
-
-
-def _run_branches(branch_keys, run_branch, mode: str, jobs: int):
-    """Run per-branch searches and merge them in canonical branch order.
-
-    In first mode, accumulation stops at the first branch with a witness,
-    mirroring a sequential early stop; parallel execution changes only
-    wall-clock behaviour, never the merged report.
-    """
-    witnesses: list = []
-    nodes = 0
-    max_depth = 0
-    counts: dict = {}
-    stopped = False
-    if jobs <= 1:
-        results = map(run_branch, branch_keys)
-    else:
-        executor = ThreadPoolExecutor(max_workers=jobs)
-        results = executor.map(run_branch, branch_keys)
-    try:
-        for res in results:
-            nodes += res.nodes
-            max_depth = max(max_depth, res.max_depth)
-            _merge_counts(counts, res.counts)
-            witnesses.extend(res.witnesses)
-            if mode == "first" and res.witnesses:
-                stopped = True
-                break
-    finally:
-        if jobs > 1:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return witnesses, nodes, max_depth, counts, not stopped
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
+
+
+def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
+         counts, tally=None) -> SearchReport:
+    """Depth-first search shared by the five families.
+
+    Each root is a state at depth 0; roots are not counted as nodes.
+    expand(state) yields (candidate, obligations) smallest candidate
+    first, and every candidate is one counted node. The candidate is
+    accepted when every obligation gets the path colour, which the first
+    obligation on the path fixes; grow(state, candidate, obligations) then
+    builds the child state. An UNKNOWN colour rejects the candidate and
+    counts under unknown_aborts. tally, when given, names the count of
+    colours evaluated. A state at the given depth is a witness, and in
+    first mode the first witness ends the search.
+    """
+    witnesses: list = []
+    nodes = max_depth = evaluated = 0
+    stop = mode == "first"
+
+    def extend(state, level: int, fixed) -> bool:
+        nonlocal nodes, max_depth, evaluated
+        if level > max_depth:
+            max_depth = level
+        if level == depth:
+            witnesses.append(witness(state))
+            return stop
+        for candidate, obligations in expand(state):
+            nodes += 1
+            target = fixed
+            for obligation in obligations:
+                evaluated += 1
+                colour = colour_of(obligation)
+                if colour is UNKNOWN:
+                    counts["unknown_aborts"] += 1
+                    break
+                if target is None:
+                    target = colour
+                elif colour != target:
+                    break
+            else:
+                if extend(grow(state, candidate, obligations), level + 1,
+                          target):
+                    return True
+        return False
+
+    exhausted = not any(extend(root, 0, None) for root in roots)
+    if tally is not None:
+        counts[tally] += evaluated
+    return SearchReport(params, witnesses, exhausted, nodes, max_depth, counts)
+
+
+def _candidate_is_child(_state, candidate, _obligations):
+    """grow for searches whose candidate is already the child state."""
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -398,48 +412,24 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     if bound < 1 or max_len < 1:
         raise ValueError("bound and max_len must be positive")
     increasing = form == X_ALTERNATING
+    counts = {"constraints_checked": 0}
 
-    def run_branch(start: int) -> _BranchResult:
-        res = _BranchResult([], 0, 0, {"constraints_checked": 0})
+    def expand(values: list):
+        lo = values[-1] + 1 if increasing and values else 1
+        for v in range(lo, bound + 1):
+            new = values + [v]
+            constraints = _constraints_with_top(new, form, allow_k1_equal_1)
+            counts["constraints_checked"] += len(constraints)
+            yield new, constraints
 
-        def extend(values: list, fixed):
-            res.max_depth = max(res.max_depth, len(values))
-            if len(values) == max_len:
-                res.witnesses.append(list(values))
-                return mode == "first"
-            lo = values[-1] + 1 if increasing else 1
-            for v in range(lo, bound + 1):
-                res.nodes += 1
-                new = _constraints_with_top(values + [v], form, allow_k1_equal_1)
-                res.counts["constraints_checked"] += len(new)
-                target = fixed
-                ok = True
-                for c in new:
-                    colour = colour_pair_value(colouring, c.left, c.right)
-                    if target is None:
-                        target = colour
-                    elif colour != target:
-                        ok = False
-                        break
-                if ok and extend(values + [v], target):
-                    return True
-            return False
-
-        res.nodes += 1
-        new = _constraints_with_top([start], form, allow_k1_equal_1)
-        res.counts["constraints_checked"] += len(new)
-        assert not new
-        extend([start], None)
-        return res
-
-    witnesses, nodes, depth, counts, exhausted = _run_branches(
-        range(1, bound + 1), run_branch, mode, jobs)
     params = {
         "kind": "altsum", "colouring": colouring.spec, "B": bound,
         "L": max_len, "form": form, "mode": mode,
         "allow_k1_equal_1": allow_k1_equal_1,
     }
-    return SearchReport(params, witnesses, exhausted, nodes, depth, counts)
+    return _dfs(params, [[]], expand,
+                lambda c: colour_pair_value(colouring, c.left, c.right),
+                _candidate_is_child, max_len, list, mode, counts)
 
 
 def verify_altsum_witness(colouring: Colouring, values, form: str,
@@ -471,57 +461,31 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         raise ValueError("n_factors must be at least 1")
     if suffix_bound < 1 or len_bound < 1:
         raise ValueError("bounds must be positive")
-    colour_of = word_colour_fn(colouring, x, scan_bound)
+    counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
-    def run_branch(start: int) -> _BranchResult:
-        res = _BranchResult([], 0, 0, {"colour_evaluations": 0,
-                                       "unknown_aborts": 0})
+    # A state is (suffix start, next position, factors, subset words).
+    def expand(state):
+        start, pos, _, subsets = state
+        for length in range(1, len_bound - (pos - start) + 1):
+            u = x.prefix(pos + length - 1)[pos - 1:]
+            if len(u) < length:
+                break
+            yield u, [w + u for w in subsets] + [u]
 
-        def extend(pos: int, factors: list, subsets: list, fixed):
-            res.max_depth = max(res.max_depth, len(factors))
-            if len(factors) == n_factors:
-                res.witnesses.append([start] + factors)
-                return mode == "first"
-            used = pos - start
-            for length in range(1, len_bound - used + 1):
-                u = x.prefix(pos + length - 1)[pos - 1:]
-                if len(u) < length:
-                    break
-                res.nodes += 1
-                new_words = [w + u for w in subsets] + [u]
-                target = fixed
-                ok = True
-                unknown = False
-                for w in new_words:
-                    res.counts["colour_evaluations"] += 1
-                    colour = colour_of(w)
-                    if colour is UNKNOWN:
-                        unknown = True
-                        break
-                    if target is None:
-                        target = colour
-                    elif colour != target:
-                        ok = False
-                        break
-                if unknown:
-                    res.counts["unknown_aborts"] += 1
-                    continue
-                if ok and extend(pos + length, factors + [u],
-                                 subsets + new_words, target):
-                    return True
-            return False
+    def grow(state, u: str, new_words: list):
+        start, pos, factors, subsets = state
+        return start, pos + len(u), factors + [u], subsets + new_words
 
-        extend(start, [], [], None)
-        return res
-
-    witnesses, nodes, depth, counts, exhausted = _run_branches(
-        range(1, suffix_bound + 1), run_branch, mode, jobs)
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
         "suffix_bound": suffix_bound, "n": n_factors,
         "len_bound": len_bound, "scan_bound": scan_bound, "mode": mode,
     }
-    return SearchReport(params, witnesses, exhausted, nodes, depth, counts)
+    return _dfs(params, [(start, start, [], [])
+                         for start in range(1, suffix_bound + 1)],
+                expand, word_colour_fn(colouring, x, scan_bound), grow,
+                n_factors, lambda state: [state[0]] + state[2], mode, counts,
+                "colour_evaluations")
 
 
 def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
@@ -576,57 +540,27 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
             cache[s] = value
         return value
 
-    def run_branch(start: int) -> _BranchResult:
-        res = _BranchResult([], 0, 0, {"colour_evaluations": 0,
-                                       "unknown_aborts": 0})
+    counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
-        def extend(values: list, sums: list, fixed):
-            res.max_depth = max(res.max_depth, len(values))
-            if len(values) == n:
-                res.witnesses.append(list(values))
-                return mode == "first"
-            for v in range(values[-1] + 1, bound + 1):
-                res.nodes += 1
-                new_sums = [s + v for s in sums] + [v]
-                target = fixed
-                ok = True
-                unknown = False
-                for s in new_sums:
-                    res.counts["colour_evaluations"] += 1
-                    colour = colour_power(s)
-                    if colour is UNKNOWN:
-                        unknown = True
-                        break
-                    if target is None:
-                        target = colour
-                    elif colour != target:
-                        ok = False
-                        break
-                if unknown:
-                    res.counts["unknown_aborts"] += 1
-                    continue
-                if ok and extend(values + [v], sums + new_sums, target):
-                    return True
-            return False
+    # A state is (values, nonempty subset sums of the values).
+    def expand(state):
+        values, sums = state
+        for v in range(values[-1] + 1 if values else 1, bound + 1):
+            yield v, [s + v for s in sums] + [v]
 
-        res.nodes += 1
-        first_colour = colour_power(start)
-        res.counts["colour_evaluations"] += 1
-        if first_colour is UNKNOWN:
-            res.counts["unknown_aborts"] += 1
-        else:
-            extend([start], [start], first_colour)
-        return res
+    def grow(state, v: int, new_sums: list):
+        values, sums = state
+        return values + [v], sums + new_sums
 
-    witnesses, nodes, depth, counts, exhausted = _run_branches(
-        range(1, bound + 1), run_branch, mode, jobs)
     params = {
         "kind": "hindman", "u": u, "colouring": colouring.spec, "n": n,
         "bound": bound, "mode": mode,
         "word": x.spec if x is not None else None,
         "scan_bound": scan_bound,
     }
-    return SearchReport(params, witnesses, exhausted, nodes, depth, counts)
+    return _dfs(params, [([], [])], expand, colour_power, grow, n,
+                lambda state: list(state[0]), mode, counts,
+                "colour_evaluations")
 
 
 def verify_hindman_witness(u: str, colouring: Colouring, values,
@@ -661,43 +595,26 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
         raise ValueError("n must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
+    counts = {"constraints_checked": 0}
 
-    def run_branch(start: int) -> _BranchResult:
-        res = _BranchResult([], 0, 0, {"constraints_checked": 0})
+    # A state is (values, nonempty subset sums of the values, their total).
+    def expand(state):
+        _, sums, total = state
+        for v in range(total + 1, bound + 1):
+            counts["constraints_checked"] += len(sums)
+            yield v, zip(sums, itertools.repeat(v))
 
-        def extend(values: list, sums: list, total: int, fixed):
-            res.max_depth = max(res.max_depth, len(values))
-            if len(values) == n:
-                res.witnesses.append(list(values))
-                return mode == "first"
-            for v in range(total + 1, bound + 1):
-                res.nodes += 1
-                res.counts["constraints_checked"] += len(sums)
-                target = fixed
-                ok = True
-                for s in sums:
-                    colour = colour_pair_value(colouring, s, v)
-                    if target is None:
-                        target = colour
-                    elif colour != target:
-                        ok = False
-                        break
-                if ok and extend(values + [v], sums + [s + v for s in sums] + [v],
-                                 total + v, target):
-                    return True
-            return False
+    def grow(state, v: int, _pairs):
+        values, sums, total = state
+        return values + [v], sums + [s + v for s in sums] + [v], total + v
 
-        res.nodes += 1
-        extend([start], [start], start, None)
-        return res
-
-    witnesses, nodes, depth, counts, exhausted = _run_branches(
-        range(1, bound + 1), run_branch, mode, jobs)
     params = {
         "kind": "plus", "colouring": colouring.spec, "n": n,
         "bound": bound, "mode": mode,
     }
-    return SearchReport(params, witnesses, exhausted, nodes, depth, counts)
+    return _dfs(params, [([], [], 0)], expand,
+                lambda pair: colour_pair_value(colouring, pair[0], pair[1]),
+                grow, n, lambda state: list(state[0]), mode, counts)
 
 
 def verify_plus_witness(colouring: Colouring, values) -> bool:
@@ -756,54 +673,20 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
         raise ValueError("bounds must be positive")
     patterns = [()] + [_q5_patterns(k, variant) for k in range(1, max_len + 1)]
 
-    def run_branch(start: int) -> _BranchResult:
-        res = _BranchResult([], 0, 0, {"sums_checked": 0})
+    def expand(values: list):
+        for v in range(1, bound + 1):
+            new = values + [v]
+            yield new, (sum(c * y for c, y in zip(coeffs, new))
+                        for coeffs in patterns[len(new)])
 
-        def extend(values: list, fixed):
-            res.max_depth = max(res.max_depth, len(values))
-            if len(values) == max_len:
-                res.witnesses.append(list(values))
-                return mode == "first"
-            for v in range(1, bound + 1):
-                res.nodes += 1
-                new = values + [v]
-                target = fixed
-                ok = True
-                for coeffs in patterns[len(new)]:
-                    res.counts["sums_checked"] += 1
-                    total = sum(c * y for c, y in zip(coeffs, new))
-                    colour = colour_number(colouring, total)
-                    if target is None:
-                        target = colour
-                    elif colour != target:
-                        ok = False
-                        break
-                if ok and extend(new, target):
-                    return True
-            return False
-
-        res.nodes += 1
-        target = None
-        ok = True
-        for coeffs in patterns[1]:
-            res.counts["sums_checked"] += 1
-            colour = colour_number(colouring, coeffs[0] * start)
-            if target is None:
-                target = colour
-            elif colour != target:
-                ok = False
-                break
-        if ok:
-            extend([start], target)
-        return res
-
-    witnesses, nodes, depth, counts, exhausted = _run_branches(
-        range(1, bound + 1), run_branch, mode, jobs)
     params = {
         "kind": "q5", "colouring": colouring.spec, "variant": variant,
         "L": max_len, "bound": bound, "mode": mode,
     }
-    return SearchReport(params, witnesses, exhausted, nodes, depth, counts)
+    return _dfs(params, [[]], expand,
+                functools.partial(colour_number, colouring),
+                _candidate_is_child, max_len, list, mode,
+                {"sums_checked": 0}, "sums_checked")
 
 
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:

@@ -1,10 +1,11 @@
 """Command-line behaviour: output fields, exit codes, file output and
-parallel determinism."""
+usage errors."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from supermono import __version__, verify
@@ -158,13 +159,28 @@ def test_out_resolves_relative_paths_under_env_dir(tmp_path, monkeypatch):
     assert str(written) in result.output
 
 
-def test_jobs_do_not_change_report_bytes():
-    args = ("search", "altsum", "--colouring", "const", "--B", "4",
-            "--L", "2", "--mode", "all", "--format", "json")
-    single = _invoke(*args, "--jobs", "1")
-    parallel = _invoke(*args, "--jobs", "3")
-    assert single.exit_code == 0
-    assert single.output == parallel.output
+def test_jobs_option_is_a_usage_error():
+    result = _invoke("search", "altsum", "--colouring", "const", "--B", "4",
+                     "--L", "2", "--jobs", "2")
+    assert result.exit_code == 1
+    assert "Error: No such option '--jobs'" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ("altsum", "--colouring", "lenmod:2"),
+    ("plus", "--colouring", "lenmod:2"),
+    ("q5", "--colouring", "theta"),
+    ("hindman", "--colouring", "theta"),
+    ("supermono", "--word", "periodic:ab", "--colouring", "valmod:2"),
+    ("supermono", "--word", "periodic:ab", "--colouring", "theta:stage1"),
+], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "hindman-theta-no-word",
+        "supermono-valmod", "supermono-theta-stage1"])
+def test_colouring_in_the_wrong_role_is_a_usage_error(args):
+    result = _invoke("search", *args)
+    assert result.exit_code == 1
+    assert "Error:" in result.stderr
+    assert not isinstance(result.exception, ValueError)
 
 
 def test_version_flag():
