@@ -104,20 +104,12 @@ def jumps(a: int, b: int) -> int:
     """Number of '2'-to-'1' label transitions over the joint support, ascending."""
     _require_natural(a, "a")
     _require_natural(b, "b")
-    both = a & b
     union = a | b
-    count = 0
-    prev_two = False
-    while union:
-        low = union & -union
-        if both & low:
-            prev_two = True
-        else:
-            if prev_two:
-                count += 1
-            prev_two = False
-        union &= union - 1
-    return count
+    # Each '2' position adds 1 one place up; the carry runs through the gaps
+    # there and lands on the next joint-support position, which counts when
+    # it is a '1'.
+    gaps = ~union & ((1 << (union.bit_length() + 1)) - 1)
+    return ((gaps + ((a & b) << 1)) & (a ^ b)).bit_count()
 
 
 def intervals(c: int) -> int:

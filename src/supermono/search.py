@@ -155,6 +155,25 @@ def colour_pair_value(col: Colouring, a: int, b: int):
     return (colour_number(col, a), colour_number(col, b))
 
 
+def pair_colour_fn(col: Colouring):
+    """Build a memoised pair-colouring callable (a, b) -> colour value.
+
+    A search builds one per run, so the memo never outlives the run; the
+    witness verifiers call colour_pair_value directly and recolour from
+    scratch.
+    """
+    cache: dict[tuple[int, int], object] = {}
+
+    def colour(a: int, b: int):
+        value = cache.get((a, b))
+        if value is None:
+            value = colour_pair_value(col, a, b)
+            cache[(a, b)] = value
+        return value
+
+    return colour
+
+
 def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     """Build a word-colouring callable u -> colour value.
 
@@ -427,8 +446,8 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
         "L": max_len, "form": form, "mode": mode,
         "allow_k1_equal_1": allow_k1_equal_1,
     }
-    return _dfs(params, [[]], expand,
-                lambda c: colour_pair_value(colouring, c.left, c.right),
+    colour_of = pair_colour_fn(colouring)
+    return _dfs(params, [[]], expand, lambda c: colour_of(c.left, c.right),
                 _candidate_is_child, max_len, list, mode, counts)
 
 
@@ -612,8 +631,9 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
         "kind": "plus", "colouring": colouring.spec, "n": n,
         "bound": bound, "mode": mode,
     }
+    colour_of = pair_colour_fn(colouring)
     return _dfs(params, [([], [], 0)], expand,
-                lambda pair: colour_pair_value(colouring, pair[0], pair[1]),
+                lambda pair: colour_of(*pair),
                 grow, n, lambda state: list(state[0]), mode, counts)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits, oracles
-from .pair_colouring import STAGE2, colour_pair
+from .pair_colouring import STAGE2, colour_pair, common_fragment_count
 
 SUITES = ("oracles", "claim1", "lastdigit", "claim4", "claim6",
           "fragments", "stage3")
@@ -69,8 +69,11 @@ def _oracle_pair_check(a: int, b: int):
     """First mismatching operation name for the pair, or None."""
     if bits.jumps(a, b) != oracles.jumps_oracle(a, b):
         return "jumps"
-    if len(bits.common_fragments(a, b)) != oracles.common_fragment_count_oracle(a, b):
+    fragment_count = oracles.common_fragment_count_oracle(a, b)
+    if len(bits.common_fragments(a, b)) != fragment_count:
         return "common_fragments"
+    if common_fragment_count(a, b) != fragment_count:
+        return "common_fragment_count"
     if bits.carry_region(a, b) != oracles.carry_region_oracle(a, b):
         return "carry_region"
     for lower, upper in ((a, b), (b, a)):

@@ -45,6 +45,39 @@ def test_pinned_jumps_and_labels():
     assert bits.jumps(1, 201) == 1
 
 
+def test_jumps_match_scanner_on_every_small_pair():
+    for a in range(1, 1 << 8):
+        for b in range(1, 1 << 8):
+            assert bits.jumps(a, b) == oracles.jumps_oracle(a, b), (a, b)
+
+
+_WIDE = (1 << 100) | (1 << 70) | 1
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (5, 5, 0),
+    ((1 << 64) - 1, (1 << 64) - 1, 0),
+    (_WIDE, _WIDE, 0),
+    (1, 1 << 9, 0),
+    (1 << 65, 1 << 64, 0),
+    (1 << 64, 1 << 64, 0),
+    (0b11, 0b111, 1),
+    ((1 << 64) - 1, (1 << 65) - 1, 1),
+    (_WIDE, (1 << 70) | (1 << 130), 1),
+    (_WIDE, (1 << 100) | (1 << 101) | (1 << 71) | 1, 2),
+])
+def test_pinned_jumps_on_equal_power_and_wide_pairs(a, b, expected):
+    assert bits.jumps(a, b) == expected
+    assert bits.jumps(b, a) == expected
+    assert oracles.jumps_oracle(a, b) == expected
+
+
+def test_jumps_need_naturals():
+    for a, b in ((0, 5), (5, 0), (-3, 5), (5, -1)):
+        with pytest.raises(ValueError, match="must be a natural"):
+            bits.jumps(a, b)
+
+
 def test_pinned_intervals():
     assert bits.intervals(0b11101110010101) == 5
     assert bits.intervals(1) == 1

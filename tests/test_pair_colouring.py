@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermono import bits
+from supermono import bits, oracles
 from supermono.pair_colouring import (
     FULL,
     STAGE1,
@@ -141,3 +141,41 @@ def test_sum_pair_never_matches_part_pairs(data):
 @given(a=small, b=small)
 def test_common_fragment_count_matches_fragment_list(a, b):
     assert common_fragment_count(a, b) == len(bits.common_fragments(a, b))
+
+
+def test_common_fragment_count_matches_scanner_on_every_small_pair():
+    for a in range(1, 1 << 8):
+        for b in range(1, 1 << 8):
+            count = common_fragment_count(a, b)
+            assert count == oracles.common_fragment_count_oracle(a, b), (a, b)
+            assert count == len(bits.common_fragments(a, b)), (a, b)
+
+
+_WIDE = (1 << 100) | (1 << 70) | 1
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (6, 6, 1),
+    ((1 << 64) - 1, (1 << 64) - 1, 1),
+    (_WIDE, _WIDE, 1),
+    (1, 1 << 9, 0),
+    (1 << 65, 1 << 64, 0),
+    (1 << 64, 1 << 64, 1),
+    (0b1010, 0b0101, 0),
+    ((1 << 70) | 1, (1 << 70) | (1 << 35) | 1, 2),
+    (_WIDE, (1 << 100) | (1 << 71) | (1 << 35) | 1, 2),
+    (_WIDE | (1 << 50),
+     (1 << 100) | (1 << 71) | (1 << 50) | (1 << 35) | 1, 3),
+])
+def test_pinned_common_fragment_counts_on_equal_power_and_wide_pairs(
+        a, b, expected):
+    assert common_fragment_count(a, b) == expected
+    assert common_fragment_count(b, a) == expected
+    assert oracles.common_fragment_count_oracle(a, b) == expected
+    assert len(bits.common_fragments(a, b)) == expected
+
+
+def test_common_fragment_count_needs_naturals():
+    for a, b in ((0, 5), (5, 0), (-3, 5), (5, -1)):
+        with pytest.raises(ValueError, match="must be a natural"):
+            common_fragment_count(a, b)

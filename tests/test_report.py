@@ -36,13 +36,6 @@ def test_json_is_canonical():
     assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
 
 
-def test_json_bytes_do_not_depend_on_parallelism():
-    col = parse_colouring("theta:stage2")
-    serial = report.to_json(altsum_search(col, 10, 3, mode="all", jobs=1))
-    threaded = report.to_json(altsum_search(col, 10, 3, mode="all", jobs=3))
-    assert serial == threaded
-
-
 def test_csv_layout():
     text = report.to_csv(_sample_report())
     lines = text.splitlines()

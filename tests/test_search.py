@@ -1,5 +1,6 @@
 """Bounded searches: colouring mini-language, constraint families, the
-x/y transform bridge, witness re-verification and deterministic merging."""
+x/y transform bridge, witness re-verification, per-run colour memos and
+pinned outcomes."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermono import search
+from supermono import report, search
 from supermono.search import (
     Q5_VARIANTS,
     X_ALTERNATING,
@@ -192,14 +193,30 @@ def test_theta_stages_refine_witness_sets():
         by_stage["stage1"][0].max_depth_reached
 
 
-def test_parallel_merge_is_deterministic():
-    col = parse_colouring("theta")
-    serial = altsum_search(col, 12, 4, mode="all", jobs=1)
-    threaded = altsum_search(col, 12, 4, mode="all", jobs=4)
-    assert serial == threaded
-    first_serial = altsum_search(col, 12, 3, jobs=1)
-    first_threaded = altsum_search(col, 12, 3, jobs=4)
-    assert first_serial == first_threaded
+_MEMO_SPECS = ("theta:full", "theta:stage2", "valmod:3@diff", "theta:full")
+
+
+@pytest.mark.parametrize("run, pinned", [
+    pytest.param(
+        lambda spec: altsum_search(parse_colouring(spec), 10, 3, mode="all"),
+        {"theta:full": ([], 175), "theta:stage2": ([], 175),
+         "valmod:3@diff": ([[1, 4, 7], [1, 4, 10], [1, 7, 10], [2, 5, 8],
+                            [3, 6, 9], [4, 7, 10]], 175)},
+        id="altsum"),
+    pytest.param(
+        lambda spec: plus_pair_search(parse_colouring(spec), 3, 12, "all"),
+        {"theta:full": ([], 173), "theta:stage2": ([], 173),
+         "valmod:3@diff": ([[3, 6, 12]], 173)},
+        id="plus"),
+])
+def test_pair_colour_memo_does_not_leak_between_runs(run, pinned):
+    """Each run memoises its own pair colours: runs under other colourings
+    in between change neither their own outcomes nor the repeated run's
+    report bytes."""
+    reports = [run(spec) for spec in _MEMO_SPECS]
+    assert report.to_json(reports[0]) == report.to_json(reports[-1])
+    for spec, rep in zip(_MEMO_SPECS, reports):
+        assert (rep.witnesses, rep.nodes_explored) == pinned[spec]
 
 
 def test_hindman_search_examples():

@@ -36,6 +36,15 @@ def test_oracle_suite_passes_at_small_bounds():
     assert result.counterexample is None
 
 
+def test_oracle_suite_referees_the_fragment_count(monkeypatch):
+    monkeypatch.setattr(verify, "common_fragment_count",
+                        lambda a, b: len(bits.common_fragments(a, b)) + (a == 3))
+    result = verify_oracles(8, 0)
+    assert not result.ok
+    assert result.detail == "common_fragment_count mismatch"
+    assert result.counterexample == (3, 4)
+
+
 def test_remaining_suites_pass_at_small_bounds():
     for suite, bound in (("claim1", 1024), ("lastdigit", 200), ("claim4", 10),
                          ("claim6", 15), ("fragments", 150), ("stage3", 50)):
