@@ -73,8 +73,13 @@ def from_support(positions) -> int:
 
 
 def digit_string(n: int, lo: int, hi: int) -> str:
-    """Digits of n at positions hi down to lo; empty when lo > hi."""
-    return "".join(str(digit(n, p)) for p in range(hi, lo - 1, -1))
+    """Digits of n at positions hi down to lo; empty when lo > hi. Digits
+    below position 0 read 0, as in digit."""
+    if lo > hi:
+        return ""
+    width = hi - lo + 1
+    window = n >> lo if lo >= 0 else n << -lo
+    return format(window & ((1 << width) - 1), f"0{width}b")
 
 
 def first_three_digits(n: int) -> str:

@@ -162,16 +162,7 @@ def pair_colour_fn(col: Colouring):
     witness verifiers call colour_pair_value directly and recolour from
     scratch.
     """
-    cache: dict[tuple[int, int], object] = {}
-
-    def colour(a: int, b: int):
-        value = cache.get((a, b))
-        if value is None:
-            value = colour_pair_value(col, a, b)
-            cache[(a, b)] = value
-        return value
-
-    return colour
+    return functools.cache(functools.partial(colour_pair_value, col))
 
 
 def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
@@ -191,18 +182,13 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
             raise ValueError("theta word colouring needs a reference word")
         if col.args[0] != "full":
             raise ValueError("word-side theta colouring uses the full stage")
-        cache: dict[str, object] = {}
 
+        @functools.cache
         def colour(u: str):
-            value = cache.get(u)
-            if value is None:
-                if len(u) > scan_bound:
-                    value = UNKNOWN
-                else:
-                    result = phi(x, u, scan_bound)
-                    value = result if result is UNKNOWN else result.serialise()
-                cache[u] = value
-            return value
+            if len(u) > scan_bound:
+                return UNKNOWN
+            result = phi(x, u, scan_bound)
+            return result if result is UNKNOWN else result.serialise()
 
         return colour
     raise ValueError(f"{col.family} does not colour words")
@@ -550,15 +536,7 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     if bound < 1:
         raise ValueError("bound must be positive")
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    cache: dict[int, object] = {}
-
-    def colour_power(s: int):
-        value = cache.get(s)
-        if value is None:
-            value = colour_of(u * s)
-            cache[s] = value
-        return value
-
+    colour_power = functools.cache(lambda s: colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
     # A state is (values, nonempty subset sums of the values).

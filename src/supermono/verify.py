@@ -12,13 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bits, oracles
 from .pair_colouring import STAGE2, colour_pair, common_fragment_count
-
-SUITES = ("oracles", "claim1", "lastdigit", "claim4", "claim6",
-          "fragments", "stage3")
 
 _SEED = 988121
 
@@ -141,31 +136,44 @@ def verify_oracles(bound: int = 1024, samples: int = 100_000) -> SuiteResult:
 # First-digit shift under equal windows
 
 
+def _claim1_counterexample(group: list[int], f: int) -> tuple[int, int] | None:
+    """First (a, b) over the group, a row by row, whose sum does not have
+    its first digit at f + 1; None when every sum does.
+
+    The group is packed into one int with a field per member, wide enough
+    that no sum carries into the next field, so one addition forms a + b
+    for every b. A field fails on a 1 below position f + 1 or a 0 at it.
+    """
+    width = (2 * max(group)).bit_length()
+    ones = ((1 << (width * len(group))) - 1) // ((1 << width) - 1)
+    packed = sum(v << (i * width) for i, v in enumerate(group))
+    below = ((1 << (f + 1)) - 1) * ones
+    at = (1 << (f + 1)) * ones
+    for a in group:
+        sums = packed + a * ones
+        bad = (sums & below) | (at & ~sums)
+        if bad:
+            return a, group[((bad & -bad).bit_length() - 1) // width]
+    return None
+
+
 def verify_claim1(bound: int = 16384) -> SuiteResult:
     """For a, b < bound with equal first-digit position f and equal digits
     at f, f+1, f+2, the first digit of a+b sits exactly at f+1 (so the
     f mod 3 colour component of sums shifts; 1 is not 0 mod 3)."""
-    size = 2 * bound
-    table = np.zeros(size, dtype=np.int8)
-    for f in range(size.bit_length() - 1):
-        table[(1 << f)::(1 << (f + 1))] = f
-    values = np.arange(1, bound, dtype=np.int64)
-    firsts = table[values].astype(np.int64)
-    windows = (values >> firsts) & 7
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(1, bound):
+        f = bits.first_digit(v)
+        groups.setdefault((f, (v >> f) & 7), []).append(v)
     checked = 0
-    for f in range(int(firsts.max()) + 1):
-        for w in (1, 3, 5, 7):
-            group = values[(firsts == f) & (windows == w)]
-            if group.size < 2:
-                continue
-            sums = group[:, None] + group[None, :]
-            good = table[sums] == f + 1
-            if not good.all():
-                i, j = np.argwhere(~good)[0]
-                return SuiteResult("claim1", False, checked,
-                                   "first digit of sum is not f+1",
-                                   (int(group[i]), int(group[j])))
-            checked += int(group.size) * (int(group.size) - 1) // 2
+    for (f, _), group in sorted(groups.items()):
+        if len(group) < 2:
+            continue
+        bad = _claim1_counterexample(group, f)
+        if bad is not None:
+            return SuiteResult("claim1", False, checked,
+                               "first digit of sum is not f+1", bad)
+        checked += len(group) * (len(group) - 1) // 2
     return SuiteResult("claim1", True, checked,
                        "first digit of every same-window sum is one above")
 
@@ -626,16 +634,6 @@ def verify_stage3(trials: int = 400) -> SuiteResult:
 # Dispatch
 
 
-_DEFAULT_BOUNDS = {
-    "oracles": 1024,
-    "claim1": 16384,
-    "lastdigit": 2000,
-    "claim4": 16,
-    "claim6": 18,
-    "fragments": 1500,
-    "stage3": 400,
-}
-
 _RUNNERS = {
     "oracles": verify_oracles,
     "claim1": verify_claim1,
@@ -646,12 +644,15 @@ _RUNNERS = {
     "stage3": verify_stage3,
 }
 
+SUITES = tuple(_RUNNERS)
+
 
 def run_suite(suite: str, bound: int | None = None) -> SuiteResult:
     """Run one named suite. bound scales the suite's main knob: the
     exhaustive pair bound (oracles), the value bound (claim1), the trial
     count (lastdigit, fragments, stage3), or the position count (claim4,
-    claim6)."""
+    claim6); None runs the suite at its default."""
     if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}")
-    return _RUNNERS[suite](bound if bound is not None else _DEFAULT_BOUNDS[suite])
+    runner = _RUNNERS[suite]
+    return runner() if bound is None else runner(bound)

@@ -7,7 +7,6 @@ Words are 1-indexed throughout.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 
@@ -43,26 +42,6 @@ def _check_letters(word: str, what: str) -> None:
         raise ValueError(f"{what} must be nonempty")
 
 
-class Periodic(WordSource):
-    """The word uuu... for a finite nonempty u."""
-
-    def __init__(self, period_word: str):
-        _check_letters(period_word, "period word")
-        self.period_word = period_word
-        self.period = len(period_word)
-        self.preperiod = ""
-        self.spec = f"periodic:{period_word}"
-        self.alphabet = tuple(sorted(set(period_word)))
-
-    def letter_at(self, n: int) -> str:
-        _check_position(n)
-        return self.period_word[(n - 1) % self.period]
-
-    def prefix(self, length: int) -> str:
-        reps = -(-length // self.period)
-        return (self.period_word * reps)[:length]
-
-
 class EventuallyPeriodic(WordSource):
     """A finite prefix p followed by uuu..."""
 
@@ -86,6 +65,14 @@ class EventuallyPeriodic(WordSource):
         tail = length - len(self.preperiod)
         reps = -(-tail // self.period)
         return self.preperiod + (self.period_word * reps)[:tail]
+
+
+class Periodic(EventuallyPeriodic):
+    """The word uuu... for a finite nonempty u: an empty preperiod."""
+
+    def __init__(self, period_word: str):
+        super().__init__("", period_word)
+        self.spec = f"periodic:{period_word}"
 
 
 class Morphic(WordSource):
@@ -118,13 +105,10 @@ class Morphic(WordSource):
         self.spec = f"morphic:{rule_text}|{seed}"
         self.alphabet = tuple(sorted(rules))
         self._cached = seed
-        self._lock = threading.Lock()
 
     def prefix(self, length: int) -> str:
-        if len(self._cached) < length:
-            with self._lock:
-                while len(self._cached) < length:
-                    self._cached = "".join(self.rules[ch] for ch in self._cached)
+        while len(self._cached) < length:
+            self._cached = "".join(self.rules[ch] for ch in self._cached)
         return self._cached[:length]
 
     def letter_at(self, n: int) -> str:
@@ -210,7 +194,7 @@ UNRESOLVED = _Unresolved()
 def decision_bound(x: WordSource, u: str) -> int | None:
     """Scan depth after which non-occurrence is certain, for sources with a
     known periodic structure; None when no finite certificate exists."""
-    if isinstance(x, (Periodic, EventuallyPeriodic)):
+    if isinstance(x, EventuallyPeriodic):
         return len(x.preperiod) + 2 * len(u) + x.period
     return None
 

@@ -36,6 +36,15 @@ def test_digit_string_reads_most_significant_first():
     assert bits.digit_string(6, 0, 2) == "110"
 
 
+def test_digit_string_matches_the_per_digit_definition():
+    for n in range(600):
+        for lo in range(-4, 12):
+            for hi in range(-5, 14):
+                want = "".join(str(bits.digit(n, p))
+                               for p in range(hi, lo - 1, -1))
+                assert bits.digit_string(n, lo, hi) == want, (n, lo, hi)
+
+
 def test_pinned_jumps_and_labels():
     a, b = 0b110101111, 0b10000100
     assert bits.jumps(a, b) == 2

@@ -4,6 +4,10 @@ cross-check that the constructive obstruction enumeration is complete."""
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +15,13 @@ from supermono import bits, verify
 from supermono.verify import (
     SUITES,
     SuiteResult,
+    _claim1_counterexample,
     claim6_hypotheses_hold,
     claim6_pair_set,
     claim6_tuples,
     partition_pieces,
     run_suite,
+    verify_claim1,
     verify_oracles,
 )
 
@@ -52,6 +58,75 @@ def test_remaining_suites_pass_at_small_bounds():
         assert result.ok, (suite, result.detail, result.counterexample)
         assert result.suite == suite
         assert result.checked > 0
+
+
+def _first_bad_pair(group, f):
+    for a in group:
+        for b in group:
+            if bits.first_digit(a + b) != f + 1:
+                return a, b
+    return None
+
+
+def test_claim1_counterexample_is_the_first_bad_pair_row_by_row():
+    assert _claim1_counterexample([1, 3, 4], 0) == (1, 3)
+    assert _claim1_counterexample([3, 1], 0) == (3, 1)
+    assert _claim1_counterexample([5, 3], 0) == (5, 3)
+    assert _claim1_counterexample([1, 9, 17], 0) is None
+
+
+def test_claim1_counterexample_matches_a_double_loop_below_1024():
+    by_window, by_first_digit = {}, {}
+    for v in range(1, 1024):
+        f = bits.first_digit(v)
+        by_window.setdefault((f, (v >> f) & 7), []).append(v)
+        by_first_digit.setdefault((f, None), []).append(v)
+    failures = 0
+    for (f, window), group in {**by_window, **by_first_digit}.items():
+        want = _first_bad_pair(group, f)
+        assert _claim1_counterexample(group, f) == want, (f, window)
+        if window is not None:
+            assert want is None, (f, window)
+        failures += want is not None
+    assert failures == 9
+
+
+def test_claim1_checked_counts_are_pinned():
+    for bound, checked in ((1, 0), (2, 0), (3, 0), (5, 0), (100, 368),
+                           (777, 24710), (1024, 43180), (16384, 11176620)):
+        result = verify_claim1(bound)
+        assert (result.ok, result.checked) == (True, checked), bound
+
+
+def test_claim1_failure_carries_the_pair_and_the_count_before_it(monkeypatch):
+    def fail_on_first_digit_two(group, f):
+        return (group[0], group[-1]) if f == 2 else None
+
+    monkeypatch.setattr(verify, "_claim1_counterexample",
+                        fail_on_first_digit_two)
+    result = verify_claim1(100)
+    assert not result.ok
+    assert result.counterexample == (4, 68)
+
+    def key(v):
+        f = bits.first_digit(v)
+        return f, (v >> f) & 7
+
+    pairs = itertools.combinations(range(1, 100), 2)
+    assert result.checked == sum(key(a) == key(b) and key(a)[0] < 2
+                                 for a, b in pairs)
+
+
+def test_verify_and_cli_import_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    code = ('import sys; sys.modules["numpy"] = None; '
+            'import supermono.verify, supermono.cli')
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_obstruction_tuple_counts():

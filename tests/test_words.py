@@ -3,6 +3,7 @@ regrouping and the standardisation loop with its periodicity certificates."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -227,3 +228,21 @@ def test_decision_bound_only_for_periodic_structure():
     assert words.decision_bound(EventuallyPeriodic("c", "ab"), "aa") == 7
     assert words.decision_bound(fibonacci_word(), "aa") is None
     assert words.decision_bound(ExplicitPrefix("ab"), "aa") is None
+
+
+def test_periodic_agrees_with_an_empty_preperiod():
+    for w in ("a", "ab", "aab", "abcab", "babba"):
+        plain, evper = Periodic(w), EventuallyPeriodic("", w)
+        assert plain.spec == f"periodic:{w}"
+        for length in range(0, 4 * len(w) + 3):
+            assert plain.prefix(length) == evper.prefix(length)
+        for n in range(1, 4 * len(w) + 3):
+            assert plain.letter_at(n) == evper.letter_at(n)
+        for size in range(1, 5):
+            for letters in itertools.product("abc", repeat=size):
+                u = "".join(letters)
+                assert words.decision_bound(plain, u) == \
+                    words.decision_bound(evper, u)
+                for scan in (size, size + 3, 4 * size + 2 * len(w)):
+                    assert first_occurrence(plain, u, scan) == \
+                        first_occurrence(evper, u, scan)
