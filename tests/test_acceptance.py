@@ -148,7 +148,8 @@ def test_weighted_prefix_search_exhausts_and_stages_refine():
                               243, "all", 1)
     ok = report.exhausted and not report.witnesses
     stages_refine = True
-    for bound, max_len in ((12, 4), (8, 3)):
+    by_bounds = {}
+    for bound, max_len in ((12, 4), (8, 3), (12, 3)):
         by_stage = []
         for spec in ("theta:stage1", "theta:stage2", "theta"):
             stage_report = search.altsum_search(
@@ -158,6 +159,11 @@ def test_weighted_prefix_search_exhausts_and_stages_refine():
         coarse, middle, fine = by_stage
         if not (fine <= middle <= coarse):
             stages_refine = False
+        by_bounds[bound, max_len] = by_stage
+    # The containment is strict at (12, 3), so it is not checked on empty
+    # sets alone.
+    if by_bounds[12, 3] != [{(1, 9, 10), (2, 3, 11)}, set(), set()]:
+        stages_refine = False
     _report("weighted prefix exhaustion", ok and stages_refine, started,
             600.0, f"{report.nodes_explored} nodes, zero witnesses, "
             f"stage containment holds")

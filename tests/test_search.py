@@ -182,15 +182,25 @@ def test_altsum_witness_verification_rejects_mixed_colours():
 
 
 def test_theta_stages_refine_witness_sets():
-    by_stage = {}
-    for stage in ("stage1", "stage2", "full"):
-        rep = altsum_search(parse_colouring(f"theta:{stage}"), 12, 4, mode="all")
-        assert rep.exhausted
-        by_stage[stage] = (rep, {tuple(w) for w in rep.witnesses})
-    assert by_stage["full"][1] <= by_stage["stage2"][1] <= by_stage["stage1"][1]
-    assert by_stage["full"][0].max_depth_reached <= \
-        by_stage["stage2"][0].max_depth_reached <= \
-        by_stage["stage1"][0].max_depth_reached
+    witnesses = {}
+    for bound, max_len in ((12, 4), (12, 3)):
+        by_stage = {}
+        for stage in ("stage1", "stage2", "full"):
+            rep = altsum_search(parse_colouring(f"theta:{stage}"), bound,
+                                max_len, mode="all")
+            assert rep.exhausted
+            by_stage[stage] = (rep, {tuple(w) for w in rep.witnesses})
+        assert by_stage["full"][1] <= by_stage["stage2"][1] <= \
+            by_stage["stage1"][1]
+        assert by_stage["full"][0].max_depth_reached <= \
+            by_stage["stage2"][0].max_depth_reached <= \
+            by_stage["stage1"][0].max_depth_reached
+        witnesses[bound, max_len] = {stage: found
+                                     for stage, (_, found) in by_stage.items()}
+    # At L 3 the containment is strict: stage1 finds two witnesses that the
+    # finer stages reject.
+    assert witnesses[12, 3] == {"stage1": {(1, 9, 10), (2, 3, 11)},
+                                "stage2": set(), "full": set()}
 
 
 _MEMO_SPECS = ("theta:full", "theta:stage2", "valmod:3@diff", "theta:full")
@@ -359,6 +369,43 @@ _PINNED_OUTCOMES = [
         lambda: altsum_search(_col("dbl"), 8, 3, Y_BLOCK),
         ([[2, 6, 1]], False, 121, 3, {"constraints_checked": 224}),
         id="altsum-dbl-first-late-branch"),
+    pytest.param(
+        lambda: altsum_search(_col("valmod:3@sum"), 4, 5, Y_SUBSET, "all"),
+        ([[1, 3, 3, 3, 3], [2, 3, 3, 3, 3], [3, 3, 3, 3, 3], [4, 3, 3, 3, 3]],
+         True,
+         356,
+         5,
+         {"constraints_checked": 944}),
+        id="altsum-sum-y-subset-k2-deep"),
+    pytest.param(
+        lambda: altsum_search(_col("valmod:3@sum"), 4, 5, Y_SUBSET, "all",
+                              allow_k1_equal_1=True),
+        ([[3, 3, 3, 3, 3]], True, 176, 5, {"constraints_checked": 691}),
+        id="altsum-sum-y-subset-k1-deep"),
+    pytest.param(
+        lambda: altsum_search(_col("valmod:3@sum"), 4, 5, Y_BLOCK, "all"),
+        ([[1, 3, 3, 3, 3], [2, 3, 3, 3, 3], [3, 3, 3, 3, 3], [4, 3, 3, 3, 3]],
+         True,
+         116,
+         5,
+         {"constraints_checked": 336}),
+        id="altsum-sum-y-block-deep"),
+    pytest.param(
+        lambda: altsum_search(_col("valmod:3@sum"), 16, 5, X_ALTERNATING,
+                              "all"),
+        ([[1, 4, 7, 10, 13],
+          [1, 4, 7, 10, 16],
+          [1, 4, 7, 13, 16],
+          [1, 4, 10, 13, 16],
+          [1, 7, 10, 13, 16],
+          [2, 5, 8, 11, 14],
+          [3, 6, 9, 12, 15],
+          [4, 7, 10, 13, 16]],
+         True,
+         840,
+         5,
+         {"constraints_checked": 1972}),
+        id="altsum-sum-x-deep"),
     pytest.param(
         lambda: supermono_search(_word("periodic:ab"), _col("lenmod:2"), 3,
                                  2, 8),
