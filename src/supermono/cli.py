@@ -299,6 +299,8 @@ def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
     """Value sequences whose nonempty subset sums s all give u^s one
     colour."""
     _check_positive(n=n_values, bound=bound, scan_bound=scan_bound)
+    if not u:
+        raise click.UsageError("--u must be a nonempty word")
     col = _parse_colouring(colouring, "word")
     if col.family == "theta" and word is None:
         raise click.UsageError("the theta colouring needs --word")

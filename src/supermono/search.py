@@ -4,9 +4,12 @@ finite Hindman sums, the all-plus pair family, and coefficient-pattern sums.
 
 Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
-engine, _dfs. Reports are deterministic functions of the search parameters
-alone. The searches still accept a jobs argument for existing callers, but
-ignore it: every search runs in the calling thread.
+engine, _dfs. The alternating-sum search carries its left-hand sides in
+the search state; constraints_for builds each family from scratch and is
+the referee behind verify_altsum_witness. Reports are deterministic
+functions of the search parameters alone. The searches still accept a jobs
+argument for existing callers, but ignore it: every search runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -234,39 +237,10 @@ def _alt_sum(values) -> int:
     return total
 
 
-def _constraints_with_top(values, form: str, allow_k1_equal_1: bool = False):
-    """Constraints whose maximal index is the last element of values.
-
-    Extending a sequence by one element only creates index tuples ending
-    at the new index, so a search can accumulate these incrementally.
-    """
-    n = len(values)
-    out = []
-    if form == X_ALTERNATING:
-        for size in range(2, n + 1, 2):
-            for combo in itertools.combinations(range(1, n), size - 1):
-                ks = combo + (n,)
-                left = _alt_sum([values[k - 1] for k in ks[:-1]])
-                out.append(Constraint(left, values[n - 1], ks))
-        return out
-    prefix = list(itertools.accumulate(values))
-    first = 1 if (form == Y_BLOCK or allow_k1_equal_1) else 2
-    for size in range(2, n + 1):
-        if form == Y_BLOCK and size % 2 == 1:
-            continue
-        for combo in itertools.combinations(range(first, n), size - 1):
-            ks = combo + (n,)
-            right = prefix[n - 1]
-            if form == Y_SUBSET:
-                left = values[0] + sum(values[k - 1] for k in ks[:-1])
-                if left >= right:
-                    continue
-            else:
-                left = prefix[ks[0] - 1]
-                for lo, hi in zip(ks[1:-1:2], ks[2:-1:2]):
-                    left += prefix[hi - 1] - prefix[lo - 1]
-            out.append(Constraint(left, right, ks))
-    return out
+def _constraints_with_top(lefts, right):
+    """The pairs (left, right) over the carried lefts that satisfy
+    left < right."""
+    return [(left, right) for left in lefts if left < right]
 
 
 def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
@@ -410,6 +384,11 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     grow arbitrary positive sequences <= bound. A witness has length
     max_len. The path colour is fixed by the first constraint generated on
     the path; every later constraint must match it.
+
+    The state carries the left-hand sides, so a candidate only pairs them
+    with its right: the value itself for x_alternating, the running total
+    for the y forms. constraints_for is the referee behind
+    verify_altsum_witness.
     """
     _check_mode(mode)
     if form not in FORMS:
@@ -417,15 +396,33 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     if bound < 1 or max_len < 1:
         raise ValueError("bound and max_len must be positive")
     increasing = form == X_ALTERNATING
+    first = 1 if allow_k1_equal_1 else 2
     counts = {"constraints_checked": 0}
 
-    def expand(values: list):
+    # A state is (values, newest right, lefts, evens). For the alternating
+    # forms, where y_block is x_alternating over prefix sums, lefts and
+    # evens are the alternating sums of the odd- and even-size index sets.
+    # For y_subset, lefts are y_1 plus each nonempty subset sum of the
+    # values from index first on.
+    def expand(state):
+        values, x, lefts, _ = state
         lo = values[-1] + 1 if increasing and values else 1
         for v in range(lo, bound + 1):
-            new = values + [v]
-            constraints = _constraints_with_top(new, form, allow_k1_equal_1)
-            counts["constraints_checked"] += len(constraints)
-            yield new, constraints
+            pairs = _constraints_with_top(lefts, v if increasing else x + v)
+            counts["constraints_checked"] += len(pairs)
+            yield v, pairs
+
+    def grow(state, v: int, _pairs):
+        values, x, lefts, evens = state
+        right = v if increasing else x + v
+        if form != Y_SUBSET:
+            return (values + [v], right,
+                    lefts + [e + right for e in evens] + [right],
+                    evens + [o - right for o in lefts])
+        if len(values) + 1 >= first:
+            y1 = values[0] if values else v
+            lefts = lefts + [left + v for left in lefts] + [y1 + v]
+        return values + [v], right, lefts, evens
 
     params = {
         "kind": "altsum", "colouring": colouring.spec, "B": bound,
@@ -433,8 +430,9 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
         "allow_k1_equal_1": allow_k1_equal_1,
     }
     colour_of = pair_colour_fn(colouring)
-    return _dfs(params, [[]], expand, lambda c: colour_of(c.left, c.right),
-                _candidate_is_child, max_len, list, mode, counts)
+    return _dfs(params, [([], 0, [], [])], expand,
+                lambda pair: colour_of(*pair), grow, max_len,
+                lambda state: list(state[0]), mode, counts)
 
 
 def verify_altsum_witness(colouring: Colouring, values, form: str,

@@ -183,6 +183,13 @@ def test_colouring_in_the_wrong_role_is_a_usage_error(args):
     assert not isinstance(result.exception, ValueError)
 
 
+def test_empty_hindman_base_word_is_a_usage_error():
+    result = _invoke("search", "hindman", "--u", "")
+    assert result.exit_code == 1
+    assert "Error: --u must be a nonempty word" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_version_flag():
     result = _invoke("--version")
     assert result.exit_code == 0

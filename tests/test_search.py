@@ -4,6 +4,8 @@ pinned outcomes."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +151,8 @@ def test_subset_form_pairs_embed_in_block_form(ys):
 @given(data=st.data())
 @settings(max_examples=200)
 def test_incremental_constraints_union_to_full_set(data):
+    """Walking a sequence through the altsum search's own expand and grow
+    pairs up every constraint of the family exactly once."""
     form = data.draw(st.sampled_from((X_ALTERNATING, Y_SUBSET, Y_BLOCK)))
     if form == X_ALTERNATING:
         values = sorted(data.draw(st.sets(
@@ -157,10 +161,24 @@ def test_incremental_constraints_union_to_full_set(data):
         values = data.draw(st.lists(
             st.integers(min_value=1, max_value=8), min_size=1, max_size=6))
     allow = data.draw(st.booleans())
-    union = set()
-    for i in range(1, len(values) + 1):
-        union.update(search._constraints_with_top(values[:i], form, allow))
-    assert union == set(constraints_for(values, form, allow))
+    engine = {}
+
+    def capture(params, roots, expand, colour_of, grow, *rest):
+        engine.update(roots=roots, expand=expand, grow=grow)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_dfs", capture)
+        altsum_search(parse_colouring("const"), max(values), len(values),
+                      form, "all", allow_k1_equal_1=allow)
+    (state,) = engine["roots"]
+    pairs = Counter()
+    for v in values:
+        step = next(obligations for candidate, obligations
+                    in engine["expand"](state) if candidate == v)
+        pairs.update(step)
+        state = engine["grow"](state, v, step)
+    assert pairs == Counter((c.left, c.right)
+                            for c in constraints_for(values, form, allow))
 
 
 def test_altsum_search_first_and_all_modes():
