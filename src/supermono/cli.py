@@ -1,8 +1,9 @@
 """Command-line surface: digit diagnostics, verification suites and
 bounded search experiments with reproducible reports.
 
-Exit codes: 0 completed or passed, 1 usage or parse error, 2 verification
-failure, 3 witnesses found where --expect-none was set.
+Exit codes: 0 completed or passed, 1 usage or parse error (including every
+argument a search rejects), 2 verification failure, 3 witnesses found where
+--expect-none was set.
 """
 
 from __future__ import annotations
@@ -44,27 +45,21 @@ def _aligned(rows) -> str:
     return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
 
 
-def _parse_colouring(text: str, role: str) -> search.Colouring:
-    """Parse a colouring and check that its family colours the role's
-    objects: "number", "pair" or "word"."""
-    try:
-        col = search.parse_colouring(text)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    families = search.ROLE_FAMILIES[role]
-    if col.family not in families:
-        raise click.UsageError(
-            f"{col.family} does not colour {role}s; use one of "
-            f"{', '.join(families)}")
-    if role == "word" and col.family == "theta" and col.args != ("full",):
-        raise click.UsageError("word-side theta colouring uses the full stage")
-    return col
+def _checked(call, *args, **kwargs):
+    """Return call(*args, **kwargs), turning an argument the library
+    rejects into a usage error (exit 1).
 
-
-def _parse_word(text: str) -> words.WordSource:
+    The spec parsers run no engine, so every ValueError they raise is
+    rejected input. A search raises search.ArgumentError for each argument
+    it rejects; any other ValueError from a running search is an internal
+    fault and stays a traceback.
+    """
+    rejected = (ValueError
+                if call in (search.parse_colouring, words.parse_word_spec)
+                else search.ArgumentError)
     try:
-        return words.parse_word_spec(text)
-    except ValueError as err:
+        return call(*args, **kwargs)
+    except rejected as err:
         raise click.UsageError(str(err))
 
 
@@ -225,12 +220,6 @@ def _finish_search(rep, fmt: str, out: str | None, expect_none: bool) -> None:
         sys.exit(3)
 
 
-def _check_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise click.UsageError(f"{name} must be positive, got {value}")
-
-
 @search_group.command("altsum")
 @click.option("--colouring", default="theta", show_default=True)
 @click.option("--B", "bound", type=int, default=16, show_default=True,
@@ -246,10 +235,9 @@ def search_altsum(colouring: str, bound: int, max_len: int, form: str,
                   allow_k1_equal_1: bool, mode: str, fmt: str,
                   out: str | None, expect_none: bool) -> None:
     """Sequences whose alternating-sum constraint pairs are one colour."""
-    _check_positive(B=bound, L=max_len)
-    col = _parse_colouring(colouring, "pair")
-    rep = search.altsum_search(col, bound, max_len, form, mode,
-                               allow_k1_equal_1=allow_k1_equal_1)
+    col = _checked(search.parse_colouring, colouring)
+    rep = _checked(search.altsum_search, col, bound, max_len, form, mode,
+                   allow_k1_equal_1=allow_k1_equal_1)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -271,12 +259,10 @@ def search_supermono(word: str, colouring: str, n_factors: int,
                      expect_none: bool) -> None:
     """Consecutive factors of a suffix whose ordered-subset concatenations
     are one colour."""
-    _check_positive(n=n_factors, suffix_bound=suffix_bound,
-                    len_bound=len_bound, scan_bound=scan_bound)
-    x = _parse_word(word)
-    col = _parse_colouring(colouring, "word")
-    rep = search.supermono_search(x, col, suffix_bound, n_factors, len_bound,
-                                  scan_bound, mode)
+    x = _checked(words.parse_word_spec, word)
+    col = _checked(search.parse_colouring, colouring)
+    rep = _checked(search.supermono_search, x, col, suffix_bound, n_factors,
+                   len_bound, scan_bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -298,15 +284,10 @@ def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
                    fmt: str, out: str | None, expect_none: bool) -> None:
     """Value sequences whose nonempty subset sums s all give u^s one
     colour."""
-    _check_positive(n=n_values, bound=bound, scan_bound=scan_bound)
-    if not u:
-        raise click.UsageError("--u must be a nonempty word")
-    col = _parse_colouring(colouring, "word")
-    if col.family == "theta" and word is None:
-        raise click.UsageError("the theta colouring needs --word")
-    x = _parse_word(word) if word is not None else None
-    rep = search.hindman_search(u, col, n_values, bound, x=x,
-                                scan_bound=scan_bound, mode=mode)
+    col = _checked(search.parse_colouring, colouring)
+    x = _checked(words.parse_word_spec, word) if word is not None else None
+    rep = _checked(search.hindman_search, u, col, n_values, bound, x=x,
+                   scan_bound=scan_bound, mode=mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -320,9 +301,8 @@ def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
 def search_plus(colouring: str, n_values: int, bound: int, mode: str,
                 fmt: str, out: str | None, expect_none: bool) -> None:
     """Sequences whose pairs (value, later subset sum) are one colour."""
-    _check_positive(n=n_values, bound=bound)
-    col = _parse_colouring(colouring, "pair")
-    rep = search.plus_pair_search(col, n_values, bound, mode)
+    col = _checked(search.parse_colouring, colouring)
+    rep = _checked(search.plus_pair_search, col, n_values, bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 
@@ -339,9 +319,8 @@ def search_q5(colouring: str, variant: str, max_len: int, bound: int,
               mode: str, fmt: str, out: str | None,
               expect_none: bool) -> None:
     """Sequences whose coefficient-weighted prefix sums are one colour."""
-    _check_positive(L=max_len, bound=bound)
-    col = _parse_colouring(colouring, "number")
-    rep = search.q5_search(col, variant, max_len, bound, mode)
+    col = _checked(search.parse_colouring, colouring)
+    rep = _checked(search.q5_search, col, variant, max_len, bound, mode)
     _finish_search(rep, fmt, out, expect_none)
 
 

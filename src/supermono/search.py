@@ -7,9 +7,12 @@ bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. The alternating-sum search carries its left-hand sides in
 the search state; constraints_for builds each family from scratch and is
 the referee behind verify_altsum_witness. Reports are deterministic
-functions of the search parameters alone. The searches still accept a jobs
-argument for existing callers, but ignore it: every search runs in the
-calling thread.
+functions of the search parameters alone, and every search runs in the
+calling thread. altsum_search and supermono_search still accept a jobs
+argument and ignore it, because the benchmark workloads pass it.
+
+Each search checks its own arguments, colouring role included, before it
+explores any node, and raises ArgumentError for one it rejects.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ ROLE_FAMILIES = {
     "pair": ("theta",) + _NUMBER_FAMILIES,
     "word": _WORD_FAMILIES,
 }
+
+
+class ArgumentError(ValueError):
+    """A search argument or colouring the search rejects: a mistake of
+    the caller, raised before any node is explored."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +115,20 @@ def parse_colouring(text: str) -> Colouring:
     return Colouring(text, family, args, lift_mode)
 
 
+def _check_role(col: Colouring, role: str) -> None:
+    """Reject a colouring whose family does not colour the role's objects
+    ("number", "pair" or "word"), and a pair lift outside the pair role."""
+    families = ROLE_FAMILIES[role]
+    if col.family not in families:
+        raise ArgumentError(
+            f"{col.family} does not colour {role}s; use one of "
+            f"{', '.join(families)}")
+    if role != "pair" and "@" in col.spec:
+        raise ArgumentError(
+            f"{col.spec}: a pair lift applies only when a number family "
+            f"colours pairs, not {role}s")
+
+
 def colour_number(col: Colouring, n: int):
     """Colour a single natural number under a number family."""
     if n < 1:
@@ -163,8 +185,9 @@ def pair_colour_fn(col: Colouring):
 
     A search builds one per run, so the memo never outlives the run; the
     witness verifiers call colour_pair_value directly and recolour from
-    scratch.
+    scratch. A colouring that does not colour pairs raises ArgumentError.
     """
+    _check_role(col, "pair")
     return functools.cache(functools.partial(colour_pair_value, col))
 
 
@@ -173,28 +196,28 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
 
     The theta family colours words through the induced colouring relative
     to x and may return the UNKNOWN sentinel within scan_bound; the other
-    families are total. Values are hashable and JSON-friendly.
+    families are total. Values are hashable and JSON-friendly. A colouring
+    that does not colour words raises ArgumentError.
     """
+    _check_role(col, "word")
     if col.family == "const":
         return lambda u: 0
     if col.family == "lenmod":
         k = col.args[0]
         return lambda u: len(u) % k
-    if col.family == "theta":
-        if x is None:
-            raise ValueError("theta word colouring needs a reference word")
-        if col.args[0] != "full":
-            raise ValueError("word-side theta colouring uses the full stage")
+    if x is None:
+        raise ArgumentError("theta word colouring needs a reference word")
+    if col.args[0] != "full":
+        raise ArgumentError("word-side theta colouring uses the full stage")
 
-        @functools.cache
-        def colour(u: str):
-            if len(u) > scan_bound:
-                return UNKNOWN
-            result = phi(x, u, scan_bound)
-            return result if result is UNKNOWN else result.serialise()
+    @functools.cache
+    def colour(u: str):
+        if len(u) > scan_bound:
+            return UNKNOWN
+        result = phi(x, u, scan_bound)
+        return result if result is UNKNOWN else result.serialise()
 
-        return colour
-    raise ValueError(f"{col.family} does not colour words")
+    return colour
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +333,17 @@ class SearchReport:
     counts: dict = field(default_factory=dict)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("first", "all"):
-        raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
+def _check_params(params: dict, **least: int) -> None:
+    """Reject an unknown mode and each named parameter below its least
+    allowed value. The names are the report's, so a message names the
+    value as the report would."""
+    if params["mode"] not in ("first", "all"):
+        raise ArgumentError(
+            f"mode must be 'first' or 'all', got {params['mode']!r}")
+    for name, low in least.items():
+        if params[name] < low:
+            raise ArgumentError(
+                f"{name} must be at least {low}, got {params[name]}")
 
 
 def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
@@ -390,11 +421,15 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     for the y forms. constraints_for is the referee behind
     verify_altsum_witness.
     """
-    _check_mode(mode)
     if form not in FORMS:
-        raise ValueError(f"unknown constraint form {form!r}")
-    if bound < 1 or max_len < 1:
-        raise ValueError("bound and max_len must be positive")
+        raise ArgumentError(f"unknown constraint form {form!r}")
+    params = {
+        "kind": "altsum", "colouring": colouring.spec, "B": bound,
+        "L": max_len, "form": form, "mode": mode,
+        "allow_k1_equal_1": allow_k1_equal_1,
+    }
+    _check_params(params, B=1, L=1)
+    colour_of = pair_colour_fn(colouring)
     increasing = form == X_ALTERNATING
     first = 1 if allow_k1_equal_1 else 2
     counts = {"constraints_checked": 0}
@@ -424,12 +459,6 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
             lefts = lefts + [left + v for left in lefts] + [y1 + v]
         return values + [v], right, lefts, evens
 
-    params = {
-        "kind": "altsum", "colouring": colouring.spec, "B": bound,
-        "L": max_len, "form": form, "mode": mode,
-        "allow_k1_equal_1": allow_k1_equal_1,
-    }
-    colour_of = pair_colour_fn(colouring)
     return _dfs(params, [([], 0, [], [])], expand,
                 lambda pair: colour_of(*pair), grow, max_len,
                 lambda state: list(state[0]), mode, counts)
@@ -459,11 +488,13 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     tallied under unknown_aborts; an unknown abort cannot hide a witness,
     because every extension keeps the unresolved subset.
     """
-    _check_mode(mode)
-    if n_factors < 1:
-        raise ValueError("n_factors must be at least 1")
-    if suffix_bound < 1 or len_bound < 1:
-        raise ValueError("bounds must be positive")
+    params = {
+        "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
+        "suffix_bound": suffix_bound, "n": n_factors,
+        "len_bound": len_bound, "scan_bound": scan_bound, "mode": mode,
+    }
+    _check_params(params, suffix_bound=1, n=1, len_bound=1, scan_bound=1)
+    colour_of = word_colour_fn(colouring, x, scan_bound)
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
     # A state is (suffix start, next position, factors, subset words).
@@ -479,14 +510,9 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         start, pos, factors, subsets = state
         return start, pos + len(u), factors + [u], subsets + new_words
 
-    params = {
-        "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
-        "suffix_bound": suffix_bound, "n": n_factors,
-        "len_bound": len_bound, "scan_bound": scan_bound, "mode": mode,
-    }
     return _dfs(params, [(start, start, [], [])
                          for start in range(1, suffix_bound + 1)],
-                expand, word_colour_fn(colouring, x, scan_bound), grow,
+                expand, colour_of, grow,
                 n_factors, lambda state: [state[0]] + state[2], mode, counts,
                 "colour_evaluations")
 
@@ -519,20 +545,22 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
 
 def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
                    x: WordSource | None = None, scan_bound: int = 4096,
-                   mode: str = "first", jobs: int = 1) -> SearchReport:
+                   mode: str = "first") -> SearchReport:
     """Search a_1 < ... < a_n <= bound such that u^s has one colour for
     every nonempty distinct-element sum s.
 
     The first witness in lexicographic order is returned in first mode.
     theta colourings need a reference word x for the induced colouring.
     """
-    _check_mode(mode)
-    if n < 2:
-        raise ValueError("n must be at least 2")
     if not u:
-        raise ValueError("u must be nonempty")
-    if bound < 1:
-        raise ValueError("bound must be positive")
+        raise ArgumentError("u must be a nonempty word")
+    params = {
+        "kind": "hindman", "u": u, "colouring": colouring.spec, "n": n,
+        "bound": bound, "mode": mode,
+        "word": x.spec if x is not None else None,
+        "scan_bound": scan_bound,
+    }
+    _check_params(params, n=2, bound=1, scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     colour_power = functools.cache(lambda s: colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
@@ -547,12 +575,6 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
         values, sums = state
         return values + [v], sums + new_sums
 
-    params = {
-        "kind": "hindman", "u": u, "colouring": colouring.spec, "n": n,
-        "bound": bound, "mode": mode,
-        "word": x.spec if x is not None else None,
-        "scan_bound": scan_bound,
-    }
     return _dfs(params, [([], [])], expand, colour_power, grow, n,
                 lambda state: list(state[0]), mode, counts,
                 "colour_evaluations")
@@ -578,18 +600,19 @@ def verify_hindman_witness(u: str, colouring: Colouring, values,
 
 
 def plus_pair_search(colouring: Colouring, n: int, bound: int,
-                     mode: str = "first", jobs: int = 1) -> SearchReport:
+                     mode: str = "first") -> SearchReport:
     """Search x_1 < ... < x_n <= bound with every pair (prefix subset sum,
     next element) one colour.
 
     Elements are forced superincreasing (each exceeds the sum of all
     earlier ones) so every constraint satisfies left < right.
     """
-    _check_mode(mode)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    params = {
+        "kind": "plus", "colouring": colouring.spec, "n": n,
+        "bound": bound, "mode": mode,
+    }
+    _check_params(params, n=2, bound=1)
+    colour_of = pair_colour_fn(colouring)
     counts = {"constraints_checked": 0}
 
     # A state is (values, nonempty subset sums of the values, their total).
@@ -603,11 +626,6 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
         values, sums, total = state
         return values + [v], sums + [s + v for s in sums] + [v], total + v
 
-    params = {
-        "kind": "plus", "colouring": colouring.spec, "n": n,
-        "bound": bound, "mode": mode,
-    }
-    colour_of = pair_colour_fn(colouring)
     return _dfs(params, [([], [], 0)], expand,
                 lambda pair: colour_of(*pair),
                 grow, n, lambda state: list(state[0]), mode, counts)
@@ -658,15 +676,18 @@ def _q5_patterns(k: int, variant: str):
 
 
 def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
-              mode: str = "first", jobs: int = 1) -> SearchReport:
+              mode: str = "first") -> SearchReport:
     """Search y_1..y_L <= bound (repeats allowed) with every coefficient
     sum a_1 y_1 + ... + a_k y_k, k = 1..L, one colour under a number
     colouring, with coefficients drawn per variant."""
-    _check_mode(mode)
     if variant not in Q5_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if max_len < 1 or bound < 1:
-        raise ValueError("bounds must be positive")
+        raise ArgumentError(f"unknown variant {variant!r}")
+    params = {
+        "kind": "q5", "colouring": colouring.spec, "variant": variant,
+        "L": max_len, "bound": bound, "mode": mode,
+    }
+    _check_params(params, L=1, bound=1)
+    _check_role(colouring, "number")
     patterns = [()] + [_q5_patterns(k, variant) for k in range(1, max_len + 1)]
 
     def expand(values: list):
@@ -675,10 +696,6 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
             yield new, (sum(c * y for c, y in zip(coeffs, new))
                         for coeffs in patterns[len(new)])
 
-    params = {
-        "kind": "q5", "colouring": colouring.spec, "variant": variant,
-        "L": max_len, "bound": bound, "mode": mode,
-    }
     return _dfs(params, [[]], expand,
                 functools.partial(colour_number, colouring),
                 _candidate_is_child, max_len, list, mode,

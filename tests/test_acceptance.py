@@ -121,8 +121,7 @@ def test_periodic_suffix_factorisations_yield_verified_witnesses():
 def test_repeated_letter_sums_admit_a_parity_witness():
     started = time.perf_counter()
     colouring = parse_colouring("lenmod:2")
-    report = search.hindman_search("a", colouring, 3, 10, mode="first",
-                                   jobs=1)
+    report = search.hindman_search("a", colouring, 3, 10, mode="first")
     ok = bool(report.witnesses)
     witness = report.witnesses[0] if ok else None
     if ok:
@@ -145,7 +144,7 @@ def test_fibonacci_consecutive_factor_search_exhausts_empty():
 def test_weighted_prefix_search_exhausts_and_stages_refine():
     started = time.perf_counter()
     report = search.q5_search(parse_colouring("base-lsnz:3"), "a1free", 3,
-                              243, "all", 1)
+                              243, "all")
     ok = report.exhausted and not report.witnesses
     stages_refine = True
     by_bounds = {}

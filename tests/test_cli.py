@@ -8,7 +8,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from supermono import __version__, verify
+from supermono import __version__, search, verify
 from supermono.cli import main
 from supermono.verify import SuiteResult
 
@@ -167,27 +167,41 @@ def test_jobs_option_is_a_usage_error():
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("args", [
-    ("altsum", "--colouring", "lenmod:2"),
-    ("plus", "--colouring", "lenmod:2"),
-    ("q5", "--colouring", "theta"),
-    ("hindman", "--colouring", "theta"),
-    ("supermono", "--word", "periodic:ab", "--colouring", "valmod:2"),
-    ("supermono", "--word", "periodic:ab", "--colouring", "theta:stage1"),
+@pytest.mark.parametrize("args, message", [
+    (("altsum", "--colouring", "lenmod:2"), "lenmod does not colour pairs"),
+    (("plus", "--colouring", "lenmod:2"), "lenmod does not colour pairs"),
+    (("q5", "--colouring", "theta"), "theta does not colour numbers"),
+    (("hindman", "--colouring", "theta"), "needs a reference word"),
+    (("supermono", "--word", "periodic:ab", "--colouring", "valmod:2"),
+     "valmod does not colour words"),
+    (("supermono", "--word", "periodic:ab", "--colouring", "theta:stage1"),
+     "uses the full stage"),
+    (("hindman", "--n", "1"), "n must be at least 2, got 1"),
+    (("plus", "--n", "1"), "n must be at least 2, got 1"),
+    (("altsum", "--B", "0"), "B must be at least 1, got 0"),
+    (("hindman", "--u", ""), "u must be a nonempty word"),
+    (("q5", "--colouring", "valmod:3@diff"),
+     "a pair lift applies only when a number family colours pairs"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "hindman-theta-no-word",
-        "supermono-valmod", "supermono-theta-stage1"])
-def test_colouring_in_the_wrong_role_is_a_usage_error(args):
+        "supermono-valmod", "supermono-theta-stage1", "hindman-n-1",
+        "plus-n-1", "altsum-B-0", "hindman-empty-u", "q5-lift"])
+def test_colouring_in_the_wrong_role_is_a_usage_error(args, message):
     result = _invoke("search", *args)
     assert result.exit_code == 1
     assert "Error:" in result.stderr
-    assert not isinstance(result.exception, ValueError)
-
-
-def test_empty_hindman_base_word_is_a_usage_error():
-    result = _invoke("search", "hindman", "--u", "")
-    assert result.exit_code == 1
-    assert "Error: --u must be a nonempty word" in result.stderr
+    assert message in result.stderr
     assert isinstance(result.exception, SystemExit)
+
+
+def test_value_error_inside_a_running_search_is_a_traceback(monkeypatch):
+    def fault(col, a, b):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(search, "colour_pair_value", fault)
+    result = _invoke("search", "altsum", "--colouring", "const", "--B", "4",
+                     "--L", "2")
+    assert result.exit_code == 1
+    assert type(result.exception) is ValueError
 
 
 def test_version_flag():

@@ -324,6 +324,34 @@ def test_search_mode_validation():
         altsum_search(parse_colouring("const"), 4, 2, mode="sampled")
 
 
+def _no_engine(*args, **kwargs):
+    raise AssertionError("the search explored nodes")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: altsum_search(parse_colouring("lenmod:2"), 4, 1),
+    lambda: plus_pair_search(parse_colouring("lenmod:2"), 2, 1),
+    lambda: q5_search(parse_colouring("theta"), "plain", 2, 4),
+    lambda: q5_search(parse_colouring("valmod:3@diff"), "plain", 2, 4),
+    lambda: supermono_search(Periodic("ab"), parse_colouring("valmod:2"),
+                             2, 2, 4),
+    lambda: supermono_search(Periodic("ab"), parse_colouring("const@sum"),
+                             2, 2, 4),
+    lambda: supermono_search(Periodic("ab"), parse_colouring("lenmod:2"),
+                             2, 2, 4, scan_bound=0),
+    lambda: hindman_search("a", parse_colouring("theta"), 2, 4),
+    lambda: hindman_search("a", parse_colouring("theta:stage2"), 2, 4,
+                           x=Periodic("ab")),
+], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
+        "supermono-valmod", "supermono-lift", "supermono-scan-0",
+        "hindman-theta-no-word", "hindman-theta-stage2"])
+def test_search_rejects_its_arguments_before_any_node(run, monkeypatch):
+    monkeypatch.setattr(search, "_dfs", _no_engine)
+    assert issubclass(search.ArgumentError, ValueError)
+    with pytest.raises(search.ArgumentError):
+        run()
+
+
 _col = parse_colouring
 _word = parse_word_spec
 _FIB = "morphic:a->ab,b->a|a"
