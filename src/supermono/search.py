@@ -12,7 +12,9 @@ calling thread. altsum_search and supermono_search still accept a jobs
 argument and ignore it, because the benchmark workloads pass it.
 
 Each search checks its own arguments, colouring role included, before it
-explores any node, and raises ArgumentError for one it rejects.
+explores any node, and raises ArgumentError for one it rejects; that
+includes a bound that would make a word source materialise more than
+words.MAX_LETTERS letters. The witness verifiers check the role too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from . import bits
 from .factor_colouring import UNKNOWN, phi
 from .pair_colouring import STAGES, colour_pair
-from .words import WordSource
+from .words import MAX_LETTERS, WordSource
 
 X_ALTERNATING = "x_alternating"
 Y_SUBSET = "y_subset"
@@ -333,10 +335,12 @@ class SearchReport:
     counts: dict = field(default_factory=dict)
 
 
-def _check_params(params: dict, **least: int) -> None:
-    """Reject an unknown mode and each named parameter below its least
-    allowed value. The names are the report's, so a message names the
-    value as the report would."""
+def _check_params(params: dict, letters: dict | None = None,
+                  **least: int) -> None:
+    """Reject an unknown mode, each named parameter below its least
+    allowed value, and each entry of letters, a count of letters the run
+    may materialise, above MAX_LETTERS. The names are the report's, so a
+    message names the value as the report would."""
     if params["mode"] not in ("first", "all"):
         raise ArgumentError(
             f"mode must be 'first' or 'all', got {params['mode']!r}")
@@ -344,6 +348,10 @@ def _check_params(params: dict, **least: int) -> None:
         if params[name] < low:
             raise ArgumentError(
                 f"{name} must be at least {low}, got {params[name]}")
+    for name, count in (letters or {}).items():
+        if count > MAX_LETTERS:
+            raise ArgumentError(
+                f"{name} must be at most {MAX_LETTERS}, got {count}")
 
 
 def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
@@ -467,6 +475,7 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
 def verify_altsum_witness(colouring: Colouring, values, form: str,
                           allow_k1_equal_1: bool = False) -> bool:
     """Recolour every constraint of the family from scratch."""
+    _check_role(colouring, "pair")
     cs = constraints_for(values, form, allow_k1_equal_1)
     colours = {colour_pair_value(colouring, c.left, c.right) for c in cs}
     return len(colours) <= 1
@@ -486,22 +495,27 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     smallest first with total length <= len_bound. A subset concatenation
     whose colour is UNKNOWN within scan_bound aborts that extension and is
     tallied under unknown_aborts; an unknown abort cannot hide a witness,
-    because every extension keeps the unresolved subset.
+    because every extension keeps the unresolved subset. Candidate factors
+    are sliced from one prefix of suffix_bound + len_bound - 1 letters.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
         "suffix_bound": suffix_bound, "n": n_factors,
         "len_bound": len_bound, "scan_bound": scan_bound, "mode": mode,
     }
-    _check_params(params, suffix_bound=1, n=1, len_bound=1, scan_bound=1)
+    reach = suffix_bound + len_bound - 1
+    _check_params(params, {"scan_bound": scan_bound,
+                           "suffix_bound + len_bound - 1": reach},
+                  suffix_bound=1, n=1, len_bound=1, scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
+    text = x.prefix(reach)
 
     # A state is (suffix start, next position, factors, subset words).
     def expand(state):
         start, pos, _, subsets = state
         for length in range(1, len_bound - (pos - start) + 1):
-            u = x.prefix(pos + length - 1)[pos - 1:]
+            u = text[pos - 1:pos - 1 + length]
             if len(u) < length:
                 break
             yield u, [w + u for w in subsets] + [u]
@@ -560,7 +574,8 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
         "word": x.spec if x is not None else None,
         "scan_bound": scan_bound,
     }
-    _check_params(params, n=2, bound=1, scan_bound=1)
+    _check_params(params, {"scan_bound": scan_bound}, n=2, bound=1,
+                  scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     colour_power = functools.cache(lambda s: colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
@@ -633,6 +648,7 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
 
 def verify_plus_witness(colouring: Colouring, values) -> bool:
     """Recolour every (prefix subset sum, next element) pair from scratch."""
+    _check_role(colouring, "pair")
     colours = set()
     for j in range(1, len(values)):
         earlier = values[:j]
@@ -704,6 +720,7 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:
     """Recolour every coefficient sum of every prefix from scratch."""
+    _check_role(colouring, "number")
     colours = set()
     for k in range(1, len(values) + 1):
         for coeffs in _q5_patterns(k, variant):

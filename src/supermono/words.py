@@ -2,12 +2,17 @@
 factorisations, block subfactorisations, and the standardisation procedure
 that either aligns first occurrences or certifies eventual periodicity.
 
-Words are 1-indexed throughout.
+Every source reads its letters from one cached text, grown on demand and
+kept for the source's lifetime. Words are 1-indexed throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# The most letters a search run may make a source materialise: a source
+# keeps its text for its lifetime. A limit, not an option.
+MAX_LETTERS = 1 << 20
 
 
 class BeyondPrefixError(IndexError):
@@ -15,18 +20,44 @@ class BeyondPrefixError(IndexError):
 
 
 class WordSource:
-    """Base for lazily evaluable infinite words. Subclasses implement
-    letter_at (1-based) and prefix, and set spec/alphabet."""
+    """Base for infinite words, read through one cached text per source.
+
+    A subclass sets spec, alphabet and its initial text, and gives its
+    growth rule in _grow. prefix and letter_at grow the text until it
+    covers the letters asked for, so reading position n materialises at
+    least n letters, even for a periodic word; every letter_at caller in
+    this package reads positions inside a scan it has already materialised.
+    """
 
     spec: str
     alphabet: tuple[str, ...]
+    _text: str
 
-    def letter_at(self, n: int) -> str:
-        raise NotImplementedError
+    def _grow(self, text: str) -> str:
+        """text with at least one more letter, or text itself if none is known."""
+        return text
+
+    def _materialise(self, length: int) -> str:
+        """The whole cached text, grown to at least `length` letters where
+        the word has them; it may be longer and is not copied."""
+        while len(self._text) < length:
+            longer = self._grow(self._text)
+            if longer is self._text:
+                break
+            self._text = longer
+        return self._text
 
     def prefix(self, length: int) -> str:
         """First `length` letters; may be shorter for explicit-prefix sources."""
-        raise NotImplementedError
+        return self._materialise(length)[:length]
+
+    def letter_at(self, n: int) -> str:
+        _check_position(n)
+        text = self._materialise(n)
+        if n > len(text):
+            raise BeyondPrefixError(
+                f"position {n} is beyond the explicit prefix of length {len(text)}")
+        return text[n - 1]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec!r})"
@@ -43,28 +74,19 @@ def _check_letters(word: str, what: str) -> None:
 
 
 class EventuallyPeriodic(WordSource):
-    """A finite prefix p followed by uuu..."""
+    """A finite prefix p followed by uuu...; each growth step doubles the
+    periodic part of the text."""
 
     def __init__(self, preperiod: str, period_word: str):
         _check_letters(period_word, "period word")
         self.preperiod = preperiod
-        self.period_word = period_word
         self.period = len(period_word)
         self.spec = f"evper:{preperiod}|{period_word}"
         self.alphabet = tuple(sorted(set(preperiod + period_word)))
+        self._text = preperiod + period_word
 
-    def letter_at(self, n: int) -> str:
-        _check_position(n)
-        if n <= len(self.preperiod):
-            return self.preperiod[n - 1]
-        return self.period_word[(n - 1 - len(self.preperiod)) % self.period]
-
-    def prefix(self, length: int) -> str:
-        if length <= len(self.preperiod):
-            return self.preperiod[:length]
-        tail = length - len(self.preperiod)
-        reps = -(-tail // self.period)
-        return self.preperiod + (self.period_word * reps)[:tail]
+    def _grow(self, text: str) -> str:
+        return text + text[len(self.preperiod):]
 
 
 class Periodic(EventuallyPeriodic):
@@ -76,7 +98,8 @@ class Periodic(EventuallyPeriodic):
 
 
 class Morphic(WordSource):
-    """Fixed point of a prolongable morphism, expanded lazily and cached.
+    """Fixed point of a prolongable morphism σ; each growth step applies σ
+    to the text.
 
     The seed's image must start with the seed and be longer than it, every
     letter reachable must have a nonempty image.
@@ -104,36 +127,20 @@ class Morphic(WordSource):
         rule_text = ",".join(f"{k}->{v}" for k, v in rules.items())
         self.spec = f"morphic:{rule_text}|{seed}"
         self.alphabet = tuple(sorted(rules))
-        self._cached = seed
+        self._text = seed
 
-    def prefix(self, length: int) -> str:
-        while len(self._cached) < length:
-            self._cached = "".join(self.rules[ch] for ch in self._cached)
-        return self._cached[:length]
-
-    def letter_at(self, n: int) -> str:
-        _check_position(n)
-        return self.prefix(n)[n - 1]
+    def _grow(self, text: str) -> str:
+        return "".join(self.rules[ch] for ch in text)
 
 
 class ExplicitPrefix(WordSource):
-    """A known finite prefix of an otherwise unknown word."""
+    """A known finite prefix of an otherwise unknown word; it never grows."""
 
     def __init__(self, text: str):
         _check_letters(text, "prefix")
-        self.text = text
         self.spec = f"prefix:{text}"
         self.alphabet = tuple(sorted(set(text)))
-
-    def letter_at(self, n: int) -> str:
-        _check_position(n)
-        if n > len(self.text):
-            raise BeyondPrefixError(
-                f"position {n} is beyond the explicit prefix of length {len(self.text)}")
-        return self.text[n - 1]
-
-    def prefix(self, length: int) -> str:
-        return self.text[:length]
+        self._text = text
 
 
 def parse_word_spec(text: str) -> WordSource:
@@ -210,8 +217,7 @@ def first_occurrence(x: WordSource, u: str, scan_bound: int):
     if scan_bound < len(u):
         raise ValueError(
             f"scan_bound {scan_bound} is below the factor length {len(u)}")
-    text = x.prefix(scan_bound)
-    at = text.find(u)
+    at = x._materialise(scan_bound).find(u, 0, scan_bound)
     if at >= 0:
         return Occurrence(at + 1, at + 1 + len(u))
     certain_by = decision_bound(x, u)
@@ -310,13 +316,6 @@ class BoundExhausted:
     reason: str
 
 
-def _verification_depth(x: WordSource, j: int, scan_bound: int) -> int:
-    available = scan_bound
-    if isinstance(x, ExplicitPrefix):
-        available = min(available, len(x.text))
-    return max(available - j + 1, 0)
-
-
 def standardise(x: WordSource, f: Factorisation, scan_bound: int,
                 merge_bound: int):
     """Align every factor's first occurrence with its standard position by
@@ -354,7 +353,7 @@ def standardise(x: WordSource, f: Factorisation, scan_bound: int,
             del factors[i + 1]
             merges += 1
             continue
-        depth = _verification_depth(x, standard, scan_bound)
+        depth = max(len(x.prefix(scan_bound)) - standard + 1, 0)
         agreed = 0
         while agreed < depth and x.letter_at(occ.start + agreed) == x.letter_at(standard + agreed):
             agreed += 1

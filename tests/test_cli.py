@@ -182,9 +182,12 @@ def test_jobs_option_is_a_usage_error():
     (("hindman", "--u", ""), "u must be a nonempty word"),
     (("q5", "--colouring", "valmod:3@diff"),
      "a pair lift applies only when a number family colours pairs"),
+    (("supermono", "--word", "periodic:ab", "--scan-bound", "1048577"),
+     "scan_bound must be at most 1048576, got 1048577"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "hindman-theta-no-word",
         "supermono-valmod", "supermono-theta-stage1", "hindman-n-1",
-        "plus-n-1", "altsum-B-0", "hindman-empty-u", "q5-lift"])
+        "plus-n-1", "altsum-B-0", "hindman-empty-u", "q5-lift",
+        "supermono-scan-over-cap"])
 def test_colouring_in_the_wrong_role_is_a_usage_error(args, message):
     result = _invoke("search", *args)
     assert result.exit_code == 1

@@ -4,13 +4,14 @@ pinned outcomes."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermono import report, search
+from supermono import report, search, words
 from supermono.search import (
     Q5_VARIANTS,
     X_ALTERNATING,
@@ -34,7 +35,12 @@ from supermono.search import (
     xy_inverse,
     xy_transform,
 )
-from supermono.words import ExplicitPrefix, Periodic, parse_word_spec
+from supermono.words import (
+    MAX_LETTERS,
+    ExplicitPrefix,
+    Periodic,
+    parse_word_spec,
+)
 
 
 def test_parse_colouring_families():
@@ -305,6 +311,21 @@ def test_supermono_search_examples():
     assert rep.exhausted
 
 
+def test_supermono_search_copies_one_prefix_per_run(monkeypatch):
+    calls = []
+    prefix = words.WordSource.prefix
+
+    def counted(x, length):
+        calls.append(length)
+        return prefix(x, length)
+
+    monkeypatch.setattr(words.WordSource, "prefix", counted)
+    rep = supermono_search(parse_word_spec("morphic:a->ab,b->a|a"),
+                           parse_colouring("theta"), 6, 3, 12, mode="all")
+    assert rep.counts["colour_evaluations"] > 100
+    assert calls == [6 + 12 - 1]
+
+
 def test_scan_starved_colours_count_as_unknown_aborts():
     word = ExplicitPrefix("abaab")
     rep = supermono_search(word, parse_colouring("theta"), 1, 2, 4,
@@ -328,28 +349,65 @@ def _no_engine(*args, **kwargs):
     raise AssertionError("the search explored nodes")
 
 
-@pytest.mark.parametrize("run", [
-    lambda: altsum_search(parse_colouring("lenmod:2"), 4, 1),
-    lambda: plus_pair_search(parse_colouring("lenmod:2"), 2, 1),
-    lambda: q5_search(parse_colouring("theta"), "plain", 2, 4),
-    lambda: q5_search(parse_colouring("valmod:3@diff"), "plain", 2, 4),
-    lambda: supermono_search(Periodic("ab"), parse_colouring("valmod:2"),
-                             2, 2, 4),
-    lambda: supermono_search(Periodic("ab"), parse_colouring("const@sum"),
-                             2, 2, 4),
-    lambda: supermono_search(Periodic("ab"), parse_colouring("lenmod:2"),
-                             2, 2, 4, scan_bound=0),
-    lambda: hindman_search("a", parse_colouring("theta"), 2, 4),
-    lambda: hindman_search("a", parse_colouring("theta:stage2"), 2, 4,
-                           x=Periodic("ab")),
+_OVER = MAX_LETTERS + 1
+
+
+# Each case: a search given the word source x, and its refusal message.
+@pytest.mark.parametrize("run, message", [
+    (lambda x: altsum_search(parse_colouring("lenmod:2"), 4, 1),
+     "lenmod does not colour pairs"),
+    (lambda x: plus_pair_search(parse_colouring("lenmod:2"), 2, 1),
+     "lenmod does not colour pairs"),
+    (lambda x: q5_search(parse_colouring("theta"), "plain", 2, 4),
+     "theta does not colour numbers"),
+    (lambda x: q5_search(parse_colouring("valmod:3@diff"), "plain", 2, 4),
+     "a pair lift applies only when a number family colours pairs"),
+    (lambda x: supermono_search(x, parse_colouring("valmod:2"), 2, 2, 4),
+     "valmod does not colour words"),
+    (lambda x: supermono_search(x, parse_colouring("const@sum"), 2, 2, 4),
+     "a pair lift applies only when a number family colours pairs"),
+    (lambda x: supermono_search(x, parse_colouring("lenmod:2"), 2, 2, 4,
+                                scan_bound=0),
+     "scan_bound must be at least 1, got 0"),
+    (lambda x: hindman_search("a", parse_colouring("theta"), 2, 4),
+     "needs a reference word"),
+    (lambda x: hindman_search("a", parse_colouring("theta:stage2"), 2, 4,
+                              x=x),
+     "uses the full stage"),
+    (lambda x: supermono_search(x, parse_colouring("theta"), 2, 2, 4,
+                                scan_bound=_OVER),
+     f"scan_bound must be at most {MAX_LETTERS}, got {_OVER}"),
+    (lambda x: supermono_search(x, parse_colouring("theta"), MAX_LETTERS, 2,
+                                2, scan_bound=4),
+     f"suffix_bound + len_bound - 1 must be at most {MAX_LETTERS}, "
+     f"got {_OVER}"),
+    (lambda x: hindman_search("a", parse_colouring("theta"), 2, 4, x=x,
+                              scan_bound=_OVER),
+     f"scan_bound must be at most {MAX_LETTERS}, got {_OVER}"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
         "supermono-valmod", "supermono-lift", "supermono-scan-0",
-        "hindman-theta-no-word", "hindman-theta-stage2"])
-def test_search_rejects_its_arguments_before_any_node(run, monkeypatch):
+        "hindman-theta-no-word", "hindman-theta-stage2",
+        "supermono-scan-over-cap", "supermono-reach-over-cap",
+        "hindman-scan-over-cap"])
+def test_search_rejects_its_arguments_before_any_node(run, message,
+                                                      monkeypatch):
     monkeypatch.setattr(search, "_dfs", _no_engine)
     assert issubclass(search.ArgumentError, ValueError)
+    x = Periodic("ab")
+    with pytest.raises(search.ArgumentError, match=re.escape(message)):
+        run(x)
+    assert x._text == "ab"
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_altsum_witness(parse_colouring("lenmod:2"), [1],
+                                  X_ALTERNATING),
+    lambda: verify_plus_witness(parse_colouring("lenmod:2"), [5]),
+    lambda: verify_q5_witness(parse_colouring("valmod:3@diff"), "plain", [3]),
+], ids=["altsum-lenmod", "plus-lenmod", "q5-lift"])
+def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
     with pytest.raises(search.ArgumentError):
-        run()
+        check()
 
 
 _col = parse_colouring

@@ -7,7 +7,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermono import words
@@ -246,3 +246,44 @@ def test_periodic_agrees_with_an_empty_preperiod():
                 for scan in (size, size + 3, 4 * size + 2 * len(w)):
                     assert first_occurrence(plain, u, scan) == \
                         first_occurrence(evper, u, scan)
+
+
+_SOURCES = {
+    "periodic": lambda: Periodic("aab"),
+    "evper": lambda: EventuallyPeriodic("ba", "abb"),
+    "fibonacci": fibonacci_word,
+    "prefix": lambda: ExplicitPrefix("abaababaab"),
+}
+
+_READS = st.one_of(
+    st.tuples(st.just("prefix"), st.integers(min_value=0, max_value=300)),
+    st.tuples(st.just("letter_at"), st.integers(min_value=1, max_value=300)),
+    st.tuples(st.just("first_occurrence"),
+              st.text(alphabet="ab", min_size=1, max_size=6),
+              st.integers(min_value=1, max_value=300)),
+)
+
+
+def _read(x, read):
+    name, *args = read
+    try:
+        if name == "first_occurrence":
+            return first_occurrence(x, *args)
+        return getattr(x, name)(*args)
+    except (BeyondPrefixError, ValueError) as err:
+        return type(err), str(err)
+
+
+@given(kind=st.sampled_from(sorted(_SOURCES)),
+       reads=st.lists(_READS, max_size=12))
+@settings(max_examples=300)
+@example(kind="fibonacci",
+         reads=[("prefix", 300), ("first_occurrence", "aabaa", 6)])
+@example(kind="periodic",
+         reads=[("prefix", 300), ("first_occurrence", "ba", 2)])
+@example(kind="prefix",
+         reads=[("prefix", 300), ("letter_at", 10), ("letter_at", 11)])
+def test_reads_through_one_cached_text_match_a_fresh_source(kind, reads):
+    warm = _SOURCES[kind]()
+    for read in reads:
+        assert _read(warm, read) == _read(_SOURCES[kind](), read)
