@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pair_colouring import PairColour, colour_pair
-from .words import NOT_A_FACTOR, UNRESOLVED, WordSource, first_occurrence
+from .words import (
+    NOT_A_FACTOR,
+    UNRESOLVED,
+    WordSource,
+    first_occurrence,
+    has_aligned_split,
+)
 
 
 class _NotFactorColour:
@@ -48,27 +54,21 @@ class FactorColour:
 def phi(x: WordSource, u: str, scan_bound: int):
     """Colour u relative to x, scanning a prefix of length scan_bound.
 
-    Returns NOT_FACTOR when u is certified absent, UNKNOWN when a required
+    Returns NOT_FACTOR when u is certified absent, UNKNOWN when u's own
     first occurrence stays unresolved within the bound, and a FactorColour
-    otherwise. Splits are tried with the left half shortest first; the tag
-    records bare existence, so the order cannot change the result.
+    otherwise. Once u's first occurrence is found, every split half occurs
+    inside it, so the tag is always decided. Whether u[:c] first occurs at
+    A only turns true as the cut c grows, and whether u[c:] first ends at B
+    only turns false, so has_aligned_split decides the tag by bisection on
+    the cut; oracles.split_tag_oracle tries every cut.
     """
     occ = first_occurrence(x, u, scan_bound)
     if occ is NOT_A_FACTOR:
         return NOT_FACTOR
     if occ is UNRESOLVED:
         return UNKNOWN
-    a, b = occ.start, occ.end
-    tag = 1
-    for cut in range(1, len(u)):
-        occ_v = first_occurrence(x, u[:cut], scan_bound)
-        occ_w = first_occurrence(x, u[cut:], scan_bound)
-        if occ_v is UNRESOLVED or occ_w is UNRESOLVED:
-            return UNKNOWN
-        if occ_v.start == a and occ_w.end == b:
-            tag = 0
-            break
-    return FactorColour(colour_pair(a, b), tag)
+    tag = 0 if has_aligned_split(x, u, occ) else 1
+    return FactorColour(colour_pair(occ.start, occ.end), tag)
 
 
 def altsum_identity_check(ms, ks) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the bit arithmetic used by supermono.bits: numbers
 are expanded into least-significant-first digit strings and every answer is
-read off by scanning characters. They exist purely to cross-check the fast
-implementations.
+read off by scanning characters. The split-tag referee tries every cut with
+one first-occurrence search per half. They exist purely to cross-check the
+fast implementations.
 """
 
 from __future__ import annotations
@@ -118,3 +119,30 @@ def fragments_oracle(lower: int, upper: int, side: str) -> list[Fragment]:
 def common_fragment_count_oracle(a: int, b: int) -> int:
     hi = max(a.bit_length(), b.bit_length()) - 1
     return len(_scan_fragments(a, b, 0, hi, "common"))
+
+
+def split_tag_oracle(x, u: str, scan_bound: int):
+    """phi's split tag by trying every cut, left half shortest first: 0 when
+    some split u = vw has v first occurring where u does and w first ending
+    where u does, else 1. NOT_FACTOR and UNKNOWN as phi returns them."""
+    # Imported here: verify imports this module for the digit oracles and
+    # has no use for the word layer.
+    from .factor_colouring import NOT_FACTOR, UNKNOWN
+    from .words import NOT_A_FACTOR, UNRESOLVED, first_occurrence
+
+    occ = first_occurrence(x, u, scan_bound)
+    if occ is NOT_A_FACTOR:
+        return NOT_FACTOR
+    if occ is UNRESOLVED:
+        return UNKNOWN
+    a, b = occ.start, occ.end
+    tag = 1
+    for cut in range(1, len(u)):
+        occ_v = first_occurrence(x, u[:cut], scan_bound)
+        occ_w = first_occurrence(x, u[cut:], scan_bound)
+        if occ_v is UNRESOLVED or occ_w is UNRESOLVED:
+            return UNKNOWN
+        if occ_v.start == a and occ_w.end == b:
+            tag = 0
+            break
+    return tag

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import bits
@@ -363,9 +364,12 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     first, and every candidate is one counted node. The candidate is
     accepted when every obligation gets the path colour, which the first
     obligation on the path fixes; grow(state, candidate, obligations) then
-    builds the child state. An UNKNOWN colour rejects the candidate and
-    counts under unknown_aborts. tally, when given, names the count of
-    colours evaluated. A state at the given depth is a witness, and in
+    builds the child state. obligations may be an iterable that is
+    consumed once, and the engine stops reading it at the first obligation
+    that breaks, so expand may build them lazily; grow must therefore not
+    read them. An UNKNOWN colour rejects the candidate and counts under
+    unknown_aborts. tally, when given, names the count of colours
+    evaluated. A state at the given depth is a witness, and in
     first mode the first witness ends the search.
     """
     witnesses: list = []
@@ -511,20 +515,22 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
 
-    # A state is (suffix start, next position, factors, subset words).
+    # A state is (suffix start, next position, factors, subset words), and
+    # the empty word is the last subset word, so a candidate u's
+    # obligations, every subset word + u and then u itself, are built one
+    # at a time and only until one breaks the path colour.
     def expand(state):
         start, pos, _, subsets = state
-        for length in range(1, len_bound - (pos - start) + 1):
-            u = text[pos - 1:pos - 1 + length]
-            if len(u) < length:
-                break
-            yield u, [w + u for w in subsets] + [u]
+        for end in range(pos, min(start + len_bound, len(text) + 1)):
+            u = text[pos - 1:end]
+            yield u, map(operator.add, subsets, itertools.repeat(u))
 
-    def grow(state, u: str, new_words: list):
+    def grow(state, u: str, _obligations):
         start, pos, factors, subsets = state
-        return start, pos + len(u), factors + [u], subsets + new_words
+        return (start, pos + len(u), factors + [u],
+                subsets[:-1] + [w + u for w in subsets] + [""])
 
-    return _dfs(params, [(start, start, [], [])
+    return _dfs(params, [(start, start, [], [""])
                          for start in range(1, suffix_bound + 1)],
                 expand, colour_of, grow,
                 n_factors, lambda state: [state[0]] + state[2], mode, counts,
@@ -580,17 +586,18 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     colour_power = functools.cache(lambda s: colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
-    # A state is (values, nonempty subset sums of the values).
+    # A state is (values, subset sums of the values), and the empty sum 0
+    # is the last one, as the empty word is in supermono_search.
     def expand(state):
         values, sums = state
         for v in range(values[-1] + 1 if values else 1, bound + 1):
-            yield v, [s + v for s in sums] + [v]
+            yield v, map(operator.add, sums, itertools.repeat(v))
 
-    def grow(state, v: int, new_sums: list):
+    def grow(state, v: int, _obligations):
         values, sums = state
-        return values + [v], sums + new_sums
+        return values + [v], sums[:-1] + [s + v for s in sums] + [0]
 
-    return _dfs(params, [([], [])], expand, colour_power, grow, n,
+    return _dfs(params, [([], [0])], expand, colour_power, grow, n,
                 lambda state: list(state[0]), mode, counts,
                 "colour_evaluations")
 

@@ -33,15 +33,16 @@ class WordSource:
     alphabet: tuple[str, ...]
     _text: str
 
-    def _grow(self, text: str) -> str:
-        """text with at least one more letter, or text itself if none is known."""
+    def _grow(self, text: str, length: int) -> str:
+        """text with at least one more letter, growing towards `length`
+        letters, or text itself if none is known."""
         return text
 
     def _materialise(self, length: int) -> str:
         """The whole cached text, grown to at least `length` letters where
         the word has them; it may be longer and is not copied."""
         while len(self._text) < length:
-            longer = self._grow(self._text)
+            longer = self._grow(self._text, length)
             if longer is self._text:
                 break
             self._text = longer
@@ -85,7 +86,7 @@ class EventuallyPeriodic(WordSource):
         self.alphabet = tuple(sorted(set(preperiod + period_word)))
         self._text = preperiod + period_word
 
-    def _grow(self, text: str) -> str:
+    def _grow(self, text: str, _length: int) -> str:
         return text + text[len(self.preperiod):]
 
 
@@ -98,8 +99,10 @@ class Periodic(EventuallyPeriodic):
 
 
 class Morphic(WordSource):
-    """Fixed point of a prolongable morphism σ; each growth step applies σ
-    to the text.
+    """Fixed point x of a prolongable morphism σ. The text is σ(x[:i]) for
+    the i letters expanded so far, starting from σ(seed); each growth step
+    appends the images of the next letters until the text reaches the
+    length asked for, so it overshoots by less than one image.
 
     The seed's image must start with the seed and be longer than it, every
     letter reachable must have a nonempty image.
@@ -127,10 +130,20 @@ class Morphic(WordSource):
         rule_text = ",".join(f"{k}->{v}" for k, v in rules.items())
         self.spec = f"morphic:{rule_text}|{seed}"
         self.alphabet = tuple(sorted(rules))
-        self._text = seed
+        self._text = self.rules[seed]
+        self._expanded = 1
 
-    def _grow(self, text: str) -> str:
-        return "".join(self.rules[ch] for ch in text)
+    def _grow(self, text: str, length: int) -> str:
+        images = []
+        size = len(text)
+        for letter in text[self._expanded:]:
+            if size >= length:
+                break
+            image = self.rules[letter]
+            images.append(image)
+            size += len(image)
+        self._expanded += len(images)
+        return text + "".join(images)
 
 
 class ExplicitPrefix(WordSource):
@@ -224,6 +237,32 @@ def first_occurrence(x: WordSource, u: str, scan_bound: int):
     if certain_by is not None and scan_bound - len(u) + 1 >= certain_by:
         return NOT_A_FACTOR
     return UNRESOLVED
+
+
+def has_aligned_split(x: WordSource, u: str, occ: Occurrence) -> bool:
+    """Whether some split u = vw into nonempty halves has v first occurring
+    at occ.start and w first ending at occ.end, given u's first occurrence
+    occ.
+
+    Both halves occur inside occ, so their first occurrences always resolve.
+    "u[:c] first occurs at occ.start" holds for every cut c from a least one
+    on: an earlier occurrence of u[:c + 1] is also one of u[:c]. "u[c:]
+    first ends at occ.end" holds for every cut up to a greatest one, by the
+    same argument. So an aligned split exists exactly when the least cut of
+    the first kind is also of the second; bisection finds it with
+    O(log |u|) searches of the text before occ.
+    """
+    text = x._materialise(occ.end - 1)
+    # A k-letter match that ends by index before + k starts before occ.
+    before = occ.start - 2
+    lo, hi = 1, len(u)
+    while lo < hi:
+        cut = (lo + hi) // 2
+        if text.find(u[:cut], 0, before + cut) < 0:
+            hi = cut
+        else:
+            lo = cut + 1
+    return lo < len(u) and text.find(u[lo:], 0, before + len(u)) < 0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Factor colouring through first occurrences: pinned colours, the split
-tag, representation independence, and the alternating-sum bridge that ties
-concatenated factors to the pair colouring."""
+tag against its every-cut referee, representation independence, and the
+alternating-sum bridge that ties concatenated factors to the pair
+colouring."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermono import factor_colouring
 from supermono.factor_colouring import (
     NOT_FACTOR,
     UNKNOWN,
@@ -15,6 +17,7 @@ from supermono.factor_colouring import (
     altsum_identity_check,
     phi,
 )
+from supermono.oracles import split_tag_oracle
 from supermono.pair_colouring import colour_pair
 from supermono.words import (
     EventuallyPeriodic,
@@ -25,6 +28,7 @@ from supermono.words import (
     Periodic,
     Standardised,
     first_occurrence,
+    parse_word_spec,
     standardise,
 )
 
@@ -59,6 +63,71 @@ def test_colour_ignores_word_representation(data):
     colours = [phi(x, u, 64) for x in sources]
     assert colours[0] == colours[1] == colours[2] or \
         all(c is colours[0] for c in colours)
+
+
+_EXPLICIT = ("prefix:bbbaaabbabababbaaaaaaababaabababbbaaababbaaabaaaaabaaaaa"
+             "bababaaaaaababaabaaabababbabaabbabaaabbbabbaaabbbbaabaabbbab"
+             "abaa")
+
+
+def _factors(text: str, longest: int) -> list[str]:
+    return sorted({text[i:i + k] for k in range(1, longest + 1)
+                   for i in range(len(text) - k + 1)})
+
+
+# Each case: a word, and how many distinct factors of length <= 30 its
+# first 512 letters (all of an explicit prefix) hold, with how many of
+# them have tag 0.
+@pytest.mark.parametrize("spec, count, zeros", [
+    ("morphic:a->ab,b->a|a", 495, 219),
+    ("morphic:a->ab,b->ba|a", 1390, 468),
+    ("morphic:a->abc,b->ac,c->b|a", 1479, 505),
+    ("periodic:aab", 89, 28),
+    ("evper:abc|ab", 147, 85),
+    (_EXPLICIT, 2497, 1687),
+], ids=["fibonacci", "thue-morse", "ternary-morphic", "periodic", "evper",
+        "explicit"])
+def test_split_tag_matches_the_every_cut_referee(spec, count, zeros):
+    x = parse_word_spec(spec)
+    factors = _factors(x.prefix(512), 30)
+    tags = []
+    for u in factors:
+        colour = phi(x, u, 512)
+        assert colour.tag == split_tag_oracle(x, u, 512), u
+        tags.append(colour.tag)
+        tight = first_occurrence(x, u, 512).end - 1
+        assert phi(x, u, tight) == colour, u
+        assert split_tag_oracle(x, u, tight) == colour.tag, u
+    assert (len(factors), tags.count(0)) == (count, zeros)
+
+
+@given(spec=st.sampled_from(["morphic:a->ab,b->a|a", "morphic:a->ab,b->ba|a",
+                             "periodic:aab", "evper:abc|ab", _EXPLICIT]),
+       u=st.text(alphabet="abc", min_size=1, max_size=12),
+       slack=st.integers(min_value=0, max_value=200))
+@settings(max_examples=300)
+def test_split_tag_matches_the_referee_on_any_word_and_scan(spec, u, slack):
+    x = parse_word_spec(spec)
+    scan = len(u) + slack
+    colour = phi(x, u, scan)
+    tag = colour.tag if isinstance(colour, FactorColour) else colour
+    assert tag == split_tag_oracle(x, u, scan)
+
+
+def test_phi_searches_one_first_occurrence_per_word(monkeypatch):
+    searched = []
+    found = factor_colouring.first_occurrence
+
+    def counted(x, u, scan_bound):
+        searched.append(u)
+        return found(x, u, scan_bound)
+
+    monkeypatch.setattr(factor_colouring, "first_occurrence", counted)
+    x = Morphic({"a": "ab", "b": "a"}, "a")
+    asked = _factors(x.prefix(128), 20) + ["bb", "aaa", "abbab"]
+    colours = [phi(x, u, 128) for u in asked]
+    assert searched == asked
+    assert sum(isinstance(c, FactorColour) for c in colours) == len(asked) - 3
 
 
 def test_tag_zero_closure_for_standardised_neighbours():

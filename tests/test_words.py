@@ -248,6 +248,24 @@ def test_periodic_agrees_with_an_empty_preperiod():
                         first_occurrence(evper, u, scan)
 
 
+@pytest.mark.parametrize("rules, seed", [
+    ({"a": "a" + "b" * 50, "b": "b" * 50}, "a"),
+    ({"a": "ab", "b": "a"}, "a"),
+    ({"a": "abc", "b": "ac", "c": "b"}, "a"),
+])
+def test_morphic_text_overshoots_by_less_than_one_image(rules, seed):
+    fixed_point = seed
+    while len(fixed_point) < 4000:
+        fixed_point = "".join(rules[ch] for ch in fixed_point)
+    longest = max(len(image) for image in rules.values())
+    x = Morphic(rules, seed)
+    for length in (1, 2, 3, 60, 700, 3000):
+        assert x.prefix(length) == fixed_point[:length]
+        assert len(x._text) < max(length, len(rules[seed])) + longest
+    assert parse_word_spec(f"morphic:a->a{'b' * 50},b->{'b' * 50}|a") \
+        .prefix(3000) == "a" + "b" * 2999
+
+
 _SOURCES = {
     "periodic": lambda: Periodic("aab"),
     "evper": lambda: EventuallyPeriodic("ba", "abb"),
