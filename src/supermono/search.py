@@ -6,7 +6,9 @@ Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. The alternating-sum search carries its left-hand sides in
 the search state; constraints_for builds each family from scratch and is
-the referee behind verify_altsum_witness. Reports are deterministic
+the referee behind verify_altsum_witness. The super-monochromatic search
+hands the engine its rejected second factors in blocks, found from one
+table of prefix colours per suffix start. Reports are deterministic
 functions of the search parameters alone, and every search runs in the
 calling thread. altsum_search and supermono_search still accept a jobs
 argument and ignore it, because the benchmark workloads pass it.
@@ -363,14 +365,20 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     expand(state) yields (candidate, obligations) smallest candidate
     first, and every candidate is one counted node. The candidate is
     accepted when every obligation gets the path colour, which the first
-    obligation on the path fixes; grow(state, candidate, obligations) then
-    builds the child state. obligations may be an iterable that is
-    consumed once, and the engine stops reading it at the first obligation
-    that breaks, so expand may build them lazily; grow must therefore not
-    read them. An UNKNOWN colour rejects the candidate and counts under
-    unknown_aborts. tally, when given, names the count of colours
-    evaluated. A state at the given depth is a witness, and in
+    obligation on the path fixes; grow(state, candidate) then builds the
+    child state. obligations may be an iterable that is consumed once, and
+    the engine stops reading it at the first obligation that breaks, so
+    expand may build them lazily. An UNKNOWN colour rejects the candidate
+    and counts under unknown_aborts. tally, when given, names the count of
+    colours evaluated. A state at the given depth is a witness, and in
     first mode the first witness ends the search.
+
+    expand may also yield (None, (k, j)), a block of k consecutive
+    candidates that expand has already found rejected by their first
+    obligation, j of them by an UNKNOWN colour: the block counts k nodes,
+    k colours evaluated and j unknown aborts, as those candidates would
+    one by one. Blocks come in candidate order, so a first-mode stop
+    counts the same nodes either way.
     """
     witnesses: list = []
     nodes = max_depth = evaluated = 0
@@ -384,6 +392,12 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
             witnesses.append(witness(state))
             return stop
         for candidate, obligations in expand(state):
+            if candidate is None:
+                rejected, unknown = obligations
+                nodes += rejected
+                evaluated += rejected
+                counts["unknown_aborts"] += unknown
+                continue
             nodes += 1
             target = fixed
             for obligation in obligations:
@@ -397,8 +411,7 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
                 elif colour != target:
                     break
             else:
-                if extend(grow(state, candidate, obligations), level + 1,
-                          target):
+                if extend(grow(state, candidate), level + 1, target):
                     return True
         return False
 
@@ -408,7 +421,7 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     return SearchReport(params, witnesses, exhausted, nodes, max_depth, counts)
 
 
-def _candidate_is_child(_state, candidate, _obligations):
+def _candidate_is_child(_state, candidate):
     """grow for searches whose candidate is already the child state."""
     return candidate
 
@@ -459,7 +472,7 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
             counts["constraints_checked"] += len(pairs)
             yield v, pairs
 
-    def grow(state, v: int, _pairs):
+    def grow(state, v: int):
         values, x, lefts, evens = state
         right = v if increasing else x + v
         if form != Y_SUBSET:
@@ -501,6 +514,14 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     tallied under unknown_aborts; an unknown abort cannot hide a witness,
     because every extension keeps the unresolved subset. Candidate factors
     are sliced from one prefix of suffix_bound + len_bound - 1 letters.
+
+    A second factor u's first obligation u_1 u is a prefix of the suffix,
+    so one table of prefix colours per suffix start yields only the
+    second factors whose prefix has u_1's colour; the candidates between
+    them go to _dfs as rejected blocks, with the same counts as checking
+    them one by one. The table colours every first-factor candidate of
+    its suffix, which an all-mode run colours anyway, and a first-mode run
+    may colour some it would otherwise have stopped before.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -515,17 +536,54 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
 
+    # The colours of the prefixes text[start - 1:end] of one suffix, for
+    # end in range(start, stop): for each end, the next end whose prefix
+    # has the same defined colour (stop if none), and the count of UNKNOWN
+    # prefixes below each end. The roots run in order, so one table at a
+    # time is kept.
+    @functools.lru_cache(maxsize=1)
+    def prefix_colours(start: int, stop: int):
+        following = [stop] * (stop - start)
+        unknown = [0]
+        latest = {}
+        for end in range(start, stop):
+            colour = colour_of(text[start - 1:end])
+            unknown.append(unknown[-1] + (colour is UNKNOWN))
+            if colour is not UNKNOWN:
+                if colour in latest:
+                    following[latest[colour] - start] = end
+                latest[colour] = end
+        return following, unknown
+
     # A state is (suffix start, next position, factors, subset words), and
     # the empty word is the last subset word, so a candidate u's
     # obligations, every subset word + u and then u itself, are built one
     # at a time and only until one breaks the path colour.
     def expand(state):
-        start, pos, _, subsets = state
-        for end in range(pos, min(start + len_bound, len(text) + 1)):
+        start, pos, factors, subsets = state
+        stop = min(start + len_bound, len(text) + 1)
+        if len(factors) != 1:
+            for end in range(pos, stop):
+                u = text[pos - 1:end]
+                yield u, map(operator.add, subsets, itertools.repeat(u))
+            return
+        # The second factor's first obligation factors[0] + u is the prefix
+        # ending at u's end, and the path colour is that of factors[0], the
+        # prefix ending at pos - 1. So only the later ends of that colour
+        # pass it, and the ends between them are rejected in blocks.
+        following, unknown = prefix_colours(start, stop)
+        low, end = pos, following[pos - 1 - start]
+        while True:
+            if end > low:
+                yield None, (end - low,
+                             unknown[end - start] - unknown[low - start])
+            if end == stop:
+                return
             u = text[pos - 1:end]
             yield u, map(operator.add, subsets, itertools.repeat(u))
+            low, end = end + 1, following[end - start]
 
-    def grow(state, u: str, _obligations):
+    def grow(state, u: str):
         start, pos, factors, subsets = state
         return (start, pos + len(u), factors + [u],
                 subsets[:-1] + [w + u for w in subsets] + [""])
@@ -593,7 +651,7 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
         for v in range(values[-1] + 1 if values else 1, bound + 1):
             yield v, map(operator.add, sums, itertools.repeat(v))
 
-    def grow(state, v: int, _obligations):
+    def grow(state, v: int):
         values, sums = state
         return values + [v], sums[:-1] + [s + v for s in sums] + [0]
 
@@ -644,7 +702,7 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
             counts["constraints_checked"] += len(sums)
             yield v, zip(sums, itertools.repeat(v))
 
-    def grow(state, v: int, _pairs):
+    def grow(state, v: int):
         values, sums, total = state
         return values + [v], sums + [s + v for s in sums] + [v], total + v
 

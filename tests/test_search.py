@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermono import report, search, words
+from supermono.factor_colouring import UNKNOWN
 from supermono.search import (
     Q5_VARIANTS,
     X_ALTERNATING,
@@ -182,7 +183,7 @@ def test_incremental_constraints_union_to_full_set(data):
         step = next(obligations for candidate, obligations
                     in engine["expand"](state) if candidate == v)
         pairs.update(step)
-        state = engine["grow"](state, v, step)
+        state = engine["grow"](state, v)
     assert pairs == Counter((c.left, c.right)
                             for c in constraints_for(values, form, allow))
 
@@ -338,6 +339,100 @@ def test_scan_starved_colours_count_as_unknown_aborts():
     assert rep.exhausted
     assert rep.witnesses == []
     assert rep.counts["unknown_aborts"] == 4
+
+
+def _supermono_referee(x, colouring, suffix_bound, n, len_bound, scan_bound,
+                       mode):
+    """supermono_search's whole outcome, found one candidate at a time: a
+    candidate u's obligations are every nonempty subset word + u, then u,
+    checked in that order up to the first that breaks."""
+    colour_of = search.word_colour_fn(colouring, x, scan_bound)
+    text = x.prefix(suffix_bound + len_bound - 1)
+    found, tally = [], Counter()
+
+    def extend(start, pos, factors, subsets, path_colour):
+        tally["depth"] = max(tally["depth"], len(factors))
+        if len(factors) == n:
+            found.append([start] + factors)
+            return mode == "first"
+        for end in range(pos, min(start + len_bound, len(text) + 1)):
+            u = text[pos - 1:end]
+            tally["nodes"] += 1
+            colour = path_colour
+            for word in [w + u for w in subsets] + [u]:
+                tally["evaluated"] += 1
+                word_colour = colour_of(word)
+                if word_colour is UNKNOWN:
+                    tally["unknown"] += 1
+                    break
+                if colour is None:
+                    colour = word_colour
+                elif word_colour != colour:
+                    break
+            else:
+                if extend(start, end + 1, factors + [u],
+                          subsets + [w + u for w in subsets] + [u], colour):
+                    return True
+        return False
+
+    exhausted = not any(extend(start, start, [], [], None)
+                        for start in range(1, suffix_bound + 1))
+    return (found, exhausted, tally["nodes"], tally["depth"],
+            {"colour_evaluations": tally["evaluated"],
+             "unknown_aborts": tally["unknown"]})
+
+
+def _outcome(rep):
+    return (rep.witnesses, rep.exhausted, rep.nodes_explored,
+            rep.max_depth_reached, rep.counts)
+
+
+@pytest.mark.parametrize("spec", [
+    "periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
+    "morphic:a->abc,b->ac,c->b|a", "prefix:abaab"])
+@pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
+                                       "theta"])
+def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
+    """The second factor's candidates are rejected in blocks; every count
+    must still be what checking them one at a time gives. Small scan
+    bounds put UNKNOWN ends inside the blocks, and the explicit prefix
+    cuts the ends off at its last letter."""
+    x, col = parse_word_spec(spec), parse_colouring(colouring)
+    for suffix_bound, n, len_bound, scan_bound in [
+            (1, 2, 5, 2), (3, 2, 6, 2), (3, 3, 6, 3), (4, 3, 8, 5),
+            (5, 2, 12, 4), (2, 4, 10, 5), (6, 3, 14, 64)]:
+        if spec.startswith("prefix:") and scan_bound > 5:
+            continue
+        for mode in ("first", "all"):
+            args = (x, col, suffix_bound, n, len_bound, scan_bound, mode)
+            assert (_outcome(supermono_search(*args))
+                    == _supermono_referee(*args)), args
+
+
+def test_first_witness_right_after_a_rejected_block(monkeypatch):
+    """Under lenmod:2 on abab..., no second factor follows the first
+    factor "a". After the first factor "ab", the candidate "a" is
+    rejected (aba has odd length) in a block of one, and the next
+    candidate "ab" is the first witness. The stop must count the block:
+    11 nodes and 15 colour evaluations in all."""
+    yields = []
+    dfs = search._dfs
+
+    def recording(params, roots, expand, *rest):
+        def recorded(state):
+            for step in expand(state):
+                yields.append(step)
+                yield step
+        return dfs(params, roots, recorded, *rest)
+
+    monkeypatch.setattr(search, "_dfs", recording)
+    args = (Periodic("ab"), parse_colouring("lenmod:2"), 3, 2, 8, 4096,
+            "first")
+    rep = supermono_search(*args)
+    assert _outcome(rep) == _supermono_referee(*args)
+    assert _outcome(rep) == ([[1, "ab", "ab"]], False, 11, 2,
+                             {"colour_evaluations": 15, "unknown_aborts": 0})
+    assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
 
 
 def test_search_mode_validation():

@@ -117,16 +117,33 @@ def test_claim1_failure_carries_the_pair_and_the_count_before_it(monkeypatch):
                                  for a, b in pairs)
 
 
-def test_verify_and_cli_import_without_numpy():
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(src), env.get("PYTHONPATH"))))
-    code = ('import sys; sys.modules["numpy"] = None; '
-            'import supermono.verify, supermono.cli')
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_verify_and_cli_import_without_numpy():
+    done = _run_python('import sys; sys.modules["numpy"] = None; '
+                       'import supermono.verify, supermono.cli')
     assert done.returncode == 0, done.stderr
+
+
+def test_verify_imports_no_word_or_search_layer():
+    """The verify suites need only the digit and pair layers. A fresh
+    interpreter compiles every module it imports, so a module-level import
+    of the word layer would slow every verify run's set-up."""
+    done = _run_python(
+        'import sys, supermono.verify; print(*sorted(m for m in sys.modules '
+        'if m.partition(".")[0] == "supermono"))')
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "supermono", "supermono.bits", "supermono.oracles",
+        "supermono.pair_colouring", "supermono.verify"]
 
 
 def test_obstruction_tuple_counts():
