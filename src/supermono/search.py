@@ -502,6 +502,46 @@ def verify_altsum_witness(colouring: Colouring, values, form: str,
 # Super-monochromatic factorisation search
 
 
+class _PrefixColours:
+    """The colours of the prefixes text[start - 1:end] of one suffix, for
+    the ends start .. stop - 1, read in order and only as far as asked.
+
+    following[end - start] is the next end read whose prefix has the same
+    defined colour, None until one is read; unknown[i] counts the UNKNOWN
+    prefixes among the first i ends read.
+    """
+
+    def __init__(self, text: str, start: int, stop: int, colour_of):
+        self.text, self.start, self.stop = text, start, stop
+        self.colour_of = colour_of
+        self.following: list = []
+        self.unknown = [0]
+        self.latest: dict = {}
+
+    def after(self, end: int) -> int:
+        """The next end whose prefix has the colour of end's prefix, or
+        stop if none has; the prefixes up to that end are read first."""
+        start, following = self.start, self.following
+        i = end - start
+        while i >= len(following) or following[i] is None:
+            read = start + len(following)
+            if read == self.stop:
+                return read
+            colour = self.colour_of(self.text[start - 1:read])
+            self.unknown.append(self.unknown[-1] + (colour is UNKNOWN))
+            following.append(None)
+            if colour is not UNKNOWN:
+                if colour in self.latest:
+                    following[self.latest[colour] - start] = read
+                self.latest[colour] = read
+        return following[i]
+
+    def unknown_between(self, low: int, high: int) -> int:
+        """How many of the read ends low .. high - 1 have UNKNOWN prefixes."""
+        return (self.unknown[high - self.start]
+                - self.unknown[low - self.start])
+
+
 def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
                      n_factors: int, len_bound: int, scan_bound: int = 4096,
                      mode: str = "first", jobs: int = 1) -> SearchReport:
@@ -519,9 +559,9 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     so one table of prefix colours per suffix start yields only the
     second factors whose prefix has u_1's colour; the candidates between
     them go to _dfs as rejected blocks, with the same counts as checking
-    them one by one. The table colours every first-factor candidate of
-    its suffix, which an all-mode run colours anyway, and a first-mode run
-    may colour some it would otherwise have stopped before.
+    them one by one. The table reads a prefix only when a second factor's
+    expand reaches it, so both modes colour exactly the words that
+    checking one candidate at a time colours.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -536,24 +576,10 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
 
-    # The colours of the prefixes text[start - 1:end] of one suffix, for
-    # end in range(start, stop): for each end, the next end whose prefix
-    # has the same defined colour (stop if none), and the count of UNKNOWN
-    # prefixes below each end. The roots run in order, so one table at a
-    # time is kept.
+    # The roots run in order, so one suffix start's table is kept at a time.
     @functools.lru_cache(maxsize=1)
     def prefix_colours(start: int, stop: int):
-        following = [stop] * (stop - start)
-        unknown = [0]
-        latest = {}
-        for end in range(start, stop):
-            colour = colour_of(text[start - 1:end])
-            unknown.append(unknown[-1] + (colour is UNKNOWN))
-            if colour is not UNKNOWN:
-                if colour in latest:
-                    following[latest[colour] - start] = end
-                latest[colour] = end
-        return following, unknown
+        return _PrefixColours(text, start, stop, colour_of)
 
     # A state is (suffix start, next position, factors, subset words), and
     # the empty word is the last subset word, so a candidate u's
@@ -571,17 +597,16 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         # ending at u's end, and the path colour is that of factors[0], the
         # prefix ending at pos - 1. So only the later ends of that colour
         # pass it, and the ends between them are rejected in blocks.
-        following, unknown = prefix_colours(start, stop)
-        low, end = pos, following[pos - 1 - start]
+        table = prefix_colours(start, stop)
+        low, end = pos, table.after(pos - 1)
         while True:
             if end > low:
-                yield None, (end - low,
-                             unknown[end - start] - unknown[low - start])
+                yield None, (end - low, table.unknown_between(low, end))
             if end == stop:
                 return
             u = text[pos - 1:end]
             yield u, map(operator.add, subsets, itertools.repeat(u))
-            low, end = end + 1, following[end - start]
+            low, end = end + 1, table.after(end)
 
     def grow(state, u: str):
         start, pos, factors, subsets = state

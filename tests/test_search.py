@@ -435,6 +435,58 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
     assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
 
 
+def _record_colourings(monkeypatch) -> list:
+    """Make every word-colouring callable list each word it is asked for."""
+    coloured = []
+    build = search.word_colour_fn
+
+    def recording(*args):
+        colour_of = build(*args)
+
+        def colour(u):
+            coloured.append(u)
+            return colour_of(u)
+        return colour
+
+    monkeypatch.setattr(search, "word_colour_fn", recording)
+    return coloured
+
+
+@pytest.mark.parametrize("spec", ["periodic:ab", "evper:c|ab",
+                                  "morphic:a->ab,b->a|a"])
+@pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
+                                       "theta"])
+def test_supermono_colours_what_a_one_candidate_search_colours(
+        monkeypatch, spec, colouring):
+    """The prefix table is read only as far as a second factor's expand
+    reaches, so a first-mode stop colours no word that checking one
+    candidate at a time would not, and an all-mode run no other word."""
+    coloured = _record_colourings(monkeypatch)
+    x, col = parse_word_spec(spec), parse_colouring(colouring)
+    for suffix_bound, n, len_bound, scan_bound in [
+            (1, 2, 9, 4096), (3, 2, 8, 3), (2, 3, 12, 64), (4, 4, 10, 5)]:
+        for mode in ("first", "all"):
+            args = (x, col, suffix_bound, n, len_bound, scan_bound, mode)
+            supermono_search(*args)
+            searched = set(coloured)
+            coloured.clear()
+            _supermono_referee(*args)
+            assert searched == set(coloured), args
+            coloured.clear()
+
+
+def test_first_mode_stops_before_reading_far_prefixes(monkeypatch):
+    """Under const the first witness is [1, "a", "b"], found after three
+    words whatever len_bound is: the second factor's table must not colour
+    the suffix's other 10^4 prefixes before it."""
+    coloured = _record_colourings(monkeypatch)
+    rep = supermono_search(Periodic("ab"), parse_colouring("const"), 1, 2,
+                           10 ** 4, mode="first")
+    assert (rep.witnesses, rep.nodes_explored) == ([[1, "a", "b"]], 2)
+    assert set(coloured) == {"a", "ab", "b"}
+    assert len(coloured) <= 5, len(coloured)
+
+
 def test_search_mode_validation():
     with pytest.raises(ValueError):
         altsum_search(parse_colouring("const"), 4, 2, mode="sampled")
