@@ -229,6 +229,19 @@ def common_fragments(a: int, b: int, lo: int = 0, hi: int | None = None) -> list
     return _matched_fragments(a, b, lo, hi, "common")
 
 
+def common_fragment_count(a: int, b: int, lo: int = 0, hi: int | None = None) -> int:
+    """len(common_fragments(a, b, lo, hi)) without building the fragments:
+    the shared 1s of a run of agreeing digits carry out of its top exactly
+    once. No 1 is shared below position 0, and lo > hi is an empty window."""
+    _require_natural(a, "a")
+    _require_natural(b, "b")
+    if hi is None:
+        hi = max(a.bit_length(), b.bit_length()) - 1
+    lo = lo if lo > 0 else 0
+    agree = ~(a ^ b) & ((1 << (hi + 1 if hi >= lo else lo)) - (1 << lo))
+    return ((agree + (a & b & agree)) & ~agree).bit_count()
+
+
 def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
     """Digits of r strictly between l_p and f_s, with the position range.
 

@@ -8,7 +8,6 @@ argument a search rejects), 2 verification failure, 3 witnesses found where
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -40,9 +39,10 @@ def _emit(text: str, out: str | None) -> None:
     click.echo(f"wrote {path}")
 
 
-def _aligned(rows) -> str:
-    width = max(len(key) for key, _ in rows)
-    return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
+def _emit_record(fmt: str, data: dict, rows, out: str | None) -> None:
+    """Emit data as canonical JSON, or rows as aligned text."""
+    _emit(report.canonical_json(data) if fmt == "json"
+          else report.aligned(rows), out)
 
 
 def _checked(call, *args, **kwargs):
@@ -96,18 +96,14 @@ def inspect(n: int, fmt: str, out: str | None) -> None:
         "first_three_digits": bits.first_three_digits(n),
         "intervals": bits.intervals(n),
     }
-    if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _aligned([
-            ("n", n),
-            ("digits", data["digits"]),
-            ("support", " ".join(str(p) for p in data["support"])),
-            ("digit_bounds", f"({first}, {last})"),
-            ("first_three_digits", data["first_three_digits"]),
-            ("intervals", data["intervals"]),
-        ])
-    _emit(text, out)
+    _emit_record(fmt, data, [
+        ("n", n),
+        ("digits", data["digits"]),
+        ("support", " ".join(str(p) for p in data["support"])),
+        ("digit_bounds", f"({first}, {last})"),
+        ("first_three_digits", data["first_three_digits"]),
+        ("intervals", data["intervals"]),
+    ], out)
 
 
 @main.command("inspect-pair")
@@ -132,27 +128,23 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
         "labels": [[p, mark] for p, mark in labels],
         "jumps": bits.jumps(a, b),
         "difference_intervals": bits.intervals(b - a),
-        "common_fragments": len(bits.common_fragments(a, b)),
+        "common_fragments": bits.common_fragment_count(a, b),
         "carry_region": None if carry is None else [carry.start, carry.stop],
         "colour_key": colour.key(),
         "colour_ordinal": colour.ordinal(),
     }
-    if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _aligned([
-            ("a", a),
-            ("b", b),
-            ("labels", " ".join(f"{p}:{mark}" for p, mark in labels)),
-            ("jumps", data["jumps"]),
-            ("difference_intervals", data["difference_intervals"]),
-            ("common_fragments", data["common_fragments"]),
-            ("carry_region", "none" if carry is None
-             else f"({carry.start}, {carry.stop})"),
-            ("colour_key", data["colour_key"]),
-            ("colour_ordinal", data["colour_ordinal"]),
-        ])
-    _emit(text, out)
+    _emit_record(fmt, data, [
+        ("a", a),
+        ("b", b),
+        ("labels", " ".join(f"{p}:{mark}" for p, mark in labels)),
+        ("jumps", data["jumps"]),
+        ("difference_intervals", data["difference_intervals"]),
+        ("common_fragments", data["common_fragments"]),
+        ("carry_region", "none" if carry is None
+         else f"({carry.start}, {carry.stop})"),
+        ("colour_key", data["colour_key"]),
+        ("colour_ordinal", data["colour_ordinal"]),
+    ], out)
 
 
 @main.command("verify")
@@ -178,20 +170,16 @@ def verify_cmd(suite: str, bound: int | None, fmt: str,
         "counterexample": None if result.counterexample is None
         else list(result.counterexample),
     }
-    if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        rows = [
-            ("suite", result.suite),
-            ("result", "pass" if result.ok else "FAIL"),
-            ("checked", result.checked),
-            ("detail", result.detail),
-        ]
-        if result.counterexample is not None:
-            rows.append(("counterexample",
-                         " ".join(str(v) for v in result.counterexample)))
-        text = _aligned(rows)
-    _emit(text, out)
+    rows = [
+        ("suite", result.suite),
+        ("result", "pass" if result.ok else "FAIL"),
+        ("checked", result.checked),
+        ("detail", result.detail),
+    ]
+    if result.counterexample is not None:
+        rows.append(("counterexample",
+                     " ".join(str(v) for v in result.counterexample)))
+    _emit_record(fmt, data, rows, out)
     if not result.ok:
         sys.exit(2)
 
@@ -250,8 +238,8 @@ def search_altsum(colouring: str, bound: int, max_len: int, form: str,
               help="Largest suffix start tried.")
 @click.option("--len-bound", type=int, default=12, show_default=True,
               help="Largest total factor length.")
-@click.option("--scan-bound", type=int, default=4096, show_default=True,
-              help="Occurrence scan horizon.")
+@click.option("--scan-bound", type=int, default=search.DEFAULT_SCAN_BOUND,
+              show_default=True, help="Occurrence scan horizon.")
 @_search_options
 def search_supermono(word: str, colouring: str, n_factors: int,
                      suffix_bound: int, len_bound: int, scan_bound: int,
@@ -276,7 +264,8 @@ def search_supermono(word: str, colouring: str, n_factors: int,
               help="Number of sequence values.")
 @click.option("--bound", type=int, default=10, show_default=True,
               help="Largest sequence value.")
-@click.option("--scan-bound", type=int, default=4096, show_default=True,
+@click.option("--scan-bound", type=int, default=search.DEFAULT_SCAN_BOUND,
+              show_default=True,
               help="Occurrence scan horizon for word colourings.")
 @_search_options
 def search_hindman(u: str, word: str | None, colouring: str, n_values: int,

@@ -16,20 +16,6 @@ STAGES = (STAGE1, STAGE2, FULL)
 WINDOWS = ("001", "011", "101", "111")
 
 
-def common_fragment_count(a: int, b: int) -> int:
-    """Number of maximal same-position matched strings of a and b with a
-    leading shared 1, counted with multiplicity.
-
-    Equal to len(bits.common_fragments(a, b)), without building the
-    fragments: adding the shared 1s of a run of agreeing digits carries out
-    of the run's top exactly once.
-    """
-    bits._require_natural(a, "a")
-    bits._require_natural(b, "b")
-    agree = ~(a ^ b) & ((1 << max(a.bit_length(), b.bit_length())) - 1)
-    return ((agree + (a & b)) & ~agree).bit_count()
-
-
 @dataclass(frozen=True)
 class PairColour:
     """Colour of a pair (a, b) with a < b; components outside the stage are
@@ -87,7 +73,7 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
     c3 = bits.first_three_digits(d)
     c4 = bits.jumps(a, b) % 2 if stage != STAGE1 else None
     c5 = bits.intervals(d) % 2 if stage != STAGE1 else None
-    c6 = common_fragment_count(a, b) % 2 if stage == FULL else None
+    c6 = bits.common_fragment_count(a, b) % 2 if stage == FULL else None
     return PairColour(c0, c1, c2, c3, c4, c5, c6, stage)
 
 

@@ -2,7 +2,8 @@
 
 JSON is the canonical machine format: sorted keys, two-space indent, one
 trailing newline, no timestamps, schema version and library version
-embedded. Identical report content renders to identical bytes.
+embedded. Identical report content renders to identical bytes. The CLI
+renders every other command's output with canonical_json and aligned too.
 """
 
 from __future__ import annotations
@@ -32,8 +33,19 @@ def report_to_dict(report: SearchReport) -> dict:
     }
 
 
+def canonical_json(data) -> str:
+    """data in the canonical JSON format."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def aligned(rows) -> str:
+    """One 'key  value' line per row, keys padded to the longest."""
+    width = max(len(str(key)) for key, _ in rows)
+    return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
+
+
 def to_json(report: SearchReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return canonical_json(report_to_dict(report))
 
 
 def to_csv(report: SearchReport) -> str:
@@ -55,12 +67,8 @@ def to_text(report: SearchReport) -> str:
     rows += [("exhausted", data["exhausted"]), ("nodes", data["nodes"]),
              ("max_depth", data["max_depth"])]
     rows += sorted(data["counts"].items())
-    width = max(len(str(k)) for k, _ in rows)
-    lines = [f"{k:<{width}}  {v}" for k, v in rows]
-    lines.append(f"witnesses ({len(report.witnesses)}):")
-    for w in report.witnesses:
-        lines.append("  " + " ".join(str(v) for v in w))
-    return "\n".join(lines) + "\n"
+    return aligned(rows) + f"witnesses ({len(report.witnesses)}):\n" + "".join(
+        "  " + " ".join(str(v) for v in w) + "\n" for w in report.witnesses)
 
 
 def render(report: SearchReport, fmt: str) -> str:

@@ -5,18 +5,20 @@ finite Hindman sums, the all-plus pair family, and coefficient-pattern sums.
 Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. The alternating-sum search carries its left-hand sides in
-the search state; constraints_for builds each family from scratch and is
-the referee behind verify_altsum_witness. The super-monochromatic search
-hands the engine its rejected second factors in blocks, found from one
-table of prefix colours per suffix start. Reports are deterministic
-functions of the search parameters alone, and every search runs in the
-calling thread. altsum_search and supermono_search still accept a jobs
-argument and ignore it, because the benchmark workloads pass it.
+the search state; constraints_for builds each family from scratch for
+verify_altsum_witness. The super-monochromatic search hands the engine its
+rejected second factors in blocks, found from one table of prefix colours
+per suffix start. Reports are deterministic functions of the search
+parameters alone, and every search runs in the calling thread.
+altsum_search and supermono_search still accept a jobs argument and ignore
+it, because the benchmark workloads pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
 includes a bound that would make a word source materialise more than
-words.MAX_LETTERS letters. The witness verifiers check the role too.
+words.MAX_LETTERS letters. Each search has a witness verifier that checks
+the role too, recolours the witness's whole family from scratch and
+applies one rule, _at_most_one_colour, to it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ FORMS = (X_ALTERNATING, Y_SUBSET, Y_BLOCK)
 Q5_VARIANTS = ("plain", "a1free", "akfree", "with_gaps")
 
 LIFT_MODES = ("left", "right", "diff", "sum", "both")
+
+# The occurrence scan horizon of a word colouring when the caller names none.
+DEFAULT_SCAN_BOUND = 4096
 
 _NUMBER_FAMILIES = ("const", "valmod", "fpmod", "base-lsnz", "gaps", "dbl")
 _WORD_FAMILIES = ("const", "lenmod", "theta")
@@ -216,13 +221,12 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
         raise ArgumentError("word-side theta colouring uses the full stage")
 
     @functools.cache
-    def colour(u: str):
-        if len(u) > scan_bound:
-            return UNKNOWN
+    def colour_within_scan(u: str):
         result = phi(x, u, scan_bound)
         return result if result is UNKNOWN else result.serialise()
 
-    return colour
+    # Words past the scan horizon are UNKNOWN unscanned, and never cached.
+    return lambda u: UNKNOWN if len(u) > scan_bound else colour_within_scan(u)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +262,6 @@ def xy_inverse(ys) -> list[int]:
     return list(itertools.accumulate(ys))
 
 
-def _alt_sum(values) -> int:
-    total = 0
-    for i, v in enumerate(values):
-        total += v if i % 2 == 0 else -v
-    return total
-
-
 def _constraints_with_top(lefts, right):
     """The pairs (left, right) over the carried lefts that satisfy
     left < right."""
@@ -295,7 +292,8 @@ def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
     if form == X_ALTERNATING:
         for size in range(2, n + 1, 2):
             for ks in itertools.combinations(range(1, n + 1), size):
-                left = _alt_sum([values[k - 1] for k in ks[:-1]])
+                signed = [values[k - 1] for k in ks[:-1]]
+                left = sum(signed[::2]) - sum(signed[1::2])
                 out.append(Constraint(left, values[ks[-1] - 1], ks))
         return out
     first = 1 if (form == Y_BLOCK or allow_k1_equal_1) else 2
@@ -426,6 +424,24 @@ def _candidate_is_child(_state, candidate):
     return candidate
 
 
+def _nonempty_subsets(items):
+    """The nonempty subsets of items as tuples, shortest first."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, size)
+        for size in range(1, len(items) + 1))
+
+
+def _at_most_one_colour(colours) -> bool:
+    """The rule every witness verifier applies to the family it recolours:
+    no colour is UNKNOWN (reading stops there) and at most one occurs."""
+    seen = set()
+    for colour in colours:
+        if colour is UNKNOWN:
+            return False
+        seen.add(colour)
+    return len(seen) <= 1
+
+
 # ---------------------------------------------------------------------------
 # Alternating-sum search
 
@@ -494,8 +510,8 @@ def verify_altsum_witness(colouring: Colouring, values, form: str,
     """Recolour every constraint of the family from scratch."""
     _check_role(colouring, "pair")
     cs = constraints_for(values, form, allow_k1_equal_1)
-    colours = {colour_pair_value(colouring, c.left, c.right) for c in cs}
-    return len(colours) <= 1
+    return _at_most_one_colour(
+        colour_pair_value(colouring, c.left, c.right) for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +559,9 @@ class _PrefixColours:
 
 
 def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
-                     n_factors: int, len_bound: int, scan_bound: int = 4096,
-                     mode: str = "first", jobs: int = 1) -> SearchReport:
+                     n_factors: int, len_bound: int,
+                     scan_bound: int = DEFAULT_SCAN_BOUND, mode: str = "first",
+                     jobs: int = 1) -> SearchReport:
     """Search for consecutive factors u_1..u_n of a suffix of x whose
     2^n - 1 ordered-subset concatenations all share one colour.
 
@@ -621,9 +638,9 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
 
 
 def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
-                             scan_bound: int = 4096) -> bool:
+                             scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
     """Rebuild all ordered-subset concatenations independently and check
-    they share one defined colour."""
+    they share one defined colour; a witness with no factors fails."""
     start, factors = witness[0], list(witness[1:])
     text = x.prefix(start + sum(len(u) for u in factors) - 1)
     pos = start
@@ -632,14 +649,8 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
             return False
         pos += len(u)
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    colours = set()
-    for size in range(1, len(factors) + 1):
-        for combo in itertools.combinations(factors, size):
-            colour = colour_of("".join(combo))
-            if colour is UNKNOWN:
-                return False
-            colours.add(colour)
-    return len(colours) == 1
+    return bool(factors) and _at_most_one_colour(
+        colour_of("".join(combo)) for combo in _nonempty_subsets(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +658,8 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
 
 
 def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
-                   x: WordSource | None = None, scan_bound: int = 4096,
+                   x: WordSource | None = None,
+                   scan_bound: int = DEFAULT_SCAN_BOUND,
                    mode: str = "first") -> SearchReport:
     """Search a_1 < ... < a_n <= bound such that u^s has one colour for
     every nonempty distinct-element sum s.
@@ -687,17 +699,12 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 
 def verify_hindman_witness(u: str, colouring: Colouring, values,
                            x: WordSource | None = None,
-                           scan_bound: int = 4096) -> bool:
-    """Recolour u^s for every nonempty subset sum s independently."""
+                           scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
+    """Recolour u^s for every nonempty subset sum s independently; an
+    empty sequence fails."""
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    colours = set()
-    for size in range(1, len(values) + 1):
-        for combo in itertools.combinations(values, size):
-            colour = colour_of(u * sum(combo))
-            if colour is UNKNOWN:
-                return False
-            colours.add(colour)
-    return len(colours) == 1
+    return bool(values) and _at_most_one_colour(
+        colour_of(u * sum(combo)) for combo in _nonempty_subsets(values))
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +746,10 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
 def verify_plus_witness(colouring: Colouring, values) -> bool:
     """Recolour every (prefix subset sum, next element) pair from scratch."""
     _check_role(colouring, "pair")
-    colours = set()
-    for j in range(1, len(values)):
-        earlier = values[:j]
-        for size in range(1, j + 1):
-            for combo in itertools.combinations(earlier, size):
-                colours.add(colour_pair_value(colouring, sum(combo), values[j]))
-    return len(colours) <= 1
+    return _at_most_one_colour(
+        colour_pair_value(colouring, sum(combo), values[j])
+        for j in range(1, len(values))
+        for combo in _nonempty_subsets(values[:j]))
 
 
 # ---------------------------------------------------------------------------
@@ -809,11 +813,10 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 
 
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:
-    """Recolour every coefficient sum of every prefix from scratch."""
+    """Recolour every coefficient sum of every prefix from scratch; an
+    empty sequence fails."""
     _check_role(colouring, "number")
-    colours = set()
-    for k in range(1, len(values) + 1):
-        for coeffs in _q5_patterns(k, variant):
-            total = sum(c * y for c, y in zip(coeffs, values[:k]))
-            colours.add(colour_number(colouring, total))
-    return len(colours) == 1
+    return bool(values) and _at_most_one_colour(
+        colour_number(colouring, sum(c * y for c, y in zip(coeffs, values)))
+        for k in range(1, len(values) + 1)
+        for coeffs in _q5_patterns(k, variant))

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import bits, oracles
-from .pair_colouring import STAGE2, colour_pair, common_fragment_count
+from .pair_colouring import STAGE2, colour_pair
 
 _SEED = 988121
 
@@ -65,9 +65,10 @@ def _oracle_pair_check(a: int, b: int):
     if bits.jumps(a, b) != oracles.jumps_oracle(a, b):
         return "jumps"
     fragment_count = oracles.common_fragment_count_oracle(a, b)
-    if len(bits.common_fragments(a, b)) != fragment_count:
+    listed = bits.common_fragments(a, b)
+    if len(listed) != fragment_count:
         return "common_fragments"
-    if common_fragment_count(a, b) != fragment_count:
+    if bits.common_fragment_count(a, b) != fragment_count:
         return "common_fragment_count"
     if bits.carry_region(a, b) != oracles.carry_region_oracle(a, b):
         return "carry_region"
@@ -610,18 +611,18 @@ def verify_stage3(trials: int = 400) -> SuiteResult:
             b = prefix[k + 3]
             a_full = prefix[k + 2]
             a_removed = a_full - ys[k]
-            f_removed = len(bits.common_fragments(a_removed, b))
-            f_full = len(bits.common_fragments(a_full, b))
+            f_removed = bits.common_fragment_count(a_removed, b)
+            f_full = bits.common_fragment_count(a_full, b)
             if f_removed != oracles.common_fragment_count_oracle(a_removed, b) \
                     or f_full != oracles.common_fragment_count_oracle(a_full, b):
                 return SuiteResult("stage3", False, checked,
                                    "oracle disagrees on F", tuple(ys) + (k,))
             zone_lo = bits.overlapping_zone(ys, k)
             zone_hi = bits.overlapping_zone(ys, k + 1)
-            f_k = len(bits.common_fragments(a_removed, b,
-                                            zone_lo.lo, zone_lo.hi))
-            f_k1 = len(bits.common_fragments(a_removed, b,
-                                             zone_hi.lo, zone_hi.hi))
+            f_k = bits.common_fragment_count(a_removed, b,
+                                             zone_lo.lo, zone_lo.hi)
+            f_k1 = bits.common_fragment_count(a_removed, b,
+                                              zone_hi.lo, zone_hi.hi)
             if f_removed - f_full != f_k + 1 + f_k1:
                 return SuiteResult("stage3", False, checked,
                                    "removal count is not f(k)+1+f(k+1)",

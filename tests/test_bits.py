@@ -5,7 +5,7 @@ string scanners."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermono import bits, oracles
@@ -160,6 +160,22 @@ def test_pinned_common_fragments():
 def test_common_fragment_count_matches_scanner(a, b):
     assert len(bits.common_fragments(a, b)) == \
         oracles.common_fragment_count_oracle(a, b)
+
+
+@given(a=naturals, b=naturals, lo=st.integers(-2, 24),
+       hi=st.integers(-1, 24) | st.none())
+@example(a=5, b=4, lo=3, hi=1)
+@example(a=0b1101, b=0b0101, lo=1, hi=20)
+@example(a=6, b=6, lo=0, hi=-1)
+@settings(max_examples=500)
+def test_windowed_common_fragment_count_matches_list_and_scanner(a, b, lo, hi):
+    """The count over [lo, hi] agrees with the fragment list and with the
+    string scanner, for empty windows (lo > hi) and for windows reaching
+    past both last digits."""
+    count = bits.common_fragment_count(a, b, lo, hi)
+    assert count == len(bits.common_fragments(a, b, lo, hi))
+    top = max(bits.last_digit(a), bits.last_digit(b)) if hi is None else hi
+    assert count == len(oracles._scan_fragments(a, b, lo, top, "common"))
 
 
 def test_centre_window_and_digits():

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermono import bits, oracles
+from supermono.bits import common_fragment_count
 from supermono.pair_colouring import (
     FULL,
     STAGE1,
     STAGE2,
     STAGES,
     colour_pair,
-    common_fragment_count,
     refines,
 )
 

@@ -5,6 +5,7 @@ pinned outcomes."""
 from __future__ import annotations
 
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -555,6 +556,52 @@ def test_search_rejects_its_arguments_before_any_node(run, message,
 def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
     with pytest.raises(search.ArgumentError):
         check()
+
+
+_AB = Periodic("ab")
+_LENMOD2 = parse_colouring("lenmod:2")
+_VALMOD2 = parse_colouring("valmod:2")
+_THETA = parse_colouring("theta")
+
+
+@pytest.mark.parametrize("check, expected", [
+    (lambda: verify_altsum_witness(_VALMOD2, [3], X_ALTERNATING), True),
+    (lambda: verify_plus_witness(_VALMOD2, [5]), True),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, [1]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, []), False),
+    (lambda: verify_q5_witness(_VALMOD2, "plain", []), False),
+    (lambda: verify_supermono_witness(_AB, _THETA, [1, "abab"]), True),
+    (lambda: verify_supermono_witness(_AB, _THETA, [1, "abab"], 3), False),
+    (lambda: verify_hindman_witness("ab", _THETA, [2], _AB), True),
+    (lambda: verify_hindman_witness("ab", _THETA, [2], _AB, 3), False),
+    (lambda: verify_altsum_witness(_VALMOD2, [1, 2, 3], X_ALTERNATING), False),
+    (lambda: verify_plus_witness(_VALMOD2, [2, 4, 7]), False),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "a", "b"]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [1, 2]), False),
+    (lambda: verify_q5_witness(_VALMOD2, "plain", [1, 1]), False),
+], ids=["altsum-empty", "plus-empty", "supermono-empty", "hindman-empty",
+        "q5-empty", "supermono-one-word", "supermono-unknown",
+        "hindman-one-word", "hindman-unknown", "altsum-mixed", "plus-mixed",
+        "supermono-mixed", "hindman-mixed", "q5-mixed"])
+def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
+                                                               expected):
+    """altsum and plus accept an empty family, the other three need one
+    colour; a word past the scan bound (UNKNOWN) or two colours fail."""
+    assert check() is expected
+
+
+def test_words_past_the_scan_bound_are_not_cached():
+    colour_of = search.word_colour_fn(_THETA, _AB, 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for length in range(66, 4066, 2):
+            assert colour_of("ab" * (length // 2)) is UNKNOWN
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 2,000 words of 66 to 4,064 letters hold 4.28 MB when the cache keeps them.
+    assert retained < 100_000
 
 
 _col = parse_colouring
