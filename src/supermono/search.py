@@ -6,12 +6,12 @@ Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. The alternating-sum search carries its left-hand sides in
 the search state; constraints_for builds each family from scratch for
-verify_altsum_witness. The super-monochromatic search hands the engine its
-rejected second factors in blocks, found from one table of prefix colours
-per suffix start. Reports are deterministic functions of the search
-parameters alone, and every search runs in the calling thread.
-altsum_search and supermono_search still accept a jobs argument and ignore
-it, because the benchmark workloads pass it.
+verify_altsum_witness. The super-monochromatic and Hindman searches hand
+the engine the candidates their first obligation rejects in blocks, found
+by one lazy colour chain, _colour_chain. Reports are deterministic
+functions of the search parameters alone, and every search runs in the
+calling thread. altsum_search and supermono_search still accept a jobs
+argument and ignore it, because the benchmark workloads pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -23,6 +23,8 @@ applies one rule, _at_most_one_colour, to it.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import itertools
 import operator
@@ -371,9 +373,9 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     colours evaluated. A state at the given depth is a witness, and in
     first mode the first witness ends the search.
 
-    expand may also yield (None, (k, j)), a block of k consecutive
-    candidates that expand has already found rejected by their first
-    obligation, j of them by an UNKNOWN colour: the block counts k nodes,
+    expand may also yield (None, (k, j)), as _colour_chain does: a block
+    of k consecutive candidates already rejected by their first
+    obligation, j of them by an UNKNOWN colour. The block counts k nodes,
     k colours evaluated and j unknown aborts, as those candidates would
     one by one. Blocks come in candidate order, so a first-mode stop
     counts the same nodes either way.
@@ -422,6 +424,37 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
 def _candidate_is_child(_state, candidate):
     """grow for searches whose candidate is already the child state."""
     return candidate
+
+
+def _colour_chain(colour_at, first: int):
+    """The colours of the keys first, first + 1, ... read by colour_at in
+    order, only as far as a query needs. Returns candidates(colour, low,
+    stop, make), first <= low <= stop, which yields make(key) for each key
+    in low .. stop - 1 of that colour, smallest first, and ahead of each
+    and of the stop the (None, (k, j)) block that _dfs takes for the k
+    keys of another colour since the last, j of them UNKNOWN."""
+    hits = collections.defaultdict(list)  # each colour's keys, ascending
+    unknown = [0]  # unknown[i]: UNKNOWN colours among the first i keys
+
+    def candidates(colour, low: int, stop: int, make):
+        keys = hits[colour]
+        i = bisect.bisect_left(keys, low)
+        while True:
+            while i == len(keys) and (key := first + len(unknown) - 1) < stop:
+                found = colour_at(key)
+                unknown.append(unknown[-1] + (found is UNKNOWN))
+                if found is not UNKNOWN:
+                    hits[found].append(key)
+            end = min(keys[i], stop) if i < len(keys) else stop
+            if end > low:
+                yield None, (end - low,
+                             unknown[end - first] - unknown[low - first])
+            if end == stop:
+                return
+            yield make(end)
+            low, i = end + 1, i + 1
+
+    return candidates
 
 
 def _nonempty_subsets(items):
@@ -518,46 +551,6 @@ def verify_altsum_witness(colouring: Colouring, values, form: str,
 # Super-monochromatic factorisation search
 
 
-class _PrefixColours:
-    """The colours of the prefixes text[start - 1:end] of one suffix, for
-    the ends start .. stop - 1, read in order and only as far as asked.
-
-    following[end - start] is the next end read whose prefix has the same
-    defined colour, None until one is read; unknown[i] counts the UNKNOWN
-    prefixes among the first i ends read.
-    """
-
-    def __init__(self, text: str, start: int, stop: int, colour_of):
-        self.text, self.start, self.stop = text, start, stop
-        self.colour_of = colour_of
-        self.following: list = []
-        self.unknown = [0]
-        self.latest: dict = {}
-
-    def after(self, end: int) -> int:
-        """The next end whose prefix has the colour of end's prefix, or
-        stop if none has; the prefixes up to that end are read first."""
-        start, following = self.start, self.following
-        i = end - start
-        while i >= len(following) or following[i] is None:
-            read = start + len(following)
-            if read == self.stop:
-                return read
-            colour = self.colour_of(self.text[start - 1:read])
-            self.unknown.append(self.unknown[-1] + (colour is UNKNOWN))
-            following.append(None)
-            if colour is not UNKNOWN:
-                if colour in self.latest:
-                    following[self.latest[colour] - start] = read
-                self.latest[colour] = read
-        return following[i]
-
-    def unknown_between(self, low: int, high: int) -> int:
-        """How many of the read ends low .. high - 1 have UNKNOWN prefixes."""
-        return (self.unknown[high - self.start]
-                - self.unknown[low - self.start])
-
-
 def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
                      n_factors: int, len_bound: int,
                      scan_bound: int = DEFAULT_SCAN_BOUND, mode: str = "first",
@@ -572,13 +565,11 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     because every extension keeps the unresolved subset. Candidate factors
     are sliced from one prefix of suffix_bound + len_bound - 1 letters.
 
-    A second factor u's first obligation u_1 u is a prefix of the suffix,
-    so one table of prefix colours per suffix start yields only the
-    second factors whose prefix has u_1's colour; the candidates between
-    them go to _dfs as rejected blocks, with the same counts as checking
-    them one by one. The table reads a prefix only when a second factor's
-    expand reaches it, so both modes colour exactly the words that
-    checking one candidate at a time colours.
+    A second factor u's first obligation u_1 u is the suffix's prefix
+    ending at u's end, so each suffix start's _colour_chain of prefix
+    colours yields only the second factors that pass it and rejects the
+    others in blocks. Both modes count and colour exactly what checking
+    one candidate at a time would.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -593,45 +584,34 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
 
-    # The roots run in order, so one suffix start's table is kept at a time.
-    @functools.lru_cache(maxsize=1)
-    def prefix_colours(start: int, stop: int):
-        return _PrefixColours(text, start, stop, colour_of)
+    # A state is (suffix start, next position, factors, subset words, the
+    # start's chain), and the empty word is the last subset word, so a
+    # candidate u's obligations, every subset word + u and then u itself,
+    # are built one at a time and only until one breaks the path colour.
+    def root(start: int):
+        return (start, start, [], [""], _colour_chain(
+            lambda end: colour_of(text[start - 1:end]), start + 1))
 
-    # A state is (suffix start, next position, factors, subset words), and
-    # the empty word is the last subset word, so a candidate u's
-    # obligations, every subset word + u and then u itself, are built one
-    # at a time and only until one breaks the path colour.
     def expand(state):
-        start, pos, factors, subsets = state
+        start, pos, factors, subsets, chain = state
         stop = min(start + len_bound, len(text) + 1)
-        if len(factors) != 1:
-            for end in range(pos, stop):
-                u = text[pos - 1:end]
-                yield u, map(operator.add, subsets, itertools.repeat(u))
-            return
-        # The second factor's first obligation factors[0] + u is the prefix
-        # ending at u's end, and the path colour is that of factors[0], the
-        # prefix ending at pos - 1. So only the later ends of that colour
-        # pass it, and the ends between them are rejected in blocks.
-        table = prefix_colours(start, stop)
-        low, end = pos, table.after(pos - 1)
-        while True:
-            if end > low:
-                yield None, (end - low, table.unknown_between(low, end))
-            if end == stop:
-                return
+
+        def make(end: int):
             u = text[pos - 1:end]
-            yield u, map(operator.add, subsets, itertools.repeat(u))
-            low, end = end + 1, table.after(end)
+            return u, map(operator.add, subsets, itertools.repeat(u))
+
+        if len(factors) != 1:
+            return map(make, range(pos, stop))
+        # The second factor's first obligation factors[0] + u is the prefix
+        # ending at u's end, and it must have the colour of factors[0].
+        return chain(colour_of(factors[0]), pos, stop, make)
 
     def grow(state, u: str):
-        start, pos, factors, subsets = state
+        start, pos, factors, subsets, chain = state
         return (start, pos + len(u), factors + [u],
-                subsets[:-1] + [w + u for w in subsets] + [""])
+                subsets[:-1] + [w + u for w in subsets] + [""], chain)
 
-    return _dfs(params, [(start, start, [], [""])
-                         for start in range(1, suffix_bound + 1)],
+    return _dfs(params, map(root, range(1, suffix_bound + 1)),
                 expand, colour_of, grow,
                 n_factors, lambda state: [state[0]] + state[2], mode, counts,
                 "colour_evaluations")
@@ -640,8 +620,10 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
 def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
                              scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
     """Rebuild all ordered-subset concatenations independently and check
-    they share one defined colour; a witness with no factors fails."""
+    they share one defined colour; no factor, or an empty one, fails."""
     start, factors = witness[0], list(witness[1:])
+    if not factors or not all(factors):
+        return False
     text = x.prefix(start + sum(len(u) for u in factors) - 1)
     pos = start
     for u in factors:
@@ -649,7 +631,7 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
             return False
         pos += len(u)
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    return bool(factors) and _at_most_one_colour(
+    return _at_most_one_colour(
         colour_of("".join(combo)) for combo in _nonempty_subsets(factors))
 
 
@@ -666,6 +648,11 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 
     The first witness in lexicographic order is returned in first mode.
     theta colourings need a reference word x for the induced colouring.
+
+    Below the root the first subset sum stays a_1, so a candidate v's first
+    obligation is u^(a_1 + v): a_1's _colour_chain of powers yields only
+    the candidates that pass it and rejects the others in blocks, as in
+    supermono_search. colour_power memoises the run's colours of u^s.
     """
     if not u:
         raise ArgumentError("u must be a nonempty word")
@@ -681,18 +668,28 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     colour_power = functools.cache(lambda s: colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
-    # A state is (values, subset sums of the values), and the empty sum 0
-    # is the last one, as the empty word is in supermono_search.
+    # A state is (values, subset sums of the values, a_1's chain), and the
+    # empty sum 0 is the last sum, as the empty word is in supermono_search.
     def expand(state):
-        values, sums = state
-        for v in range(values[-1] + 1 if values else 1, bound + 1):
-            yield v, map(operator.add, sums, itertools.repeat(v))
+        values, sums, chain = state
+        # A candidate v below the root is the key a_1 + v of a_1's chain.
+        a1 = values[0] if values else 0
+
+        def make(key: int):
+            v = key - a1
+            return v, map(operator.add, sums, itertools.repeat(v))
+
+        if not values:
+            return map(make, range(1, bound + 1))
+        return chain(colour_power(a1), a1 + values[-1] + 1, a1 + bound + 1,
+                     make)
 
     def grow(state, v: int):
-        values, sums = state
-        return values + [v], sums[:-1] + [s + v for s in sums] + [0]
+        values, sums, chain = state
+        return (values + [v], sums[:-1] + [s + v for s in sums] + [0],
+                chain or _colour_chain(colour_power, 2 * v + 1))
 
-    return _dfs(params, [([], [0])], expand, colour_power, grow, n,
+    return _dfs(params, [([], [0], None)], expand, colour_power, grow, n,
                 lambda state: list(state[0]), mode, counts,
                 "colour_evaluations")
 
@@ -700,10 +697,12 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 def verify_hindman_witness(u: str, colouring: Colouring, values,
                            x: WordSource | None = None,
                            scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
-    """Recolour u^s for every nonempty subset sum s independently; an
-    empty sequence fails."""
+    """Recolour u^s for every nonempty subset sum s independently; values
+    other than a nonempty strictly increasing run of naturals fail."""
+    if not values or values[0] < 1 or sorted(set(values)) != list(values):
+        return False
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    return bool(values) and _at_most_one_colour(
+    return _at_most_one_colour(
         colour_of(u * sum(combo)) for combo in _nonempty_subsets(values))
 
 

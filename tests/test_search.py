@@ -383,14 +383,53 @@ def _supermono_referee(x, colouring, suffix_bound, n, len_bound, scan_bound,
              "unknown_aborts": tally["unknown"]})
 
 
+def _hindman_referee(u, colouring, n, bound, x, scan_bound, mode):
+    """hindman_search's whole outcome, found one candidate at a time: a
+    candidate v's obligations are u^(s + v) for every nonempty subset sum
+    s, then u^v, checked in that order up to the first that breaks."""
+    colour_of = search.word_colour_fn(colouring, x, scan_bound)
+    found, tally = [], Counter()
+
+    def extend(values, sums, path_colour):
+        tally["depth"] = max(tally["depth"], len(values))
+        if len(values) == n:
+            found.append(values)
+            return mode == "first"
+        for v in range(values[-1] + 1 if values else 1, bound + 1):
+            tally["nodes"] += 1
+            colour = path_colour
+            for total in [s + v for s in sums] + [v]:
+                tally["evaluated"] += 1
+                power_colour = colour_of(u * total)
+                if power_colour is UNKNOWN:
+                    tally["unknown"] += 1
+                    break
+                if colour is None:
+                    colour = power_colour
+                elif power_colour != colour:
+                    break
+            else:
+                if extend(values + [v], sums + [s + v for s in sums] + [v],
+                          colour):
+                    return True
+        return False
+
+    exhausted = not extend([], [], None)
+    return (found, exhausted, tally["nodes"], tally["depth"],
+            {"colour_evaluations": tally["evaluated"],
+             "unknown_aborts": tally["unknown"]})
+
+
 def _outcome(rep):
     return (rep.witnesses, rep.exhausted, rep.nodes_explored,
             rep.max_depth_reached, rep.counts)
 
 
-@pytest.mark.parametrize("spec", [
-    "periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
-    "morphic:a->abc,b->ac,c->b|a", "prefix:abaab"])
+_REFEREE_SPECS = ["periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
+                  "morphic:a->abc,b->ac,c->b|a", "prefix:abaab"]
+
+
+@pytest.mark.parametrize("spec", _REFEREE_SPECS)
 @pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
                                        "theta"])
 def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
@@ -408,6 +447,26 @@ def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
             args = (x, col, suffix_bound, n, len_bound, scan_bound, mode)
             assert (_outcome(supermono_search(*args))
                     == _supermono_referee(*args)), args
+
+
+@pytest.mark.parametrize("spec", _REFEREE_SPECS)
+@pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
+                                       "theta"])
+def test_hindman_counts_match_a_one_candidate_referee(spec, colouring):
+    """Below the root a candidate's first obligation u^(a_1 + v) is read
+    from a_1's colour chain, which rejects the off-colour candidates in
+    blocks; every count must still be what checking them one at a time
+    gives. Small scan bounds put UNKNOWN powers inside the blocks."""
+    x, col = parse_word_spec(spec), parse_colouring(colouring)
+    for u in ("a", "ab"):
+        for n, bound, scan_bound in [(2, 6, 2), (2, 12, 5), (3, 12, 4),
+                                     (3, 24, 64), (4, 16, 9)]:
+            if spec.startswith("prefix:") and scan_bound > 5:
+                continue
+            for mode in ("first", "all"):
+                args = (u, col, n, bound, x, scan_bound, mode)
+                assert (_outcome(hindman_search(*args))
+                        == _hindman_referee(*args)), args
 
 
 def test_first_witness_right_after_a_rejected_block(monkeypatch):
@@ -459,20 +518,29 @@ def _record_colourings(monkeypatch) -> list:
                                        "theta"])
 def test_supermono_colours_what_a_one_candidate_search_colours(
         monkeypatch, spec, colouring):
-    """The prefix table is read only as far as a second factor's expand
-    reaches, so a first-mode stop colours no word that checking one
-    candidate at a time would not, and an all-mode run no other word."""
+    """A colour chain is read only as far as an expand reaches, so a
+    first-mode stop colours no word that checking one candidate at a time
+    would not, and an all-mode run no other word: in supermono_search and,
+    with the same words and colourings, in hindman_search."""
     coloured = _record_colourings(monkeypatch)
     x, col = parse_word_spec(spec), parse_colouring(colouring)
-    for suffix_bound, n, len_bound, scan_bound in [
-            (1, 2, 9, 4096), (3, 2, 8, 3), (2, 3, 12, 64), (4, 4, 10, 5)]:
+    runs = [(supermono_search, _supermono_referee,
+             (x, col, suffix_bound, n, len_bound, scan_bound))
+            for suffix_bound, n, len_bound, scan_bound in [
+                (1, 2, 9, 4096), (3, 2, 8, 3), (2, 3, 12, 64),
+                (4, 4, 10, 5)]]
+    runs += [(hindman_search, _hindman_referee,
+              (u, col, n, bound, x, scan_bound))
+             for u in ("a", "ab")
+             for n, bound, scan_bound in [(2, 40, 4096), (3, 16, 5),
+                                          (3, 30, 64), (4, 20, 9)]]
+    for run, referee, args in runs:
         for mode in ("first", "all"):
-            args = (x, col, suffix_bound, n, len_bound, scan_bound, mode)
-            supermono_search(*args)
+            run(*args, mode)
             searched = set(coloured)
             coloured.clear()
-            _supermono_referee(*args)
-            assert searched == set(coloured), args
+            referee(*args, mode)
+            assert searched == set(coloured), (run.__name__, args, mode)
             coloured.clear()
 
 
@@ -486,6 +554,18 @@ def test_first_mode_stops_before_reading_far_prefixes(monkeypatch):
     assert (rep.witnesses, rep.nodes_explored) == ([[1, "a", "b"]], 2)
     assert set(coloured) == {"a", "ab", "b"}
     assert len(coloured) <= 5, len(coloured)
+
+
+def test_hindman_first_mode_stops_before_reading_far_powers(monkeypatch):
+    """Under const the first witness is [1, 2, 3], found after 3 nodes and
+    7 colour evaluations whatever the bound is: a_1's chain must colour
+    only the powers u^1 .. u^6 that those candidates read, not the other
+    10^6 powers below the bound."""
+    coloured = _record_colourings(monkeypatch)
+    rep = hindman_search("a", parse_colouring("const"), 3, 10 ** 6)
+    assert _outcome(rep) == ([[1, 2, 3]], False, 3, 3,
+                             {"colour_evaluations": 7, "unknown_aborts": 0})
+    assert sorted(coloured) == ["a" * s for s in range(1, 7)]
 
 
 def test_search_mode_validation():
@@ -579,14 +659,26 @@ _THETA = parse_colouring("theta")
     (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "a", "b"]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [1, 2]), False),
     (lambda: verify_q5_witness(_VALMOD2, "plain", [1, 1]), False),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "", ""]), False),
+    (lambda: verify_supermono_witness(_AB, _THETA, [1, "ab", ""]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [2, 2]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [4, 2]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [0]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [-2, 2]), False),
+    (lambda: verify_hindman_witness("a", _THETA, [0, 2], _AB), False),
 ], ids=["altsum-empty", "plus-empty", "supermono-empty", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
         "hindman-one-word", "hindman-unknown", "altsum-mixed", "plus-mixed",
-        "supermono-mixed", "hindman-mixed", "q5-mixed"])
+        "supermono-mixed", "hindman-mixed", "q5-mixed",
+        "supermono-empty-factors", "supermono-theta-empty-factor",
+        "hindman-repeated", "hindman-decreasing", "hindman-zero",
+        "hindman-negative", "hindman-theta-zero"])
 def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
                                                                expected):
     """altsum and plus accept an empty family, the other three need one
-    colour; a word past the scan bound (UNKNOWN) or two colours fail."""
+    colour; a word past the scan bound (UNKNOWN) or two colours fail. So
+    do a supermono witness with an empty factor and hindman values that
+    are not strictly increasing naturals, which no search can return."""
     assert check() is expected
 
 
@@ -766,6 +858,15 @@ _PINNED_OUTCOMES = [
                                x=_word("periodic:ab"), scan_bound=64),
         ([], True, 36, 1, {"colour_evaluations": 37, "unknown_aborts": 0}),
         id="hindman-theta-word-first"),
+    pytest.param(
+        lambda: hindman_search("ab", _col("theta"), 3, 2400,
+                               x=_word("periodic:ab"), scan_bound=8192),
+        ([[37, 360, 2368]],
+         False,
+         273_094,
+         3,
+         {"colour_evaluations": 279_692, "unknown_aborts": 67}),
+        id="hindman-theta-blocks-at-scale"),
     pytest.param(
         lambda: plus_pair_search(_col("valmod:2"), 3, 16),
         ([[2, 4, 8]], False, 123, 3, {"constraints_checked": 329}),
