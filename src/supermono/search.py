@@ -284,12 +284,13 @@ def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
         raise ValueError(f"unknown constraint form {form!r}")
     values = list(values)
     if form == X_ALTERNATING:
-        if any(x2 <= x1 for x1, x2 in zip(values, values[1:])):
-            raise ValueError("xs must be strictly increasing")
+        if any(x2 <= x1 for x1, x2 in zip([0] + values, values)):
+            raise ValueError("xs must be strictly increasing naturals")
     elif any(v < 1 for v in values):
         raise ValueError("ys must be positive")
+    if form == Y_BLOCK:
+        return constraints_for(itertools.accumulate(values), X_ALTERNATING)
     n = len(values)
-    prefix = list(itertools.accumulate(values))
     out = []
     if form == X_ALTERNATING:
         for size in range(2, n + 1, 2):
@@ -298,21 +299,14 @@ def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
                 left = sum(signed[::2]) - sum(signed[1::2])
                 out.append(Constraint(left, values[ks[-1] - 1], ks))
         return out
-    first = 1 if (form == Y_BLOCK or allow_k1_equal_1) else 2
+    prefix = list(itertools.accumulate(values))
+    first = 1 if allow_k1_equal_1 else 2
     for size in range(2, n + 1):
-        if form == Y_BLOCK and size % 2 == 1:
-            continue
         for ks in itertools.combinations(range(first, n + 1), size):
             right = prefix[ks[-1] - 1]
-            if form == Y_SUBSET:
-                left = values[0] + sum(values[k - 1] for k in ks[:-1])
-                if left >= right:
-                    continue
-            else:
-                left = prefix[ks[0] - 1]
-                for lo, hi in zip(ks[1:-1:2], ks[2:-1:2]):
-                    left += prefix[hi - 1] - prefix[lo - 1]
-            out.append(Constraint(left, right, ks))
+            left = values[0] + sum(values[k - 1] for k in ks[:-1])
+            if left < right:
+                out.append(Constraint(left, right, ks))
     return out
 
 
@@ -362,10 +356,11 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     """Depth-first search shared by the five families.
 
     Each root is a state at depth 0; roots are not counted as nodes.
-    expand(state) yields (candidate, obligations) smallest candidate
-    first, and every candidate is one counted node. The candidate is
-    accepted when every obligation gets the path colour, which the first
-    obligation on the path fixes; grow(state, candidate) then builds the
+    expand(state, colour) yields (candidate, obligations) smallest
+    candidate first, and every candidate is one counted node. The
+    candidate is accepted when every obligation gets the path colour,
+    which the first obligation on the path fixes and which expand is
+    given, None while unfixed; grow(state, candidate) then builds the
     child state. obligations may be an iterable that is consumed once, and
     the engine stops reading it at the first obligation that breaks, so
     expand may build them lazily. An UNKNOWN colour rejects the candidate
@@ -391,7 +386,7 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
         if level == depth:
             witnesses.append(witness(state))
             return stop
-        for candidate, obligations in expand(state):
+        for candidate, obligations in expand(state, fixed):
             if candidate is None:
                 rejected, unknown = obligations
                 nodes += rejected
@@ -513,7 +508,7 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     # evens are the alternating sums of the odd- and even-size index sets.
     # For y_subset, lefts are y_1 plus each nonempty subset sum of the
     # values from index first on.
-    def expand(state):
+    def expand(state, _colour):
         values, x, lefts, _ = state
         lo = values[-1] + 1 if increasing and values else 1
         for v in range(lo, bound + 1):
@@ -540,9 +535,16 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
 
 def verify_altsum_witness(colouring: Colouring, values, form: str,
                           allow_k1_equal_1: bool = False) -> bool:
-    """Recolour every constraint of the family from scratch."""
+    """Recolour every constraint of the family from scratch. Values outside
+    the search's domain fail: the x form takes strictly increasing
+    naturals, the y forms positive values."""
     _check_role(colouring, "pair")
-    cs = constraints_for(values, form, allow_k1_equal_1)
+    try:
+        cs = constraints_for(values, form, allow_k1_equal_1)
+    except ValueError:
+        if form not in FORMS:
+            raise
+        return False
     return _at_most_one_colour(
         colour_pair_value(colouring, c.left, c.right) for c in cs)
 
@@ -592,7 +594,7 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         return (start, start, [], [""], _colour_chain(
             lambda end: colour_of(text[start - 1:end]), start + 1))
 
-    def expand(state):
+    def expand(state, colour):
         start, pos, factors, subsets, chain = state
         stop = min(start + len_bound, len(text) + 1)
 
@@ -603,8 +605,9 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         if len(factors) != 1:
             return map(make, range(pos, stop))
         # The second factor's first obligation factors[0] + u is the prefix
-        # ending at u's end, and it must have the colour of factors[0].
-        return chain(colour_of(factors[0]), pos, stop, make)
+        # ending at u's end, and it must have the path colour, which
+        # factors[0] fixed.
+        return chain(colour, pos, stop, make)
 
     def grow(state, u: str):
         start, pos, factors, subsets, chain = state
@@ -670,7 +673,7 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 
     # A state is (values, subset sums of the values, a_1's chain), and the
     # empty sum 0 is the last sum, as the empty word is in supermono_search.
-    def expand(state):
+    def expand(state, colour):
         values, sums, chain = state
         # A candidate v below the root is the key a_1 + v of a_1's chain.
         a1 = values[0] if values else 0
@@ -681,8 +684,8 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 
         if not values:
             return map(make, range(1, bound + 1))
-        return chain(colour_power(a1), a1 + values[-1] + 1, a1 + bound + 1,
-                     make)
+        # The path colour is u^(a_1)'s.
+        return chain(colour, a1 + values[-1] + 1, a1 + bound + 1, make)
 
     def grow(state, v: int):
         values, sums, chain = state
@@ -727,7 +730,7 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
     counts = {"constraints_checked": 0}
 
     # A state is (values, nonempty subset sums of the values, their total).
-    def expand(state):
+    def expand(state, _colour):
         _, sums, total = state
         for v in range(total + 1, bound + 1):
             counts["constraints_checked"] += len(sums)
@@ -743,8 +746,11 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
 
 
 def verify_plus_witness(colouring: Colouring, values) -> bool:
-    """Recolour every (prefix subset sum, next element) pair from scratch."""
+    """Recolour every (prefix subset sum, next element) pair from scratch;
+    values that are not superincreasing naturals fail."""
     _check_role(colouring, "pair")
+    if any(v <= sum(values[:j]) for j, v in enumerate(values)):
+        return False
     return _at_most_one_colour(
         colour_pair_value(colouring, sum(combo), values[j])
         for j in range(1, len(values))
@@ -799,7 +805,7 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
     _check_role(colouring, "number")
     patterns = [()] + [_q5_patterns(k, variant) for k in range(1, max_len + 1)]
 
-    def expand(values: list):
+    def expand(values: list, _colour):
         for v in range(1, bound + 1):
             new = values + [v]
             yield new, (sum(c * y for c, y in zip(coeffs, new))
@@ -813,9 +819,9 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:
     """Recolour every coefficient sum of every prefix from scratch; an
-    empty sequence fails."""
+    empty sequence, or one with a value below 1, fails."""
     _check_role(colouring, "number")
-    return bool(values) and _at_most_one_colour(
+    return min(values, default=0) >= 1 and _at_most_one_colour(
         colour_number(colouring, sum(c * y for c, y in zip(coeffs, values)))
         for k in range(1, len(values) + 1)
         for coeffs in _q5_patterns(k, variant))

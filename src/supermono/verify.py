@@ -1,15 +1,20 @@
 """Verification suites for the arithmetic engine behind the pair colouring.
 
-Each suite runs an exhaustive or constructed check and returns a
-SuiteResult; a failure carries the first counterexample found. Suites
-that construct random instances use a fixed seed, so every run checks the
-same instances.
+Each suite body states only its checks: a generator registered with
+`_suite(name, passed)` that yields the number of instances it takes on and
+raises `_Counterexample(detail, counterexample)` at its first failure. The
+registered function sums the yields into a SuiteResult that carries the
+first counterexample, or `passed` when the body finishes. Suites that
+construct random instances use a fixed seed, so every run checks the same
+instances.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import bits, oracles
@@ -25,6 +30,33 @@ class SuiteResult:
     checked: int
     detail: str
     counterexample: tuple | None = None
+
+
+class _Counterexample(Exception):
+    """Raised by a suite body at its first failing instance, with the
+    failure's detail and counterexample as args."""
+
+
+_RUNNERS: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(name: str, passed: str):
+    """Register a suite body under `name`; SUITES keeps registration
+    order."""
+    def register(checks: Callable[..., Iterator[int]]):
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> SuiteResult:
+            checked = 0
+            try:
+                for count in checks(*args, **kwargs):
+                    checked += count
+            except _Counterexample as failure:
+                return SuiteResult(name, False, checked, *failure.args)
+            return SuiteResult(name, True, checked, passed)
+
+        _RUNNERS[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -60,50 +92,45 @@ def _random_fragment_pair(rng: random.Random) -> tuple[int, int]:
     return lower, upper
 
 
-def _oracle_pair_check(a: int, b: int):
-    """First mismatching operation name for the pair, or None."""
+def _check_oracle_pair(a: int, b: int) -> None:
+    """Raise on the first operation whose value for the pair mismatches."""
     if bits.jumps(a, b) != oracles.jumps_oracle(a, b):
-        return "jumps"
+        raise _Counterexample("jumps mismatch", (a, b))
     fragment_count = oracles.common_fragment_count_oracle(a, b)
     listed = bits.common_fragments(a, b)
     if len(listed) != fragment_count:
-        return "common_fragments"
+        raise _Counterexample("common_fragments mismatch", (a, b))
     if bits.common_fragment_count(a, b) != fragment_count:
-        return "common_fragment_count"
+        raise _Counterexample("common_fragment_count mismatch", (a, b))
     if bits.carry_region(a, b) != oracles.carry_region_oracle(a, b):
-        return "carry_region"
+        raise _Counterexample("carry_region mismatch", (a, b))
     for lower, upper in ((a, b), (b, a)):
         for side in ("right", "left"):
             got = _fragments_either(bits.fragments, lower, upper, side)
             want = _fragments_either(oracles.fragments_oracle, lower, upper, side)
             if got != want:
-                return f"fragments {side}"
-    return None
+                raise _Counterexample(f"fragments {side} mismatch", (a, b))
 
 
-def verify_oracles(bound: int = 1024, samples: int = 100_000) -> SuiteResult:
+@_suite("oracles", "jumps, intervals, carry, fragments, common fragments "
+                   "all match the string scanners")
+def verify_oracles(bound: int = 1024, samples: int = 100_000) -> Iterator[int]:
     """Library bit tricks against the naive string scanners.
 
     Exhaustive on all pairs a < b < bound, then on `samples` random pairs
     below 2^32, then on constructed pairs satisfying the fragment
     hypotheses so the value paths get dense coverage too.
     """
-    checked = 0
     for n in range(1, bound):
-        checked += 1
+        yield 1
         if bits.intervals(n) != oracles.intervals_oracle(n):
-            return SuiteResult("oracles", False, checked,
-                               "intervals mismatch", (n,))
+            raise _Counterexample("intervals mismatch", (n,))
         if bits.support(n) != oracles.support_oracle(n):
-            return SuiteResult("oracles", False, checked,
-                               "support mismatch", (n,))
+            raise _Counterexample("support mismatch", (n,))
     for a in range(1, bound):
         for b in range(a + 1, bound):
-            checked += 1
-            bad = _oracle_pair_check(a, b)
-            if bad is not None:
-                return SuiteResult("oracles", False, checked,
-                                   f"{bad} mismatch", (a, b))
+            yield 1
+            _check_oracle_pair(a, b)
     rng = random.Random(_SEED)
     for _ in range(samples):
         a = rng.randrange(1, 1 << 32)
@@ -111,26 +138,18 @@ def verify_oracles(bound: int = 1024, samples: int = 100_000) -> SuiteResult:
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
-        checked += 1
+        yield 1
         if bits.intervals(a) != oracles.intervals_oracle(a):
-            return SuiteResult("oracles", False, checked,
-                               "intervals mismatch", (a,))
-        bad = _oracle_pair_check(a, b)
-        if bad is not None:
-            return SuiteResult("oracles", False, checked,
-                               f"{bad} mismatch", (a, b))
+            raise _Counterexample("intervals mismatch", (a,))
+        _check_oracle_pair(a, b)
     for _ in range(20_000):
         lower, upper = _random_fragment_pair(rng)
-        checked += 1
+        yield 1
         for side in ("right", "left"):
             if bits.fragments(lower, upper, side) != \
                     oracles.fragments_oracle(lower, upper, side):
-                return SuiteResult("oracles", False, checked,
-                                   f"fragments {side} mismatch",
-                                   (lower, upper))
-    return SuiteResult("oracles", True, checked,
-                       "jumps, intervals, carry, fragments, common "
-                       "fragments all match the string scanners")
+                raise _Counterexample(f"fragments {side} mismatch",
+                                      (lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +177,8 @@ def _claim1_counterexample(group: list[int], f: int) -> tuple[int, int] | None:
     return None
 
 
-def verify_claim1(bound: int = 16384) -> SuiteResult:
+@_suite("claim1", "first digit of every same-window sum is one above")
+def verify_claim1(bound: int = 16384) -> Iterator[int]:
     """For a, b < bound with equal first-digit position f and equal digits
     at f, f+1, f+2, the first digit of a+b sits exactly at f+1 (so the
     f mod 3 colour component of sums shifts; 1 is not 0 mod 3)."""
@@ -166,17 +186,13 @@ def verify_claim1(bound: int = 16384) -> SuiteResult:
     for v in range(1, bound):
         f = bits.first_digit(v)
         groups.setdefault((f, (v >> f) & 7), []).append(v)
-    checked = 0
     for (f, _), group in sorted(groups.items()):
         if len(group) < 2:
             continue
         bad = _claim1_counterexample(group, f)
         if bad is not None:
-            return SuiteResult("claim1", False, checked,
-                               "first digit of sum is not f+1", bad)
-        checked += len(group) * (len(group) - 1) // 2
-    return SuiteResult("claim1", True, checked,
-                       "first digit of every same-window sum is one above")
+            raise _Counterexample("first digit of sum is not f+1", bad)
+        yield len(group) * (len(group) - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +222,29 @@ def _random_type_a(rng: random.Random, length: int) -> list[int]:
     return zs
 
 
-def _range_sum_last_digit_ok(zs) -> tuple | None:
+def _check_range_sums(zs) -> None:
     for m in range(1, len(zs) + 1):
         for n in range(m, len(zs) + 1):
             total = sum(zs[m - 1:n])
             l_n = bits.last_digit(zs[n - 1])
             if bits.last_digit(total) not in (l_n, l_n + 1):
-                return tuple(zs) + (m, n)
-    return None
+                raise _Counterexample("last digit out of range",
+                                      tuple(zs) + (m, n))
 
 
-def verify_lastdigit(trials: int = 2000) -> SuiteResult:
+@_suite("lastdigit", "every range sum ends at l or l+1")
+def verify_lastdigit(trials: int = 2000) -> Iterator[int]:
     """Last digit of z_m + ... + z_n lands on l_{z_n} or one above, for
     staircase lists: exhaustively on small pairs and triples, then on
     random constructed lists of length up to 8."""
-    checked = 0
     for z1 in range(1, 128):
         f1, l1 = bits.digit_bounds(z1)
         for z2 in range(1, 128):
             f2, l2 = bits.digit_bounds(z2)
             if not (f1 < f2 and l1 < l2):
                 continue
-            checked += 1
-            bad = _range_sum_last_digit_ok([z1, z2])
-            if bad is not None:
-                return SuiteResult("lastdigit", False, checked,
-                                   "last digit out of range", bad)
+            yield 1
+            _check_range_sums([z1, z2])
     for z1 in range(1, 64):
         f1, l1 = bits.digit_bounds(z1)
         for z2 in range(1, 64):
@@ -242,34 +255,28 @@ def verify_lastdigit(trials: int = 2000) -> SuiteResult:
                 f3, l3 = bits.digit_bounds(z3)
                 if not (f2 < f3 and l2 < l3 and l1 + 1 < f3):
                     continue
-                checked += 1
-                bad = _range_sum_last_digit_ok([z1, z2, z3])
-                if bad is not None:
-                    return SuiteResult("lastdigit", False, checked,
-                                       "last digit out of range", bad)
+                yield 1
+                _check_range_sums([z1, z2, z3])
     rng = random.Random(_SEED)
     for t in range(trials):
         zs = _random_type_a(rng, 2 + t % 7)
-        assert bits.classify(zs, cut_depth=1).kind == bits.TYPE_A
-        checked += 1
-        bad = _range_sum_last_digit_ok(zs)
-        if bad is not None:
-            return SuiteResult("lastdigit", False, checked,
-                               "last digit out of range", bad)
-    return SuiteResult("lastdigit", True, checked,
-                       "every range sum ends at l or l+1")
+        yield 1
+        if bits.classify(zs, cut_depth=1).kind != bits.TYPE_A:
+            raise _Counterexample("constructed list is not type A",
+                                  tuple(zs))
+        _check_range_sums(zs)
 
 
 # ---------------------------------------------------------------------------
 # Jump elimination
 
 
-def verify_claim4(position_count: int = 16) -> SuiteResult:
+@_suite("claim4", "jump count always drops from 2 to 1")
+def verify_claim4(position_count: int = 16) -> Iterator[int]:
     """For every 4-tuple of pairwise right-to-left disjoint staircase
     numbers with supports inside 0..position_count-1, reinstating the
     second term removes exactly one high-to-low jump:
     J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum."""
-    checked = 0
     universe = list(range(position_count))
     for k in range(4, position_count + 1):
         for subset in itertools.combinations(universe, k):
@@ -280,17 +287,14 @@ def verify_claim4(position_count: int = 16) -> SuiteResult:
                 prefix.append(value)
             full = prefix[k]
             for c1, c2, c3 in itertools.combinations(range(1, k), 3):
-                checked += 1
+                yield 1
                 missing = prefix[c1] + prefix[c3] - prefix[c2]
                 present = prefix[c3]
                 if bits.jumps(missing, full) != 2 or \
                         bits.jumps(present, full) != 1:
                     parts = (prefix[c1], prefix[c2] - prefix[c1],
                              prefix[c3] - prefix[c2], full - prefix[c3])
-                    return SuiteResult("claim4", False, checked,
-                                       "jump delta is not exactly 1", parts)
-    return SuiteResult("claim4", True, checked,
-                       "jump count always drops from 2 to 1")
+                    raise _Counterexample("jump delta is not exactly 1", parts)
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +423,24 @@ def claim6_pair_set(zs) -> list[tuple[int, int]]:
             (z1 + z4, s4), (z1 + z3, s4)]
 
 
-def verify_claim6(position_count: int = 18) -> SuiteResult:
+@_suite("claim6", "no hypothesis-satisfying tuple is two-stage "
+                  "monochromatic")
+def verify_claim6(position_count: int = 18) -> Iterator[int]:
     """Every enumerated 5-tuple satisfying the disjointness and
     all-1-centre hypotheses is non-monochromatic on the named pair set
     under the two-stage colouring, and its interval counts obey the
     bookkeeping identities."""
-    checked = 0
     for zs in claim6_tuples(position_count - 1):
-        checked += 1
+        yield 1
         if not claim6_hypotheses_hold(zs):
-            return SuiteResult("claim6", False, checked,
-                               "enumerated tuple fails its own hypotheses",
-                               zs)
+            raise _Counterexample("enumerated tuple fails its own hypotheses",
+                                  zs)
         if not _claim6_bookkeeping(zs):
-            return SuiteResult("claim6", False, checked,
-                               "interval bookkeeping mismatch", zs)
+            raise _Counterexample("interval bookkeeping mismatch", zs)
         pairs = claim6_pair_set(zs)
         first = colour_pair(*pairs[0], STAGE2)
         if all(colour_pair(a, b, STAGE2) == first for a, b in pairs[1:]):
-            return SuiteResult("claim6", False, checked,
-                               "monochromatic pair set", zs)
-    return SuiteResult("claim6", True, checked,
-                       "no hypothesis-satisfying tuple is two-stage "
-                       "monochromatic")
+            raise _Counterexample("monochromatic pair set", zs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +524,16 @@ def _partition_holds(z1: int, z2: int, z3: int) -> bool:
     return total == len(union) and union == set(bits.support(z1 + z2 + z3))
 
 
-def verify_fragments(trials: int = 1500) -> SuiteResult:
+@_suite("fragments", "fragments plus centres tile every sum support")
+def verify_fragments(trials: int = 1500) -> Iterator[int]:
     """The 1-positions of a disjoint staircase triple's sum split exactly
     into the fragment position-sets and centres attributed to each term."""
     rng = random.Random(_SEED)
-    checked = 0
     for _ in range(trials):
         z1, z2, z3 = _random_partition_triple(rng)
-        checked += 1
+        yield 1
         if not _partition_holds(z1, z2, z3):
-            return SuiteResult("fragments", False, checked,
-                               "fragment partition mismatch", (z1, z2, z3))
-    return SuiteResult("fragments", True, checked,
-                       "fragments plus centres tile every sum support")
+            raise _Counterexample("fragment partition mismatch", (z1, z2, z3))
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +583,14 @@ def _stage3_discipline_ok(ys) -> bool:
     return True
 
 
-def verify_stage3(trials: int = 400) -> SuiteResult:
+@_suite("stage3", "removal always adds f(k)+1+f(k+1) common fragments")
+def verify_stage3(trials: int = 400) -> Iterator[int]:
     """Removing y_{k+1} from the left of the pair
     (y_1+...+y_{k+3}, y_1+...+y_{k+4}) adds exactly f(k) + 1 + f(k+1)
     common fragments, where f(m) counts the removal pair's common
     fragments inside the overlapping zone of y_m and y_{m+1}. Fragment
     counts are cross-checked against the string-scanning oracle."""
     rng = random.Random(_SEED)
-    checked = 0
     for t in range(trials):
         length = 6 + t % 2
         for _ in range(50):
@@ -602,12 +598,11 @@ def verify_stage3(trials: int = 400) -> SuiteResult:
             if _stage3_discipline_ok(ys):
                 break
         else:
-            return SuiteResult("stage3", False, checked,
-                               "could not construct a disciplined sequence",
-                               None)
+            raise _Counterexample("could not construct a disciplined sequence",
+                                  None)
         prefix = list(itertools.accumulate(ys))
         for k in range(1, length - 3):
-            checked += 1
+            yield 1
             b = prefix[k + 3]
             a_full = prefix[k + 2]
             a_removed = a_full - ys[k]
@@ -615,8 +610,7 @@ def verify_stage3(trials: int = 400) -> SuiteResult:
             f_full = bits.common_fragment_count(a_full, b)
             if f_removed != oracles.common_fragment_count_oracle(a_removed, b) \
                     or f_full != oracles.common_fragment_count_oracle(a_full, b):
-                return SuiteResult("stage3", False, checked,
-                                   "oracle disagrees on F", tuple(ys) + (k,))
+                raise _Counterexample("oracle disagrees on F", tuple(ys) + (k,))
             zone_lo = bits.overlapping_zone(ys, k)
             zone_hi = bits.overlapping_zone(ys, k + 1)
             f_k = bits.common_fragment_count(a_removed, b,
@@ -624,26 +618,13 @@ def verify_stage3(trials: int = 400) -> SuiteResult:
             f_k1 = bits.common_fragment_count(a_removed, b,
                                               zone_hi.lo, zone_hi.hi)
             if f_removed - f_full != f_k + 1 + f_k1:
-                return SuiteResult("stage3", False, checked,
-                                   "removal count is not f(k)+1+f(k+1)",
-                                   tuple(ys) + (k,))
-    return SuiteResult("stage3", True, checked,
-                       "removal always adds f(k)+1+f(k+1) common fragments")
+                raise _Counterexample("removal count is not f(k)+1+f(k+1)",
+                                      tuple(ys) + (k,))
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
-
-_RUNNERS = {
-    "oracles": verify_oracles,
-    "claim1": verify_claim1,
-    "lastdigit": verify_lastdigit,
-    "claim4": verify_claim4,
-    "claim6": verify_claim6,
-    "fragments": verify_fragments,
-    "stage3": verify_stage3,
-}
 
 SUITES = tuple(_RUNNERS)
 

@@ -126,6 +126,8 @@ def test_constraints_validation():
     with pytest.raises(ValueError):
         constraints_for((2, 1), X_ALTERNATING)
     with pytest.raises(ValueError):
+        constraints_for((0, 2), X_ALTERNATING)
+    with pytest.raises(ValueError):
         constraints_for((1, 0), Y_SUBSET)
     with pytest.raises(AssertionError):
         Constraint(2, 2, (1, 2))
@@ -182,7 +184,7 @@ def test_incremental_constraints_union_to_full_set(data):
     pairs = Counter()
     for v in values:
         step = next(obligations for candidate, obligations
-                    in engine["expand"](state) if candidate == v)
+                    in engine["expand"](state, None) if candidate == v)
         pairs.update(step)
         state = engine["grow"](state, v)
     assert pairs == Counter((c.left, c.right)
@@ -479,8 +481,8 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
     dfs = search._dfs
 
     def recording(params, roots, expand, *rest):
-        def recorded(state):
-            for step in expand(state):
+        def recorded(state, colour):
+            for step in expand(state, colour):
                 yields.append(step)
                 yield step
         return dfs(params, roots, recorded, *rest)
@@ -638,6 +640,13 @@ def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
         check()
 
 
+def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
+    with pytest.raises(ValueError, match="unknown constraint form"):
+        verify_altsum_witness(parse_colouring("valmod:2"), [0, 2], "z_form")
+    with pytest.raises(ValueError, match="unknown variant"):
+        verify_q5_witness(parse_colouring("valmod:2"), "bogus", [1])
+
+
 _AB = Periodic("ab")
 _LENMOD2 = parse_colouring("lenmod:2")
 _VALMOD2 = parse_colouring("valmod:2")
@@ -666,19 +675,32 @@ _THETA = parse_colouring("theta")
     (lambda: verify_hindman_witness("a", _LENMOD2, [0]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [-2, 2]), False),
     (lambda: verify_hindman_witness("a", _THETA, [0, 2], _AB), False),
+    (lambda: verify_altsum_witness(_VALMOD2, [0, 2], X_ALTERNATING), False),
+    (lambda: verify_altsum_witness(_VALMOD2, [2, 2], X_ALTERNATING), False),
+    (lambda: verify_altsum_witness(_VALMOD2, [1, 0], Y_SUBSET), False),
+    (lambda: verify_altsum_witness(_VALMOD2, [0, 1], Y_BLOCK), False),
+    (lambda: verify_plus_witness(_VALMOD2, [1, 1]), False),
+    (lambda: verify_plus_witness(_VALMOD2, [0, 2]), False),
+    (lambda: verify_plus_witness(_THETA, [5, 3]), False),
+    (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain", [0]),
+     False),
 ], ids=["altsum-empty", "plus-empty", "supermono-empty", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
         "hindman-one-word", "hindman-unknown", "altsum-mixed", "plus-mixed",
         "supermono-mixed", "hindman-mixed", "q5-mixed",
         "supermono-empty-factors", "supermono-theta-empty-factor",
         "hindman-repeated", "hindman-decreasing", "hindman-zero",
-        "hindman-negative", "hindman-theta-zero"])
+        "hindman-negative", "hindman-theta-zero", "altsum-x-zero",
+        "altsum-x-repeated", "altsum-y-subset-zero", "altsum-y-block-zero",
+        "plus-repeated", "plus-zero", "plus-theta-decreasing", "q5-zero"])
 def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
                                                                expected):
     """altsum and plus accept an empty family, the other three need one
     colour; a word past the scan bound (UNKNOWN) or two colours fail. So
-    do a supermono witness with an empty factor and hindman values that
-    are not strictly increasing naturals, which no search can return."""
+    do values no search can return: a supermono witness with an empty
+    factor, hindman values that are not strictly increasing naturals,
+    altsum values outside their form's domain, plus values that are not
+    superincreasing naturals and q5 values below 1."""
     assert check() is expected
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from supermono import bits, verify
+from supermono import bits, oracles, verify
 from supermono.verify import (
     SUITES,
     SuiteResult,
@@ -50,6 +50,75 @@ def test_oracle_suite_referees_the_fragment_count(monkeypatch):
     assert not result.ok
     assert result.detail == "common_fragment_count mismatch"
     assert result.counterexample == (3, 4)
+    assert result.checked == 19
+
+
+def _shift(monkeypatch, module, name, when, by):
+    """Patch module.name to add `by` to its value wherever when(*args)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: real(*args) + (by if when(*args) else 0))
+
+
+# (suite, bound, fault, outcome): fault injects one failure through a
+# public name, or is None; outcome is (ok, checked, detail, counterexample).
+_OUTCOMES = [
+    ("oracles", (64, 500), None,
+     (True, 22516, "jumps, intervals, carry, fragments, common fragments "
+                   "all match the string scanners", None)),
+    ("claim1", (1024,), None,
+     (True, 43180, "first digit of every same-window sum is one above", None)),
+    ("lastdigit", (200,), None,
+     (True, 2335, "every range sum ends at l or l+1", None)),
+    ("claim4", (10,), None,
+     (True, 7937, "jump count always drops from 2 to 1", None)),
+    ("claim6", (15,), None,
+     (True, 200, "no hypothesis-satisfying tuple is two-stage "
+                 "monochromatic", None)),
+    ("fragments", (150,), None,
+     (True, 150, "fragments plus centres tile every sum support", None)),
+    ("stage3", (50,), None,
+     (True, 125, "removal always adds f(k)+1+f(k+1) common fragments", None)),
+    ("claim4", (10,),
+     lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 13, 1),
+     (False, 29, "jump delta is not exactly 1", (1, 4, 8, 16))),
+    ("lastdigit", (200,),
+     lambda mp: _shift(mp, bits, "last_digit", lambda n: n == 12, 2),
+     (False, 6, "last digit out of range", (1, 12, 1, 2))),
+    ("claim6", (15,),
+     lambda mp: mp.setattr(verify, "colour_pair", lambda *args: 0),
+     (False, 1, "monochromatic pair set", (5, 42, 336, 2688, 5120))),
+    ("fragments", (150,),
+     lambda mp: mp.setattr(bits, "support", lambda n: ()),
+     (False, 1, "fragment partition mismatch", (33, 1870, 6272))),
+    ("stage3", (50,),
+     lambda mp: _shift(mp, oracles, "common_fragment_count_oracle",
+                       lambda a, b: True, 1),
+     (False, 1, "oracle disagrees on F",
+      (21, 1936, 62464, 950272, 46661632, 1912602624, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, args, fault, outcome", _OUTCOMES,
+    ids=[f"{suite}-{'fails' if fault else 'passes'}"
+         for suite, _, fault, _ in _OUTCOMES])
+def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
+    if fault is not None:
+        fault(monkeypatch)
+    result = getattr(verify, f"verify_{suite}")(*args)
+    assert result.suite == suite
+    assert (result.ok, result.checked, result.detail,
+            result.counterexample) == outcome
+
+
+def test_lastdigit_reports_a_constructed_list_that_is_not_type_a(monkeypatch):
+    monkeypatch.setattr(bits, "classify",
+                        lambda zs, cut_depth: bits.SeqClass("other"))
+    result = verify.verify_lastdigit(200)
+    assert (result.ok, result.checked, result.detail,
+            result.counterexample) == (
+        False, 2136, "constructed list is not type A", (1, 72))
 
 
 def test_remaining_suites_pass_at_small_bounds():
