@@ -6,9 +6,10 @@ Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. The alternating-sum search carries its left-hand sides in
 the search state; constraints_for builds each family from scratch for
-verify_altsum_witness. The super-monochromatic and Hindman searches hand
-the engine the candidates their first obligation rejects in blocks, found
-by one lazy colour chain, _colour_chain. Reports are deterministic
+verify_altsum_witness. The alternating-sum, super-monochromatic and
+Hindman searches hand the engine the candidates their first obligation
+rejects in blocks, found by one lazy colour chain, _colour_chain, once the
+path colour is fixed. Reports are deterministic
 functions of the search parameters alone, and every search runs in the
 calling thread. altsum_search and supermono_search still accept a jobs
 argument and ignore it, because the benchmark workloads pass it.
@@ -372,8 +373,10 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     of k consecutive candidates already rejected by their first
     obligation, j of them by an UNKNOWN colour. The block counts k nodes,
     k colours evaluated and j unknown aborts, as those candidates would
-    one by one. Blocks come in candidate order, so a first-mode stop
-    counts the same nodes either way.
+    one by one; unknown_aborts is touched only when j > 0, so a search
+    whose counts lack it may yield blocks of defined colours. Blocks come
+    in candidate order, so a first-mode stop counts the same nodes either
+    way.
     """
     witnesses: list = []
     nodes = max_depth = evaluated = 0
@@ -391,7 +394,8 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
                 rejected, unknown = obligations
                 nodes += rejected
                 evaluated += rejected
-                counts["unknown_aborts"] += unknown
+                if unknown:
+                    counts["unknown_aborts"] += unknown
                 continue
             nodes += 1
             target = fixed
@@ -427,7 +431,9 @@ def _colour_chain(colour_at, first: int):
     stop, make), first <= low <= stop, which yields make(key) for each key
     in low .. stop - 1 of that colour, smallest first, and ahead of each
     and of the stop the (None, (k, j)) block that _dfs takes for the k
-    keys of another colour since the last, j of them UNKNOWN."""
+    keys of another colour since the last, j of them UNKNOWN. low may lie
+    past the keys read so far: the keys below it that the query reads are
+    filed for later queries but never yielded."""
     hits = collections.defaultdict(list)  # each colour's keys, ascending
     unknown = [0]  # unknown[i]: UNKNOWN colours among the first i keys
 
@@ -440,6 +446,8 @@ def _colour_chain(colour_at, first: int):
                 unknown.append(unknown[-1] + (found is UNKNOWN))
                 if found is not UNKNOWN:
                     hits[found].append(key)
+                if key < low and found == colour:
+                    i += 1  # filed for later queries, never yielded
             end = min(keys[i], stop) if i < len(keys) else stop
             if end > low:
                 yield None, (end - low,
@@ -487,7 +495,15 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
 
     The state carries the left-hand sides, so a candidate only pairs them
     with its right: the value itself for x_alternating, the running total
-    for the y forms. constraints_for is the referee behind
+    for the y forms. Once the path colour is fixed and every left is below
+    every candidate's right, a candidate's first obligation pairs its right
+    with the first left, which stays x_1, y_1 or y_1 + y_2 down the path.
+    The run keeps one _colour_chain per first left, keyed on the right,
+    which yields only the candidates that pass that obligation and rejects
+    the others in blocks. Until the path colour is fixed, and for y_subset
+    with allow_k1_equal_1, where a left may reach the right, candidates
+    are checked one at a time instead. Both ways count and colour
+    exactly the same. constraints_for is the referee behind
     verify_altsum_witness.
     """
     if form not in FORMS:
@@ -503,18 +519,37 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     first = 1 if allow_k1_equal_1 else 2
     counts = {"constraints_checked": 0}
 
+    # One chain per first left, keyed on the right: its colour with the left.
+    chain_of = functools.cache(lambda left: _colour_chain(
+        functools.partial(colour_of, left), left + 1))
+
     # A state is (values, newest right, lefts, evens). For the alternating
     # forms, where y_block is x_alternating over prefix sums, lefts and
     # evens are the alternating sums of the odd- and even-size index sets.
     # For y_subset, lefts are y_1 plus each nonempty subset sum of the
     # values from index first on.
-    def expand(state, _colour):
+    def expand(state, colour):
         values, x, lefts, _ = state
+        shift = 0 if increasing else x  # a candidate v's right is v + shift
         lo = values[-1] + 1 if increasing and values else 1
-        for v in range(lo, bound + 1):
-            pairs = _constraints_with_top(lefts, v if increasing else x + v)
-            counts["constraints_checked"] += len(pairs)
-            yield v, pairs
+        if colour is None or max(lefts) >= lo + shift:
+            for v in range(lo, bound + 1):
+                pairs = _constraints_with_top(lefts, v + shift)
+                counts["constraints_checked"] += len(pairs)
+                yield v, pairs
+            return
+        # Every left is below every right, so a candidate's obligations pair
+        # its right with each left, and the first, with lefts[0], must have
+        # the path colour: lefts[0]'s chain rejects the others in blocks.
+        def make(right: int):
+            counts["constraints_checked"] += len(lefts)
+            return right - shift, zip(lefts, itertools.repeat(right))
+
+        for step in chain_of(lefts[0])(colour, lo + shift,
+                                       bound + 1 + shift, make):
+            if step[0] is None:
+                counts["constraints_checked"] += step[1][0] * len(lefts)
+            yield step
 
     def grow(state, v: int):
         values, x, lefts, evens = state
@@ -819,8 +854,11 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:
     """Recolour every coefficient sum of every prefix from scratch; an
-    empty sequence, or one with a value below 1, fails."""
+    empty sequence, or one with a value below 1, fails. An unknown variant
+    raises ValueError whatever the values."""
     _check_role(colouring, "number")
+    if variant not in Q5_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     return min(values, default=0) >= 1 and _at_most_one_colour(
         colour_number(colouring, sum(c * y for c, y in zip(coeffs, values)))
         for k in range(1, len(values) + 1)

@@ -4,6 +4,8 @@ pinned outcomes."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -422,6 +424,49 @@ def _hindman_referee(u, colouring, n, bound, x, scan_bound, mode):
              "unknown_aborts": tally["unknown"]})
 
 
+def _altsum_referee(colouring, bound, max_len, form, mode,
+                    allow_k1_equal_1):
+    """altsum_search's whole outcome, found one candidate at a time: a
+    candidate's obligations are the constraints of constraints_for whose
+    last index is the candidate's, in the order the search carries its
+    lefts (by the other indices read from the last, an index tuple ahead of
+    each of its prefixes), checked up to the first that breaks."""
+    colours: dict = {}
+    found, tally = [], Counter()
+
+    def extend(values, path_colour):
+        tally["depth"] = max(tally["depth"], len(values))
+        if len(values) == max_len:
+            found.append(values)
+            return mode == "first"
+        top = len(values) + 1
+        low = values[-1] + 1 if form == X_ALTERNATING and values else 1
+        for v in range(low, bound + 1):
+            tally["nodes"] += 1
+            pairs = sorted(
+                (c.origin[-2::-1] + (math.inf,), c.left, c.right)
+                for c in constraints_for(values + [v], form, allow_k1_equal_1)
+                if c.origin[-1] == top)
+            tally["checked"] += len(pairs)
+            colour = path_colour
+            for _, left, right in pairs:
+                if (left, right) not in colours:
+                    colours[left, right] = search.colour_pair_value(
+                        colouring, left, right)
+                if colour is None:
+                    colour = colours[left, right]
+                elif colours[left, right] != colour:
+                    break
+            else:
+                if extend(values + [v], colour):
+                    return True
+        return False
+
+    exhausted = not extend([], None)
+    return (found, exhausted, tally["nodes"], tally["depth"],
+            {"constraints_checked": tally["checked"]})
+
+
 def _outcome(rep):
     return (rep.witnesses, rep.exhausted, rep.nodes_explored,
             rep.max_depth_reached, rep.counts)
@@ -469,6 +514,85 @@ def test_hindman_counts_match_a_one_candidate_referee(spec, colouring):
                 args = (u, col, n, bound, x, scan_bound, mode)
                 assert (_outcome(hindman_search(*args))
                         == _hindman_referee(*args)), args
+
+
+@pytest.mark.parametrize("colouring", [
+    "const", "valmod:2", "valmod:3@diff", "valmod:3@sum", "dbl",
+    "gaps:2,2@right", "theta:stage1", "theta:stage2", "theta:full"])
+def test_altsum_counts_match_a_one_candidate_referee(monkeypatch, colouring):
+    """Once the path colour is fixed, a candidate's first obligation is
+    read from its first left's colour chain, which rejects the off-colour
+    candidates in blocks; y_subset with allow_k1_equal_1 checks them one
+    at a time throughout. Either way the outcome, every count and the set
+    of coloured pairs must be what checking them one at a time gives."""
+    coloured = []
+    colour_pair_value = search.colour_pair_value
+
+    def recording(col, a, b):
+        coloured.append((a, b))
+        return colour_pair_value(col, a, b)
+
+    monkeypatch.setattr(search, "colour_pair_value", recording)
+    col = parse_colouring(colouring)
+    for form, sizes in [(X_ALTERNATING, [(12, 4), (8, 5), (20, 3)]),
+                        (Y_BLOCK, [(5, 4), (4, 5), (9, 3)]),
+                        (Y_SUBSET, [(5, 4), (4, 5), (9, 3)])]:
+        for (bound, max_len), mode, allow in itertools.product(
+                sizes, ("first", "all"), (False, True)):
+            args = (col, bound, max_len, form, mode)
+            rep = altsum_search(*args, allow_k1_equal_1=allow)
+            searched = set(coloured)
+            coloured.clear()
+            expected = _altsum_referee(*args, allow)
+            assert _outcome(rep) == expected, (args, allow)
+            assert searched == set(coloured), (args, allow)
+            coloured.clear()
+
+
+def _chain_steps_by_brute_force(colour_at, colour, low, stop):
+    """What a colour chain query must yield, from one colour_at per key."""
+    steps, block = [], [0, 0]
+    for key in range(low, stop):
+        found = colour_at(key)
+        if found == colour:
+            if block[0]:
+                steps.append((None, tuple(block)))
+                block = [0, 0]
+            steps.append(("hit", key))
+        else:
+            block[0] += 1
+            block[1] += found is UNKNOWN
+    if block[0]:
+        steps.append((None, tuple(block)))
+    return steps
+
+
+def test_colour_chain_queried_past_its_frontier():
+    """An altsum chain's first query starts past its first key. Every
+    query, below, across or past the keys read so far, yields exactly the
+    keys of its colour in [low, stop) and the blocks between them, and
+    the chain reads each key once, in order, only as far as a query
+    reaches."""
+    def colour_at(key):
+        return UNKNOWN if key % 7 == 0 else key % 3
+
+    read = []
+
+    def reading(key):
+        read.append(key)
+        return colour_at(key)
+
+    chain = search._colour_chain(reading, 5)
+    frontier = 5
+    for colour, low, stop in [(1, 12, 20), (2, 6, 10), (0, 5, 20),
+                              (1, 30, 45), (2, 19, 31), (0, 44, 46),
+                              (1, 46, 46)]:
+        steps = list(chain(colour, low, stop, lambda key: ("hit", key)))
+        assert steps == _chain_steps_by_brute_force(colour_at, colour, low,
+                                                    stop), (colour, low, stop)
+        frontier = max(frontier, stop)
+        assert read == list(range(5, 5 + len(read)))
+        assert len(read) <= frontier - 5
 
 
 def test_first_witness_right_after_a_rejected_block(monkeypatch):
@@ -643,8 +767,9 @@ def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
 def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
     with pytest.raises(ValueError, match="unknown constraint form"):
         verify_altsum_witness(parse_colouring("valmod:2"), [0, 2], "z_form")
-    with pytest.raises(ValueError, match="unknown variant"):
-        verify_q5_witness(parse_colouring("valmod:2"), "bogus", [1])
+    for values in ([1], [], [0]):
+        with pytest.raises(ValueError, match="unknown variant"):
+            verify_q5_witness(parse_colouring("valmod:2"), "bogus", values)
 
 
 _AB = Periodic("ab")
@@ -818,6 +943,19 @@ _PINNED_OUTCOMES = [
          5,
          {"constraints_checked": 1972}),
         id="altsum-sum-x-deep"),
+    pytest.param(
+        lambda: altsum_search(_col("theta:full"), 96, 5, X_ALTERNATING, "all"),
+        ([], True, 147_649, 3, {"constraints_checked": 290_772}),
+        id="altsum-theta-x-blocks-at-scale"),
+    pytest.param(
+        lambda: altsum_search(_col("theta:stage1"), 64, 4, X_ALTERNATING,
+                              "all"),
+        ([], True, 47_362, 3, {"constraints_checked": 99_816}),
+        id="altsum-stage1-x-blocks-at-scale"),
+    pytest.param(
+        lambda: altsum_search(_col("theta:full"), 24, 4, Y_BLOCK, "all"),
+        ([], True, 14_424, 2, {"constraints_checked": 28_224}),
+        id="altsum-theta-y-block-blocks-at-scale"),
     pytest.param(
         lambda: supermono_search(_word("periodic:ab"), _col("lenmod:2"), 3,
                                  2, 8),
