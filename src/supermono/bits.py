@@ -41,7 +41,8 @@ def last_digit(n: int) -> int:
 
 def digit_bounds(n: int) -> tuple[int, int]:
     """(first, last) digit positions of n."""
-    return first_digit(n), last_digit(n)
+    _require_natural(n, "n")
+    return (n & -n).bit_length() - 1, n.bit_length() - 1
 
 
 def support(n: int) -> list[int]:

@@ -2,8 +2,8 @@
 bounded search experiments with reproducible reports.
 
 Exit codes: 0 completed or passed, 1 usage or parse error (including every
-argument a search rejects), 2 verification failure, 3 witnesses found where
---expect-none was set.
+argument a search rejects and a suite bound that leaves nothing to check),
+2 verification failure, 3 witnesses found where --expect-none was set.
 """
 
 from __future__ import annotations
@@ -158,10 +158,14 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
 def verify_cmd(suite: str, bound: int | None, fmt: str,
                out: str | None) -> None:
     """Run one verification suite; exit 2 with the counterexample on
-    failure."""
+    failure. A pass that checked no instance is a usage error, since the
+    bound was too small for the suite to take on any."""
     if bound is not None and bound < 1:
         raise click.UsageError(f"bound must be positive, got {bound}")
     result = verify.run_suite(suite, bound)
+    if result.ok and result.checked == 0:
+        raise click.UsageError(
+            f"suite {suite} checks no instance at bound {bound}")
     data = {
         "suite": result.suite,
         "ok": result.ok,

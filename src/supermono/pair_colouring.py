@@ -67,10 +67,12 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
     if a >= b:
         raise ValueError(f"pair must satisfy a < b, got a={a}, b={b}")
     d = b - a
-    c0 = bits.last_digit(d) % 3
-    c1 = bits.first_digit(d) % 3
+    first, last = bits.digit_bounds(d)
+    c0 = last % 3
+    c1 = first % 3
     c2 = bits.last_digit(a) % 3
-    c3 = bits.first_three_digits(d)
+    # the digit at first is 1, so the window (d >> first) & 7 is odd
+    c3 = WINDOWS[(d >> first & 7) >> 1]
     c4 = bits.jumps(a, b) % 2 if stage != STAGE1 else None
     c5 = bits.intervals(d) % 2 if stage != STAGE1 else None
     c6 = bits.common_fragment_count(a, b) % 2 if stage == FULL else None

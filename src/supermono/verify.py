@@ -1,12 +1,16 @@
 """Verification suites for the arithmetic engine behind the pair colouring.
 
 Each suite body states only its checks: a generator registered with
-`_suite(name, passed)` that yields the number of instances it takes on and
-raises `_Counterexample(detail, counterexample)` at its first failure. The
-registered function sums the yields into a SuiteResult that carries the
-first counterexample, or `passed` when the body finishes. Suites that
-construct random instances use a fixed seed, so every run checks the same
-instances.
+`_suite(name, passed)` that yields the number of instances it checks and
+raises `_Counterexample(detail, counterexample)` at its first failure. A
+body may yield one instance at a time, or a block's count once the whole
+block has passed; at a failure inside a block it first yields the count
+through the failing instance, so `checked` is the same either way. claim1
+is the exception: its block is one group of packed sums, and a failing
+group is not counted. The registered function sums the yields into a
+SuiteResult that carries the first counterexample, or `passed` when the
+body finishes. Suites that construct random instances use a fixed seed, so
+every run checks the same instances.
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ _RUNNERS: dict[str, Callable[..., SuiteResult]] = {}
 
 def _suite(name: str, passed: str):
     """Register a suite body under `name`; SUITES keeps registration
-    order."""
+    order.
+
+    `checked` sums the body's yields up to its end or its first
+    `_Counterexample`: a block's count once the block passes, and at a
+    failure the count through the failing instance (claim1 leaves its
+    failing group out)."""
     def register(checks: Callable[..., Iterator[int]]):
         @functools.wraps(checks)
         def run(*args, **kwargs) -> SuiteResult:
@@ -279,6 +288,7 @@ def verify_claim4(position_count: int = 16) -> Iterator[int]:
     J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum."""
     universe = list(range(position_count))
     for k in range(4, position_count + 1):
+        triples = list(itertools.combinations(range(1, k), 3))
         for subset in itertools.combinations(universe, k):
             prefix = [0]
             value = 0
@@ -286,15 +296,18 @@ def verify_claim4(position_count: int = 16) -> Iterator[int]:
                 value += 1 << p
                 prefix.append(value)
             full = prefix[k]
-            for c1, c2, c3 in itertools.combinations(range(1, k), 3):
-                yield 1
+            # y1+y2+y3 is prefix[c3] whatever c1 and c2 are, so its jump
+            # count is read once per c3
+            present_ok = {c3: bits.jumps(prefix[c3], full) == 1
+                          for c3 in range(3, k)}
+            for c1, c2, c3 in triples:
                 missing = prefix[c1] + prefix[c3] - prefix[c2]
-                present = prefix[c3]
-                if bits.jumps(missing, full) != 2 or \
-                        bits.jumps(present, full) != 1:
+                if bits.jumps(missing, full) != 2 or not present_ok[c3]:
+                    yield triples.index((c1, c2, c3)) + 1
                     parts = (prefix[c1], prefix[c2] - prefix[c1],
                              prefix[c3] - prefix[c2], full - prefix[c3])
                     raise _Counterexample("jump delta is not exactly 1", parts)
+            yield len(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +378,13 @@ def claim6_tuples(max_pos: int):
             _fill_options(range(f5 + 1, l4), (-1, 3, 4)),
             _fill_options(range(l4 + 1, l5), (-1, 4)),
         )
-        for parts in itertools.product(*regions):
-            zs = list(base)
-            for masks in parts:
-                zs = [z | m for z, m in zip(zs, masks)]
-            yield tuple(zs)
+        # one region at a time, the last varying fastest, as in
+        # itertools.product(*regions)
+        tuples = [base]
+        for options in regions:
+            tuples = [tuple(z | m for z, m in zip(zs, masks))
+                      for zs in tuples for masks in options]
+        yield from tuples
 
 
 def claim6_hypotheses_hold(zs) -> bool:

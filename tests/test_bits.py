@@ -26,9 +26,15 @@ def test_digit_basics():
 
 def test_naturals_start_at_one():
     for fn in (bits.support, bits.first_digit, bits.last_digit,
-               bits.intervals, bits.first_three_digits):
+               bits.digit_bounds, bits.intervals, bits.first_three_digits):
         with pytest.raises(ValueError):
             fn(0)
+
+
+@given(n=st.one_of(naturals, st.integers(min_value=1, max_value=1 << 200)))
+@example(n=1)
+def test_digit_bounds_are_the_first_and_last_digit(n):
+    assert bits.digit_bounds(n) == (bits.first_digit(n), bits.last_digit(n))
 
 
 def test_digit_string_reads_most_significant_first():

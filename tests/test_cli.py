@@ -109,6 +109,40 @@ def test_verify_usage_errors():
     assert _invoke("verify", "claim1", "--bound", "0").exit_code == 1
 
 
+@pytest.mark.parametrize("suite, bound", [
+    ("claim1", 1), ("claim1", 4), ("claim1", 9), ("claim4", 1),
+    ("claim4", 3), ("claim6", 1), ("claim6", 12)])
+def test_verify_rejects_a_bound_that_checks_nothing(suite, bound):
+    result = _invoke("verify", suite, "--bound", str(bound))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"suite {suite} checks no instance at bound {bound}" \
+        in result.stderr
+
+
+@pytest.mark.parametrize("suite, bound, checked", [
+    ("claim1", 10, "1"), ("claim4", 4, "1"), ("claim6", 13, "1"),
+    ("lastdigit", 1, "2136"), ("fragments", 1, "1"), ("stage3", 1, "2")])
+def test_verify_passes_at_the_least_bound_that_checks_something(
+        suite, bound, checked):
+    # oracles is left out: its 120,000 random and constructed pairs run at
+    # every bound, which takes seconds.
+    result = _invoke("verify", suite, "--bound", str(bound))
+    assert result.exit_code == 0
+    rows = _rows(result.output)
+    assert (rows["result"], rows["checked"]) == ("pass", checked)
+
+
+def test_verify_failure_that_counted_nothing_still_exits_two(monkeypatch):
+    failing = SuiteResult(suite="claim1", ok=False, checked=0,
+                          detail="first digit of sum is not f+1",
+                          counterexample=(1, 9))
+    monkeypatch.setattr(verify, "run_suite", lambda suite, bound: failing)
+    result = _invoke("verify", "claim1", "--bound", "10")
+    assert result.exit_code == 2
+    assert _rows(result.output)["counterexample"] == "1 9"
+
+
 def test_search_altsum_const_witness():
     result = _invoke("search", "altsum", "--colouring", "const",
                      "--B", "10", "--L", "6")

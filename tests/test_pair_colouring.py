@@ -179,3 +179,26 @@ def test_common_fragment_count_needs_naturals():
     for a, b in ((0, 5), (5, 0), (-3, 5), (5, -1)):
         with pytest.raises(ValueError, match="must be a natural"):
             common_fragment_count(a, b)
+
+
+def _assert_difference_components(a, b):
+    """c0, c1 and c3 read b - a through digit_bounds and one window shift;
+    the referees are the per-digit definitions."""
+    d = b - a
+    for stage in STAGES:
+        colour = colour_pair(a, b, stage)
+        assert colour.c0 == bits.last_digit(d) % 3
+        assert colour.c1 == bits.first_digit(d) % 3
+        assert colour.c3 == bits.first_three_digits(d)
+
+
+def test_difference_components_match_the_digit_referees_below_2_8():
+    for b in range(2, 1 << 8):
+        for a in range(1, b):
+            _assert_difference_components(a, b)
+
+
+@given(a=st.integers(min_value=1, max_value=1 << 64),
+       d=st.integers(min_value=1, max_value=1 << 64))
+def test_difference_components_match_the_digit_referees(a, d):
+    _assert_difference_components(a, a + d)

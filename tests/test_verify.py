@@ -3,6 +3,7 @@ cross-check that the constructive obstruction enumeration is complete."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import subprocess
@@ -82,6 +83,10 @@ _OUTCOMES = [
     ("claim4", (10,),
      lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 13, 1),
      (False, 29, "jump delta is not exactly 1", (1, 4, 8, 16))),
+    # trips the missing pair y1+y3 rather than the present y1+y2+y3
+    ("claim4", (10,),
+     lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 9, 1),
+     (False, 8, "jump delta is not exactly 1", (1, 2, 8, 16))),
     ("lastdigit", (200,),
      lambda mp: _shift(mp, bits, "last_digit", lambda n: n == 12, 2),
      (False, 6, "last digit out of range", (1, 12, 1, 2))),
@@ -99,10 +104,17 @@ _OUTCOMES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, args, fault, outcome", _OUTCOMES,
-    ids=[f"{suite}-{'fails' if fault else 'passes'}"
-         for suite, _, fault, _ in _OUTCOMES])
+def _outcome_ids(rows):
+    """suite-passes or suite-fails; a suite's second fault is suite-fails2."""
+    seen = collections.Counter()
+    for suite, _, fault, _ in rows:
+        name = f"{suite}-{'fails' if fault else 'passes'}"
+        seen[name] += 1
+        yield name if seen[name] == 1 else f"{name}{seen[name]}"
+
+
+@pytest.mark.parametrize("suite, args, fault, outcome", _OUTCOMES,
+                         ids=list(_outcome_ids(_OUTCOMES)))
 def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
     if fault is not None:
         fault(monkeypatch)
@@ -219,6 +231,43 @@ def test_verify_imports_no_word_or_search_layer():
 def test_obstruction_tuple_counts():
     assert len(list(claim6_tuples(13))) == 19
     assert run_suite("claim6", 15).checked == 200
+
+
+def _product_claim6_tuples(max_pos):
+    """The boundary chains of claim6_tuples with one itertools.product over
+    the six regions' fill options each, OR-ing every chosen mask tuple
+    into the base tuple."""
+    ones = verify._ones
+    for f1, f2, l1, f3, l2, f4, l3, f5, l4, l5 in \
+            verify._claim6_boundaries(max_pos):
+        base = (
+            (1 << f1) | (1 << l1),
+            (1 << f2) | (1 << l2) | ones(l1 + 1, f3 - 1),
+            (1 << f3) | (1 << l3) | ones(l2 + 1, f4 - 1),
+            (1 << f4) | (1 << l4) | ones(l3 + 1, f5 - 1),
+            (1 << f5) | (1 << l5),
+        )
+        regions = (
+            verify._fill_options(range(f1 + 1, f2), (-1, 0)),
+            verify._fill_options(range(f2 + 1, l1), (-1, 0, 1)),
+            verify._fill_options(range(f3 + 1, l2), (1, 2)),
+            verify._fill_options(range(f4 + 1, l3), (2, 3)),
+            verify._fill_options(range(f5 + 1, l4), (-1, 3, 4)),
+            verify._fill_options(range(l4 + 1, l5), (-1, 4)),
+        )
+        for parts in itertools.product(*regions):
+            zs = list(base)
+            for masks in parts:
+                zs = [z | m for z, m in zip(zs, masks)]
+            yield tuple(zs)
+
+
+@pytest.mark.parametrize("position_count", [13, 14, 15])
+def test_obstruction_tuples_come_in_product_order(position_count):
+    """Order decides which counterexample claim6 reports first."""
+    want = list(_product_claim6_tuples(position_count - 1))
+    assert list(claim6_tuples(position_count - 1)) == want
+    assert len(want) == {13: 1, 14: 19, 15: 200}[position_count]
 
 
 def _brute_obstruction_tuples(max_pos):
