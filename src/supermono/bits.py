@@ -58,21 +58,6 @@ def support(n: int) -> list[int]:
     return positions
 
 
-def from_support(positions) -> int:
-    """Inverse of support: the natural with 1s exactly at the given positions."""
-    value = 0
-    for p in positions:
-        if p < 0:
-            raise ValueError(f"positions must be >= 0, got {p}")
-        bit = 1 << p
-        if value & bit:
-            raise ValueError(f"duplicate position {p}")
-        value |= bit
-    if value == 0:
-        raise ValueError("empty support does not describe a natural >= 1")
-    return value
-
-
 def digit_string(n: int, lo: int, hi: int) -> str:
     """Digits of n at positions hi down to lo; empty when lo > hi. Digits
     below position 0 read 0, as in digit."""

@@ -150,9 +150,11 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
 @main.command("verify")
 @click.argument("suite", type=click.Choice(verify.SUITES))
 @click.option("--bound", type=int, default=None,
-              help="Suite size knob: exhaustive pair bound (oracles), value "
-                   "bound (claim1), position count (claim4, claim6) or "
-                   "trial count (lastdigit, fragments, stage3).")
+              help="Suite size knob: exhaustive pair bound (oracles; its "
+                   "random and constructed phases run bound/1024 of their "
+                   "100,000 and 20,000 pairs), value bound (claim1), "
+                   "position count (claim4, claim6) or trial count "
+                   "(lastdigit, fragments, stage3).")
 @_PLAIN_FORMAT
 @_OUT
 def verify_cmd(suite: str, bound: int | None, fmt: str,

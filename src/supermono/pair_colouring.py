@@ -78,11 +78,3 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
     c6 = bits.common_fragment_count(a, b) % 2 if stage == FULL else None
     return PairColour(c0, c1, c2, c3, c4, c5, c6, stage)
 
-
-def refines(stage_coarse: str, stage_fine: str, p: tuple[int, int],
-            q: tuple[int, int]) -> bool:
-    """True when fine-stage colour equality of p and q implies coarse-stage
-    equality, evaluated on the two given pairs."""
-    fine_equal = colour_pair(*p, stage_fine) == colour_pair(*q, stage_fine)
-    coarse_equal = colour_pair(*p, stage_coarse) == colour_pair(*q, stage_coarse)
-    return coarse_equal or not fine_equal

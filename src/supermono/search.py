@@ -95,7 +95,9 @@ def parse_colouring(text: str) -> Colouring:
         raise ValueError(f"unknown pair-lift mode {lift!r}")
     family, _, arg = body.partition(":")
     args: tuple
-    if family == "const":
+    if family in ("const", "dbl"):
+        if arg:
+            raise ValueError(f"{family} takes no argument, got {arg!r}")
         args = ()
     elif family == "theta":
         stage = arg or "full"
@@ -118,8 +120,6 @@ def parse_colouring(text: str) -> Colouring:
         if m < 1 or cap < 1:
             raise ValueError("gaps parameters must be positive")
         args = (m, cap)
-    elif family == "dbl":
-        args = ()
     else:
         raise ValueError(f"unknown colouring family {family!r}")
     if sep and family not in _NUMBER_FAMILIES:
@@ -181,14 +181,13 @@ def colour_pair_value(col: Colouring, a: int, b: int):
         return 0
     if col.family not in _NUMBER_FAMILIES:
         raise ValueError(f"{col.family} does not colour pairs")
-    mode = col.lift or "both"
-    if mode == "left":
+    if col.lift == "left":
         return colour_number(col, a)
-    if mode == "right":
+    if col.lift == "right":
         return colour_number(col, b)
-    if mode == "diff":
+    if col.lift == "diff":
         return colour_number(col, b - a)
-    if mode == "sum":
+    if col.lift == "sum":
         return colour_number(col, a + b)
     return (colour_number(col, a), colour_number(col, b))
 

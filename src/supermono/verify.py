@@ -123,12 +123,13 @@ def _check_oracle_pair(a: int, b: int) -> None:
 
 @_suite("oracles", "jumps, intervals, carry, fragments, common fragments "
                    "all match the string scanners")
-def verify_oracles(bound: int = 1024, samples: int = 100_000) -> Iterator[int]:
+def verify_oracles(bound: int = 1024) -> Iterator[int]:
     """Library bit tricks against the naive string scanners.
 
-    Exhaustive on all pairs a < b < bound, then on `samples` random pairs
-    below 2^32, then on constructed pairs satisfying the fragment
-    hypotheses so the value paths get dense coverage too.
+    Exhaustive on all pairs a < b < bound, then on 100_000 * bound // 1024
+    random pairs below 2^32, then on 20_000 * bound // 1024 constructed
+    pairs satisfying the fragment hypotheses so the value paths get dense
+    coverage too. Bound 1 checks sampled pairs only.
     """
     for n in range(1, bound):
         yield 1
@@ -141,7 +142,7 @@ def verify_oracles(bound: int = 1024, samples: int = 100_000) -> Iterator[int]:
             yield 1
             _check_oracle_pair(a, b)
     rng = random.Random(_SEED)
-    for _ in range(samples):
+    for _ in range(100_000 * bound // 1024):
         a = rng.randrange(1, 1 << 32)
         b = rng.randrange(1, 1 << 32)
         if a == b:
@@ -151,7 +152,7 @@ def verify_oracles(bound: int = 1024, samples: int = 100_000) -> Iterator[int]:
         if bits.intervals(a) != oracles.intervals_oracle(a):
             raise _Counterexample("intervals mismatch", (a,))
         _check_oracle_pair(a, b)
-    for _ in range(20_000):
+    for _ in range(20_000 * bound // 1024):
         lower, upper = _random_fragment_pair(rng)
         yield 1
         for side in ("right", "left"):
@@ -646,9 +647,11 @@ SUITES = tuple(_RUNNERS)
 
 def run_suite(suite: str, bound: int | None = None) -> SuiteResult:
     """Run one named suite. bound scales the suite's main knob: the
-    exhaustive pair bound (oracles), the value bound (claim1), the trial
-    count (lastdigit, fragments, stage3), or the position count (claim4,
-    claim6); None runs the suite at its default."""
+    exhaustive pair bound (oracles, whose random and constructed phases
+    run bound/1024 of their 100,000 and 20,000 pairs), the value bound
+    (claim1), the trial count (lastdigit, fragments, stage3), or the
+    position count (claim4, claim6); None runs the suite at its
+    default."""
     if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}")
     runner = _RUNNERS[suite]

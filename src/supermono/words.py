@@ -22,15 +22,14 @@ class BeyondPrefixError(IndexError):
 class WordSource:
     """Base for infinite words, read through one cached text per source.
 
-    A subclass sets spec, alphabet and its initial text, and gives its
-    growth rule in _grow. prefix and letter_at grow the text until it
-    covers the letters asked for, so reading position n materialises at
-    least n letters, even for a periodic word; every letter_at caller in
-    this package reads positions inside a scan it has already materialised.
+    A subclass sets spec and its initial text, and gives its growth rule
+    in _grow. prefix and letter_at grow the text until it covers the
+    letters asked for, so reading position n materialises at least n
+    letters, even for a periodic word; every letter_at caller in this
+    package reads positions inside a scan it has already materialised.
     """
 
     spec: str
-    alphabet: tuple[str, ...]
     _text: str
 
     def _grow(self, text: str, length: int) -> str:
@@ -83,7 +82,6 @@ class EventuallyPeriodic(WordSource):
         self.preperiod = preperiod
         self.period = len(period_word)
         self.spec = f"evper:{preperiod}|{period_word}"
-        self.alphabet = tuple(sorted(set(preperiod + period_word)))
         self._text = preperiod + period_word
 
     def _grow(self, text: str, _length: int) -> str:
@@ -129,7 +127,6 @@ class Morphic(WordSource):
         self.seed = seed
         rule_text = ",".join(f"{k}->{v}" for k, v in rules.items())
         self.spec = f"morphic:{rule_text}|{seed}"
-        self.alphabet = tuple(sorted(rules))
         self._text = self.rules[seed]
         self._expanded = 1
 
@@ -152,7 +149,6 @@ class ExplicitPrefix(WordSource):
     def __init__(self, text: str):
         _check_letters(text, "prefix")
         self.spec = f"prefix:{text}"
-        self.alphabet = tuple(sorted(set(text)))
         self._text = text
 
 

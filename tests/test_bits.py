@@ -20,7 +20,6 @@ def test_digit_basics():
     assert bits.digit_bounds(200) == (3, 7)
     assert bits.first_digit(200) == 3
     assert bits.last_digit(200) == 7
-    assert bits.from_support([3, 6, 7]) == 200
     assert bits.first_three_digits(200) == "001"
 
 

@@ -122,11 +122,10 @@ def test_verify_rejects_a_bound_that_checks_nothing(suite, bound):
 
 @pytest.mark.parametrize("suite, bound, checked", [
     ("claim1", 10, "1"), ("claim4", 4, "1"), ("claim6", 13, "1"),
-    ("lastdigit", 1, "2136"), ("fragments", 1, "1"), ("stage3", 1, "2")])
+    ("lastdigit", 1, "2136"), ("fragments", 1, "1"), ("stage3", 1, "2"),
+    ("oracles", 1, "116")])
 def test_verify_passes_at_the_least_bound_that_checks_something(
         suite, bound, checked):
-    # oracles is left out: its 120,000 random and constructed pairs run at
-    # every bound, which takes seconds.
     result = _invoke("verify", suite, "--bound", str(bound))
     assert result.exit_code == 0
     rows = _rows(result.output)
@@ -174,6 +173,9 @@ def test_search_usage_errors():
     assert "word kind" in bad_word.stderr
     bad_colouring = _invoke("search", "altsum", "--colouring", "wat:3")
     assert bad_colouring.exit_code == 1
+    bad_argument = _invoke("search", "plus", "--colouring", "dbl:9@diff")
+    assert bad_argument.exit_code == 1
+    assert "dbl takes no argument" in bad_argument.stderr
 
 
 def test_out_writes_file(tmp_path):

@@ -61,7 +61,8 @@ def test_parse_colouring_families():
 
 def test_parse_colouring_rejections():
     for bad in ("rainbow:3", "theta:stage9", "lenmod:0", "base-lsnz:1",
-                "gaps:0,3", "valmod:2@upwards", "theta@left", "lenmod:2@left"):
+                "gaps:0,3", "valmod:2@upwards", "theta@left", "lenmod:2@left",
+                "const:5", "dbl:9@diff"):
         with pytest.raises(ValueError):
             parse_colouring(bad)
 

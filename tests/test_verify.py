@@ -35,11 +35,11 @@ def test_suite_registry():
 
 
 def test_oracle_suite_passes_at_small_bounds():
-    result = verify_oracles(64, 500)
+    result = verify_oracles(64)
     assert isinstance(result, SuiteResult)
     assert result.ok
     assert result.suite == "oracles"
-    assert result.checked > 20_000
+    assert result.checked == 9516
     assert result.counterexample is None
 
 
@@ -47,7 +47,7 @@ def test_oracle_suite_referees_the_fragment_count(monkeypatch):
     count = bits.common_fragment_count
     monkeypatch.setattr(bits, "common_fragment_count",
                         lambda a, b: count(a, b) + (a == 3))
-    result = verify_oracles(8, 0)
+    result = verify_oracles(8)
     assert not result.ok
     assert result.detail == "common_fragment_count mismatch"
     assert result.counterexample == (3, 4)
@@ -64,8 +64,8 @@ def _shift(monkeypatch, module, name, when, by):
 # (suite, bound, fault, outcome): fault injects one failure through a
 # public name, or is None; outcome is (ok, checked, detail, counterexample).
 _OUTCOMES = [
-    ("oracles", (64, 500), None,
-     (True, 22516, "jumps, intervals, carry, fragments, common fragments "
+    ("oracles", (64,), None,
+     (True, 9516, "jumps, intervals, carry, fragments, common fragments "
                    "all match the string scanners", None)),
     ("claim1", (1024,), None,
      (True, 43180, "first digit of every same-window sum is one above", None)),
