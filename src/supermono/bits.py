@@ -79,16 +79,8 @@ def label_positions(a: int, b: int) -> list[tuple[int, str]]:
     or '1' (digit 1 in exactly one), ascending."""
     _require_natural(a, "a")
     _require_natural(b, "b")
-    labels = []
     both = a & b
-    union = a | b
-    p = 0
-    while union:
-        if union & 1:
-            labels.append((p, "2" if (both >> p) & 1 else "1"))
-        union >>= 1
-        p += 1
-    return labels
+    return [(p, "2" if (both >> p) & 1 else "1") for p in support(a | b)]
 
 
 def jumps(a: int, b: int) -> int:
@@ -186,8 +178,6 @@ def fragments(lower: int, upper: int, side: str) -> list[Fragment]:
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    _require_natural(lower, "lower")
-    _require_natural(upper, "upper")
     f_lo, l_lo = digit_bounds(lower)
     f_up, l_up = digit_bounds(upper)
     if not f_lo < f_up:
@@ -234,8 +224,6 @@ def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
     The standing hypotheses are enforced: f_p < f_r < f_s, l_p < l_r < l_s,
     l_p >= f_r, l_r >= f_s, l_p + 1 < f_s.
     """
-    for value, name in ((r, "r"), (p, "p"), (s, "s")):
-        _require_natural(value, name)
     f_p, l_p = digit_bounds(p)
     f_r, l_r = digit_bounds(r)
     f_s, l_s = digit_bounds(s)
@@ -261,13 +249,12 @@ def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
 def _check_staircase(zs) -> None:
     if not zs:
         raise ValueError("zs must be nonempty")
-    for z in zs:
-        _require_natural(z, "zs element")
-    for i in range(len(zs) - 1):
-        if first_digit(zs[i]) >= first_digit(zs[i + 1]):
+    bounds = [digit_bounds(z) for z in zs]
+    for i, ((f, l), (f_next, l_next)) in enumerate(zip(bounds, bounds[1:])):
+        if f >= f_next:
             raise ValueError(
                 f"staircase geometry fails: first digits not increasing at index {i + 1}")
-        if last_digit(zs[i]) >= last_digit(zs[i + 1]):
+        if l >= l_next:
             raise ValueError(
                 f"staircase geometry fails: last digits not increasing at index {i + 1}")
 
@@ -367,8 +354,6 @@ def classify(zs, cut_depth: int = 1000) -> SeqClass:
     cut_depth examined patterns), or Neither."""
     if not zs:
         raise ValueError("zs must be nonempty")
-    for z in zs:
-        _require_natural(z, "zs element")
     if _is_type_a(zs):
         return SeqClass(TYPE_A)
     if len(zs) >= 3:

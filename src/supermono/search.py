@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from . import bits
 from .factor_colouring import UNKNOWN, phi
 from .pair_colouring import STAGES, colour_pair
-from .words import MAX_LETTERS, WordSource
+from .words import MAX_LETTERS, Factorisation, WordSource, check_factorisation
 
 X_ALTERNATING = "x_alternating"
 Y_SUBSET = "y_subset"
@@ -93,14 +93,14 @@ def parse_colouring(text: str) -> Colouring:
     body, sep, lift = text.partition("@")
     if sep and lift not in LIFT_MODES:
         raise ValueError(f"unknown pair-lift mode {lift!r}")
-    family, _, arg = body.partition(":")
+    family, colon, arg = body.partition(":")
     args: tuple
     if family in ("const", "dbl"):
         if arg:
             raise ValueError(f"{family} takes no argument, got {arg!r}")
         args = ()
     elif family == "theta":
-        stage = arg or "full"
+        stage = arg if colon else "full"
         if stage not in STAGES:
             raise ValueError(f"unknown theta stage {stage!r}")
         args = (stage,)
@@ -115,8 +115,8 @@ def parse_colouring(text: str) -> Colouring:
             raise ValueError("base-lsnz base must be at least 2")
         args = (b,)
     elif family == "gaps":
-        m_text, _, cap_text = arg.partition(",")
-        m, cap = int(m_text), int(cap_text or "3")
+        m_text, comma, cap_text = arg.partition(",")
+        m, cap = int(m_text), int(cap_text) if comma else 3
         if m < 1 or cap < 1:
             raise ValueError("gaps parameters must be positive")
         args = (m, cap)
@@ -245,7 +245,9 @@ class Constraint:
     origin: tuple
 
     def __post_init__(self):
-        assert 1 <= self.left < self.right
+        if not 1 <= self.left < self.right:
+            raise ValueError(f"a constraint needs 1 <= left < right, got "
+                             f"({self.left}, {self.right})")
 
 
 def xy_transform(xs) -> list[int]:
@@ -283,23 +285,20 @@ def constraints_for(values, form: str, allow_k1_equal_1: bool = False):
     if form not in FORMS:
         raise ValueError(f"unknown constraint form {form!r}")
     values = list(values)
-    if form == X_ALTERNATING:
-        if any(x2 <= x1 for x1, x2 in zip([0] + values, values)):
-            raise ValueError("xs must be strictly increasing naturals")
-    elif any(v < 1 for v in values):
-        raise ValueError("ys must be positive")
     if form == Y_BLOCK:
-        return constraints_for(itertools.accumulate(values), X_ALTERNATING)
+        return constraints_for(xy_inverse(values), X_ALTERNATING)
     n = len(values)
     out = []
     if form == X_ALTERNATING:
+        if any(x2 <= x1 for x1, x2 in zip([0] + values, values)):
+            raise ValueError("xs must be strictly increasing naturals")
         for size in range(2, n + 1, 2):
             for ks in itertools.combinations(range(1, n + 1), size):
                 signed = [values[k - 1] for k in ks[:-1]]
                 left = sum(signed[::2]) - sum(signed[1::2])
                 out.append(Constraint(left, values[ks[-1] - 1], ks))
         return out
-    prefix = list(itertools.accumulate(values))
+    prefix = xy_inverse(values)
     first = 1 if allow_k1_equal_1 else 2
     for size in range(2, n + 1):
         for ks in itertools.combinations(range(first, n + 1), size):
@@ -657,16 +656,14 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
 def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
                              scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
     """Rebuild all ordered-subset concatenations independently and check
-    they share one defined colour; no factor, or an empty one, fails."""
-    start, factors = witness[0], list(witness[1:])
-    if not factors or not all(factors):
+    they share one defined colour. A witness whose factors do not write
+    out x from its start fails, as does one words.Factorisation rejects:
+    no factor, an empty factor or a start below 1."""
+    start, factors = witness[0], tuple(witness[1:])
+    try:
+        check_factorisation(x, Factorisation(factors, start))
+    except ValueError:
         return False
-    text = x.prefix(start + sum(len(u) for u in factors) - 1)
-    pos = start
-    for u in factors:
-        if text[pos - 1:pos - 1 + len(u)] != u:
-            return False
-        pos += len(u)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     return _at_most_one_colour(
         colour_of("".join(combo)) for combo in _nonempty_subsets(factors))

@@ -80,25 +80,34 @@ def _fragments_either(fn, lower: int, upper: int, side: str):
         return str(err)
 
 
+def _random_fill(rng: random.Random, zs: list[int], regions) -> list[int]:
+    """Give each free digit of each region to one of its owners, in place.
+
+    A region (lo, hi, owners) covers positions lo..hi-1, and an owner is
+    an index into zs or -1, which leaves the digit empty. Per digit, two
+    owners draw one rng.random() < 0.5 and three draw one rng.randrange(3).
+    """
+    for lo, hi, owners in regions:
+        for p in range(lo, hi):
+            if len(owners) == 2:
+                owner = owners[rng.random() < 0.5]
+            else:
+                owner = owners[rng.randrange(3)]
+            if owner >= 0:
+                zs[owner] |= 1 << p
+    return zs
+
+
 def _random_fragment_pair(rng: random.Random) -> tuple[int, int]:
     """A pair satisfying all four fragment hypotheses by construction."""
     f_lo = rng.randrange(0, 6)
     f_up = f_lo + 1 + rng.randrange(0, 6)
     l_lo = f_up + 1 + rng.randrange(0, 8)
     l_up = l_lo + 1 + rng.randrange(0, 6)
-    lower = (1 << f_lo) | (1 << l_lo)
-    upper = (1 << f_up) | (1 << l_up)
-    for p in range(f_lo + 1, l_up):
-        if p in (f_up, l_lo):
-            continue
-        may_lower = p < l_lo
-        may_upper = p > f_up
-        pick = rng.randrange(3)
-        if pick == 1 and may_lower:
-            lower |= 1 << p
-        elif pick == 2 and may_upper:
-            upper |= 1 << p
-    return lower, upper
+    return tuple(_random_fill(
+        rng, [(1 << f_lo) | (1 << l_lo), (1 << f_up) | (1 << l_up)],
+        ((f_lo + 1, f_up, (-1, 0, -1)), (f_up + 1, l_lo, (-1, 0, 1)),
+         (l_lo + 1, l_up, (-1, -1, 1)))))
 
 
 def _check_oracle_pair(a: int, b: int) -> None:
@@ -222,14 +231,9 @@ def _random_type_a(rng: random.Random, length: int) -> list[int]:
         l = lo_l + rng.randrange(0, 4)
         fs.append(f)
         ls.append(l)
-    zs = []
-    for f, l in zip(fs, ls):
-        z = (1 << f) | (1 << l)
-        for p in range(f + 1, l):
-            if rng.random() < 0.5:
-                z |= 1 << p
-        zs.append(z)
-    return zs
+    return _random_fill(
+        rng, [(1 << f) | (1 << l) for f, l in zip(fs, ls)],
+        [(f + 1, l, (-1, i)) for i, (f, l) in enumerate(zip(fs, ls))])
 
 
 def _check_range_sums(zs) -> None:
@@ -480,31 +484,12 @@ def _random_partition_triple(rng: random.Random) -> tuple[int, int, int]:
     f3 = l1 + 2 + rng.randrange(0, 3)
     l2 = f3 + 1 + rng.randrange(0, 4)
     l3 = l2 + 1 + rng.randrange(0, 3)
-    z1 = (1 << f1) | (1 << l1)
-    z2 = (1 << f2) | (1 << l2)
-    z3 = (1 << f3) | (1 << l3)
-    for p in range(f1 + 1, f2):
-        if rng.random() < 0.5:
-            z1 |= 1 << p
-    for p in range(f2 + 1, l1):
-        pick = rng.randrange(3)
-        if pick == 1:
-            z1 |= 1 << p
-        elif pick == 2:
-            z2 |= 1 << p
-    for p in range(l1 + 1, f3):
-        if rng.random() < 0.5:
-            z2 |= 1 << p
-    for p in range(f3 + 1, l2):
-        pick = rng.randrange(3)
-        if pick == 1:
-            z2 |= 1 << p
-        elif pick == 2:
-            z3 |= 1 << p
-    for p in range(l2 + 1, l3):
-        if rng.random() < 0.5:
-            z3 |= 1 << p
-    return z1, z2, z3
+    return tuple(_random_fill(
+        rng, [(1 << f1) | (1 << l1), (1 << f2) | (1 << l2),
+              (1 << f3) | (1 << l3)],
+        ((f1 + 1, f2, (-1, 0)), (f2 + 1, l1, (-1, 0, 1)),
+         (l1 + 1, f3, (-1, 1)), (f3 + 1, l2, (-1, 1, 2)),
+         (l2 + 1, l3, (-1, 2)))))
 
 
 def partition_pieces(z1: int, z2: int, z3: int):

@@ -4,6 +4,8 @@ string scanners."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,47 @@ def test_digit_basics():
     assert bits.first_three_digits(200) == "001"
 
 
+_STAIRCASE = [0b11, 0b1100, 0b110000]
+
+# Each public function that takes naturals, with arguments it accepts.
+_NATURAL_CALLS = [
+    (bits.support, (200,)),
+    (bits.first_digit, (200,)),
+    (bits.last_digit, (200,)),
+    (bits.digit_bounds, (200,)),
+    (bits.intervals, (200,)),
+    (bits.first_three_digits, (200,)),
+    (bits.label_positions, (5, 6)),
+    (bits.jumps, (5, 6)),
+    (bits.carry_region, (5, 6)),
+    (bits.fragments, (0b101, 0b1010, "right")),
+    (bits.fragments, (0b101, 0b1010, "left")),
+    (bits.common_fragments, (5, 7)),
+    (bits.common_fragment_count, (5, 7)),
+    (bits.centre, (0b1010, 0b11, 0b11000)),
+    (bits.j_sequence, (_STAIRCASE,)),
+    (functools.partial(bits.middle, n=1), (_STAIRCASE,)),
+    (functools.partial(bits.overlapping_zone, n=1), (_STAIRCASE,)),
+    (bits.classify, (_STAIRCASE,)),
+]
+
+
 def test_naturals_start_at_one():
-    for fn in (bits.support, bits.first_digit, bits.last_digit,
-               bits.digit_bounds, bits.intervals, bits.first_three_digits):
-        with pytest.raises(ValueError):
-            fn(0)
+    """Every public function that takes naturals rejects 0 in each natural
+    argument: each int argument and each element of a staircase list."""
+    for fn, args in _NATURAL_CALLS:
+        fn(*args)
+        for i, arg in enumerate(args):
+            if isinstance(arg, list):
+                zeroed = [arg[:j] + [0] + arg[j + 1:] for j in range(len(arg))]
+            elif isinstance(arg, int):
+                zeroed = [0]
+            else:
+                continue
+            for value in zeroed:
+                bad = args[:i] + (value,) + args[i + 1:]
+                with pytest.raises(ValueError, match="must be a natural"):
+                    fn(*bad)
 
 
 @given(n=st.one_of(naturals, st.integers(min_value=1, max_value=1 << 200)))

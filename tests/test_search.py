@@ -62,7 +62,7 @@ def test_parse_colouring_families():
 def test_parse_colouring_rejections():
     for bad in ("rainbow:3", "theta:stage9", "lenmod:0", "base-lsnz:1",
                 "gaps:0,3", "valmod:2@upwards", "theta@left", "lenmod:2@left",
-                "const:5", "dbl:9@diff"):
+                "const:5", "dbl:9@diff", "theta:", "gaps:2,"):
         with pytest.raises(ValueError):
             parse_colouring(bad)
 
@@ -132,7 +132,7 @@ def test_constraints_validation():
         constraints_for((0, 2), X_ALTERNATING)
     with pytest.raises(ValueError):
         constraints_for((1, 0), Y_SUBSET)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="1 <= left < right"):
         Constraint(2, 2, (1, 2))
 
 
@@ -796,6 +796,7 @@ _THETA = parse_colouring("theta")
     (lambda: verify_q5_witness(_VALMOD2, "plain", [1, 1]), False),
     (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "", ""]), False),
     (lambda: verify_supermono_witness(_AB, _THETA, [1, "ab", ""]), False),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, [0, "a"]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [2, 2]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [4, 2]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [0]), False),
@@ -815,6 +816,7 @@ _THETA = parse_colouring("theta")
         "hindman-one-word", "hindman-unknown", "altsum-mixed", "plus-mixed",
         "supermono-mixed", "hindman-mixed", "q5-mixed",
         "supermono-empty-factors", "supermono-theta-empty-factor",
+        "supermono-start-zero",
         "hindman-repeated", "hindman-decreasing", "hindman-zero",
         "hindman-negative", "hindman-theta-zero", "altsum-x-zero",
         "altsum-x-repeated", "altsum-y-subset-zero", "altsum-y-block-zero",
@@ -824,9 +826,9 @@ def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
     """altsum and plus accept an empty family, the other three need one
     colour; a word past the scan bound (UNKNOWN) or two colours fail. So
     do values no search can return: a supermono witness with an empty
-    factor, hindman values that are not strictly increasing naturals,
-    altsum values outside their form's domain, plus values that are not
-    superincreasing naturals and q5 values below 1."""
+    factor or a start below 1, hindman values that are not strictly
+    increasing naturals, altsum values outside their form's domain, plus
+    values that are not superincreasing naturals and q5 values below 1."""
     assert check() is expected
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,25 @@ def test_oracle_suite_referees_the_fragment_count(monkeypatch):
     assert result.detail == "common_fragment_count mismatch"
     assert result.counterexample == (3, 4)
     assert result.checked == 19
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda rng, _t: verify._random_fragment_pair(rng),
+     [(281, 1126), (6282, 49184), (594, 14600), (37072, 877056),
+      (800, 4224)]),
+    (lambda rng, _t: verify._random_partition_triple(rng),
+     [(33, 1870, 6272), (18, 548, 1152), (67, 23084, 41984),
+      (33, 3542, 16896), (78, 1680, 12544)]),
+    (lambda rng, t: verify._random_type_a(rng, 2 + t % 7),
+     [[1, 72], [2, 12, 240], [3, 12, 40, 192], [3, 36, 992, 13184, 18432],
+      [6, 24, 336, 2432, 12288, 57344]]),
+], ids=["fragment-pair", "partition-triple", "type-a"])
+def test_random_builders_draw_the_pinned_instances(build, expected):
+    """The first five instances each seeded builder gives the suites, so a
+    change to how a builder draws its digits cannot change what the
+    oracles, fragments and lastdigit suites check unnoticed."""
+    rng = random.Random(verify._SEED)
+    assert [build(rng, t) for t in range(5)] == expected
 
 
 def _shift(monkeypatch, module, name, when, by):
