@@ -20,13 +20,6 @@ def _require_natural(n: int, name: str) -> None:
         raise ValueError(f"{name} must be a natural >= 1, got {n}")
 
 
-def digit(n: int, p: int) -> int:
-    """Digit of n at position p (0 or 1)."""
-    if p < 0:
-        return 0
-    return (n >> p) & 1
-
-
 def first_digit(n: int) -> int:
     """Position of the least significant 1 of n."""
     _require_natural(n, "n")
@@ -60,7 +53,7 @@ def support(n: int) -> list[int]:
 
 def digit_string(n: int, lo: int, hi: int) -> str:
     """Digits of n at positions hi down to lo; empty when lo > hi. Digits
-    below position 0 read 0, as in digit."""
+    below position 0 read 0."""
     if lo > hi:
         return ""
     width = hi - lo + 1
@@ -148,24 +141,22 @@ def _matched_fragments(x: int, y: int, lo: int, hi: int, side: str) -> list[Frag
 
     A run contributes one fragment when it contains a position where both
     numbers have digit 1; the fragment tops out at the highest such position
-    so its leading digit is 1.
+    so its leading digit is 1. Below position 0 both numbers read 0, so a
+    run through position 0 reaches down to lo.
     """
+    start = lo if lo > 0 else 0
+    agree = ~(x ^ y) & ((1 << (hi + 1 if hi >= start else start)) - (1 << start))
     marks = x & y
     frags = []
-    run_lo = None
-    for p in range(lo, hi + 2):
-        agree = p <= hi and digit(x, p) == digit(y, p)
-        if agree and run_lo is None:
-            run_lo = p
-        elif not agree and run_lo is not None:
-            top = None
-            for q in range(p - 1, run_lo - 1, -1):
-                if digit(marks, q):
-                    top = q
-                    break
-            if top is not None:
-                frags.append(Fragment(digit_string(x, run_lo, top), run_lo, top, side))
-            run_lo = None
+    while agree:
+        lowbit = agree & -agree
+        run = agree & ~(agree + lowbit)
+        agree ^= run
+        shared = run & marks
+        if shared:
+            run_lo = lo if lowbit == 1 else lowbit.bit_length() - 1
+            top = shared.bit_length() - 1
+            frags.append(Fragment(digit_string(x, run_lo, top), run_lo, top, side))
     return frags
 
 
@@ -246,7 +237,8 @@ def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
     return digit_string(r, lo, hi), (lo, hi)
 
 
-def _check_staircase(zs) -> None:
+def _check_staircase(zs) -> list[tuple[int, int]]:
+    """Each element's digit_bounds, checked to increase strictly."""
     if not zs:
         raise ValueError("zs must be nonempty")
     bounds = [digit_bounds(z) for z in zs]
@@ -257,6 +249,7 @@ def _check_staircase(zs) -> None:
         if l >= l_next:
             raise ValueError(
                 f"staircase geometry fails: last digits not increasing at index {i + 1}")
+    return bounds
 
 
 def j_sequence(zs) -> list[int]:
@@ -264,11 +257,11 @@ def j_sequence(zs) -> list[int]:
 
     Requires staircase geometry (first and last digits strictly increasing).
     """
-    _check_staircase(zs)
-    js = [first_digit(zs[0]) - 1]
+    bounds = _check_staircase(zs)
+    js = [bounds[0][0] - 1]
     for i in range(1, len(zs)):
         region = carry_region(zs[i - 1], zs[i])
-        prev_last = last_digit(zs[i - 1])
+        prev_last = bounds[i - 1][1]
         js.append(max(region.stop, prev_last) if region else prev_last)
     return js
 
@@ -281,7 +274,7 @@ def middle(zs, n: int) -> tuple[str, bool]:
     js = j_sequence(zs)
     lo = js[n - 1] + 1
     hi = first_digit(zs[n]) - 1
-    text = digit_string(zs[n - 1], lo, hi) if lo <= hi else ""
+    text = digit_string(zs[n - 1], lo, hi)
     return text, "1" in text
 
 

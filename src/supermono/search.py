@@ -82,6 +82,14 @@ class Colouring:
     lift: str | None
 
 
+def _int_arg(family: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{family} {name} must be an integer, got {text!r}") from None
+
+
 def parse_colouring(text: str) -> Colouring:
     """Parse the colouring mini-language.
 
@@ -105,18 +113,19 @@ def parse_colouring(text: str) -> Colouring:
             raise ValueError(f"unknown theta stage {stage!r}")
         args = (stage,)
     elif family in ("lenmod", "valmod", "fpmod"):
-        k = int(arg)
+        k = _int_arg(family, "modulus", arg)
         if k < 1:
             raise ValueError(f"{family} modulus must be positive")
         args = (k,)
     elif family == "base-lsnz":
-        b = int(arg)
+        b = _int_arg(family, "base", arg)
         if b < 2:
             raise ValueError("base-lsnz base must be at least 2")
         args = (b,)
     elif family == "gaps":
         m_text, comma, cap_text = arg.partition(",")
-        m, cap = int(m_text), int(cap_text) if comma else 3
+        m = _int_arg(family, "modulus", m_text)
+        cap = _int_arg(family, "cap", cap_text) if comma else 3
         if m < 1 or cap < 1:
             raise ValueError("gaps parameters must be positive")
         args = (m, cap)

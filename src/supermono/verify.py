@@ -98,6 +98,20 @@ def _random_fill(rng: random.Random, zs: list[int], regions) -> list[int]:
     return zs
 
 
+def _every_fill(zs, regions) -> Iterator[tuple[int, ...]]:
+    """Every way _random_fill can fill zs over the same regions, in
+    itertools.product order: the owners in the order given, the last free
+    digit varying fastest."""
+    digits = [(1 << p, owners) for lo, hi, owners in regions
+              for p in range(lo, hi)]
+    for choice in itertools.product(*(owners for _, owners in digits)):
+        filled = list(zs)
+        for (bit, _), owner in zip(digits, choice):
+            if owner >= 0:
+                filled[owner] |= bit
+        yield tuple(filled)
+
+
 def _random_fragment_pair(rng: random.Random) -> tuple[int, int]:
     """A pair satisfying all four fragment hypotheses by construction."""
     f_lo = rng.randrange(0, 6)
@@ -236,6 +250,19 @@ def _random_type_a(rng: random.Random, length: int) -> list[int]:
         [(f + 1, l, (-1, i)) for i, (f, l) in enumerate(zip(fs, ls))])
 
 
+def _type_a_lists(length: int, below: int) -> list[list[int]]:
+    """Every staircase list of `length` naturals below `below` that
+    satisfies the separated-by-two condition, in itertools.product order:
+    first and last digits increase strictly, and l_i + 1 < f_{i+2}."""
+    bounds = {z: bits.digit_bounds(z) for z in range(1, below)}
+    lists = [[z] for z in bounds]
+    for _ in range(length - 1):
+        lists = [zs + [z] for zs in lists for z, (f, l) in bounds.items()
+                 if bounds[zs[-1]][0] < f and bounds[zs[-1]][1] < l
+                 and (len(zs) < 2 or bounds[zs[-2]][1] + 1 < f)]
+    return lists
+
+
 def _check_range_sums(zs) -> None:
     for m in range(1, len(zs) + 1):
         for n in range(m, len(zs) + 1):
@@ -251,26 +278,9 @@ def verify_lastdigit(trials: int = 2000) -> Iterator[int]:
     """Last digit of z_m + ... + z_n lands on l_{z_n} or one above, for
     staircase lists: exhaustively on small pairs and triples, then on
     random constructed lists of length up to 8."""
-    for z1 in range(1, 128):
-        f1, l1 = bits.digit_bounds(z1)
-        for z2 in range(1, 128):
-            f2, l2 = bits.digit_bounds(z2)
-            if not (f1 < f2 and l1 < l2):
-                continue
-            yield 1
-            _check_range_sums([z1, z2])
-    for z1 in range(1, 64):
-        f1, l1 = bits.digit_bounds(z1)
-        for z2 in range(1, 64):
-            f2, l2 = bits.digit_bounds(z2)
-            if not (f1 < f2 and l1 < l2):
-                continue
-            for z3 in range(1, 64):
-                f3, l3 = bits.digit_bounds(z3)
-                if not (f2 < f3 and l2 < l3 and l1 + 1 < f3):
-                    continue
-                yield 1
-                _check_range_sums([z1, z2, z3])
+    for zs in _type_a_lists(2, 128) + _type_a_lists(3, 64):
+        yield 1
+        _check_range_sums(zs)
     rng = random.Random(_SEED)
     for t in range(trials):
         zs = _random_type_a(rng, 2 + t % 7)
@@ -325,37 +335,6 @@ def _ones(lo: int, hi: int) -> int:
     return ((1 << (hi - lo + 1)) - 1) << lo
 
 
-def _fill_options(positions, owners):
-    """Expand per-position ownership choices into 5-channel masks.
-
-    owners lists candidate channels for each position; channel -1 leaves
-    the position empty everywhere.
-    """
-    out = []
-    for assignment in itertools.product(owners, repeat=len(positions)):
-        masks = [0] * 5
-        for p, owner in zip(positions, assignment):
-            if owner >= 0:
-                masks[owner] |= 1 << p
-        out.append(tuple(masks))
-    return out
-
-
-def _claim6_boundaries(max_pos: int):
-    for f1 in range(0, max_pos + 1):
-        for f2 in range(f1 + 1, max_pos + 1):
-            for l1 in range(f2 + 1, max_pos + 1):
-                for f3 in range(l1 + 2, max_pos + 1):
-                    for l2 in range(f3 + 1, max_pos + 1):
-                        for f4 in range(l2 + 2, max_pos + 1):
-                            for l3 in range(f4 + 1, max_pos + 1):
-                                for f5 in range(l3 + 2, max_pos + 1):
-                                    for l4 in range(f5 + 1, max_pos + 1):
-                                        for l5 in range(l4 + 1, max_pos + 1):
-                                            yield (f1, f2, l1, f3, l2,
-                                                   f4, l3, f5, l4, l5)
-
-
 def claim6_tuples(max_pos: int):
     """Every 5-tuple of pairwise-disjoint-support numbers within positions
     0..max_pos whose five computable centres are all-1 strings.
@@ -367,29 +346,20 @@ def claim6_tuples(max_pos: int):
     [f3,l2] and [f4,l3]; every remaining interior digit is free. The test
     suite cross-checks this derivation against a brute-force filter.
     """
-    for f1, f2, l1, f3, l2, f4, l3, f5, l4, l5 in _claim6_boundaries(max_pos):
-        base = (
-            (1 << f1) | (1 << l1),
-            (1 << f2) | (1 << l2) | _ones(l1 + 1, f3 - 1),
-            (1 << f3) | (1 << l3) | _ones(l2 + 1, f4 - 1),
-            (1 << f4) | (1 << l4) | _ones(l3 + 1, f5 - 1),
-            (1 << f5) | (1 << l5),
-        )
-        regions = (
-            _fill_options(range(f1 + 1, f2), (-1, 0)),
-            _fill_options(range(f2 + 1, l1), (-1, 0, 1)),
-            _fill_options(range(f3 + 1, l2), (1, 2)),
-            _fill_options(range(f4 + 1, l3), (2, 3)),
-            _fill_options(range(f5 + 1, l4), (-1, 3, 4)),
-            _fill_options(range(l4 + 1, l5), (-1, 4)),
-        )
-        # one region at a time, the last varying fastest, as in
-        # itertools.product(*regions)
-        tuples = [base]
-        for options in regions:
-            tuples = [tuple(z | m for z, m in zip(zs, masks))
-                      for zs in tuples for masks in options]
-        yield from tuples
+    # the chain's least gaps 1, 1, 2, 1, 2, 1, 2, 1, 1 leave this slack
+    # over ten strictly increasing positions
+    slack = (0, 0, 0, 1, 1, 2, 2, 3, 3, 3)
+    for chain in itertools.combinations(range(max_pos - 2), 10):
+        f1, f2, l1, f3, l2, f4, l3, f5, l4, l5 = map(sum, zip(chain, slack))
+        yield from _every_fill(
+            ((1 << f1) | (1 << l1),
+             (1 << f2) | (1 << l2) | _ones(l1 + 1, f3 - 1),
+             (1 << f3) | (1 << l3) | _ones(l2 + 1, f4 - 1),
+             (1 << f4) | (1 << l4) | _ones(l3 + 1, f5 - 1),
+             (1 << f5) | (1 << l5)),
+            ((f1 + 1, f2, (-1, 0)), (f2 + 1, l1, (-1, 0, 1)),
+             (f3 + 1, l2, (1, 2)), (f4 + 1, l3, (2, 3)),
+             (f5 + 1, l4, (-1, 3, 4)), (l4 + 1, l5, (-1, 4))))
 
 
 def claim6_hypotheses_hold(zs) -> bool:

@@ -289,21 +289,21 @@ class Factorisation:
 
 
 def check_factorisation(x: WordSource, f: Factorisation) -> None:
-    """Verify f against x letter by letter, read from one prefix of x;
-    raise naming the first mismatch."""
-    at = f.suffix_start
-    text = x.prefix(at + f.total_length() - 1)
-    for u in f.factors:
-        for letter in u:
-            if at > len(text):
-                raise ValueError(
-                    f"factorisation extends beyond the available prefix at "
-                    f"position {at}")
-            if text[at - 1] != letter:
-                raise ValueError(
-                    f"factorisation mismatch at position {at}: expected "
-                    f"{letter!r}, word has {text[at - 1]!r}")
-            at += 1
+    """Verify f against one prefix of x; raise naming the first mismatch."""
+    start = f.suffix_start
+    written = "".join(f.factors)
+    text = x.prefix(start + len(written) - 1)[start - 1:]
+    if text == written:
+        return
+    i = next(i for i, letter in enumerate(written)
+             if i >= len(text) or text[i] != letter)
+    if i >= len(text):
+        raise ValueError(
+            f"factorisation extends beyond the available prefix at "
+            f"position {start + i}")
+    raise ValueError(
+        f"factorisation mismatch at position {start + i}: expected "
+        f"{written[i]!r}, word has {text[i]!r}")
 
 
 def block_subfactorisation(f: Factorisation, cuts) -> Factorisation:

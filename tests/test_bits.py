@@ -16,9 +16,8 @@ naturals = st.integers(min_value=1, max_value=1 << 16)
 
 
 def test_digit_basics():
-    assert bits.digit(200, 3) == 1
-    assert bits.digit(200, 4) == 0
     assert bits.support(200) == [3, 6, 7]
+    assert bits.support(200) == [p for p in range(8) if (200 >> p) & 1]
     assert bits.digit_bounds(200) == (3, 7)
     assert bits.first_digit(200) == 3
     assert bits.last_digit(200) == 7
@@ -83,7 +82,7 @@ def test_digit_string_matches_the_per_digit_definition():
     for n in range(600):
         for lo in range(-4, 12):
             for hi in range(-5, 14):
-                want = "".join(str(bits.digit(n, p))
+                want = "".join(str((n >> p) & 1 if p >= 0 else 0)
                                for p in range(hi, lo - 1, -1))
                 assert bits.digit_string(n, lo, hi) == want, (n, lo, hi)
 
@@ -210,15 +209,18 @@ def test_common_fragment_count_matches_scanner(a, b):
 @example(a=5, b=4, lo=3, hi=1)
 @example(a=0b1101, b=0b0101, lo=1, hi=20)
 @example(a=6, b=6, lo=0, hi=-1)
+@example(a=5, b=7, lo=-2, hi=None)
 @settings(max_examples=500)
 def test_windowed_common_fragment_count_matches_list_and_scanner(a, b, lo, hi):
-    """The count over [lo, hi] agrees with the fragment list and with the
-    string scanner, for empty windows (lo > hi) and for windows reaching
-    past both last digits."""
+    """The count over [lo, hi] agrees with the fragment list, and the list
+    with the string scanner's, for empty windows (lo > hi), for windows
+    reaching past both last digits, and for windows below position 0,
+    where a run through position 0 reaches down to lo."""
     count = bits.common_fragment_count(a, b, lo, hi)
-    assert count == len(bits.common_fragments(a, b, lo, hi))
+    listed = bits.common_fragments(a, b, lo, hi)
+    assert count == len(listed)
     top = max(bits.last_digit(a), bits.last_digit(b)) if hi is None else hi
-    assert count == len(oracles._scan_fragments(a, b, lo, top, "common"))
+    assert listed == oracles._scan_fragments(a, b, lo, top, "common")
 
 
 def test_centre_window_and_digits():

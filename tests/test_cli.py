@@ -179,6 +179,13 @@ def test_search_usage_errors():
     empty_stage = _invoke("search", "altsum", "--colouring", "theta:")
     assert empty_stage.exit_code == 1
     assert "unknown theta stage ''" in empty_stage.stderr
+    for spec, message in (("gaps:2,", "gaps cap must be an integer, got ''"),
+                          ("lenmod:", "lenmod modulus must be an integer, got ''"),
+                          ("fpmod:2.5", "fpmod modulus must be an integer, got '2.5'")):
+        bad_integer = _invoke("search", "altsum", "--colouring", spec)
+        assert bad_integer.exit_code == 1
+        assert message in bad_integer.stderr
+        assert "invalid literal" not in bad_integer.stderr
 
 
 def test_out_writes_file(tmp_path):

@@ -65,6 +65,15 @@ def test_parse_colouring_rejections():
                 "const:5", "dbl:9@diff", "theta:", "gaps:2,"):
         with pytest.raises(ValueError):
             parse_colouring(bad)
+    for bad, message in (("lenmod:", "lenmod modulus must be an integer, got ''"),
+                         ("gaps:", "gaps modulus must be an integer, got ''"),
+                         ("gaps:2,", "gaps cap must be an integer, got ''"),
+                         ("valmod:x", "valmod modulus must be an integer, got 'x'"),
+                         ("fpmod:2.5", "fpmod modulus must be an integer, got '2.5'"),
+                         ("base-lsnz:", "base-lsnz base must be an integer, got ''")):
+        with pytest.raises(ValueError) as raised:
+            parse_colouring(bad)
+        assert str(raised.value) == message
 
 
 def test_colour_number_families():

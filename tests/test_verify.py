@@ -253,43 +253,6 @@ def test_obstruction_tuple_counts():
     assert run_suite("claim6", 15).checked == 200
 
 
-def _product_claim6_tuples(max_pos):
-    """The boundary chains of claim6_tuples with one itertools.product over
-    the six regions' fill options each, OR-ing every chosen mask tuple
-    into the base tuple."""
-    ones = verify._ones
-    for f1, f2, l1, f3, l2, f4, l3, f5, l4, l5 in \
-            verify._claim6_boundaries(max_pos):
-        base = (
-            (1 << f1) | (1 << l1),
-            (1 << f2) | (1 << l2) | ones(l1 + 1, f3 - 1),
-            (1 << f3) | (1 << l3) | ones(l2 + 1, f4 - 1),
-            (1 << f4) | (1 << l4) | ones(l3 + 1, f5 - 1),
-            (1 << f5) | (1 << l5),
-        )
-        regions = (
-            verify._fill_options(range(f1 + 1, f2), (-1, 0)),
-            verify._fill_options(range(f2 + 1, l1), (-1, 0, 1)),
-            verify._fill_options(range(f3 + 1, l2), (1, 2)),
-            verify._fill_options(range(f4 + 1, l3), (2, 3)),
-            verify._fill_options(range(f5 + 1, l4), (-1, 3, 4)),
-            verify._fill_options(range(l4 + 1, l5), (-1, 4)),
-        )
-        for parts in itertools.product(*regions):
-            zs = list(base)
-            for masks in parts:
-                zs = [z | m for z, m in zip(zs, masks)]
-            yield tuple(zs)
-
-
-@pytest.mark.parametrize("position_count", [13, 14, 15])
-def test_obstruction_tuples_come_in_product_order(position_count):
-    """Order decides which counterexample claim6 reports first."""
-    want = list(_product_claim6_tuples(position_count - 1))
-    assert list(claim6_tuples(position_count - 1)) == want
-    assert len(want) == {13: 1, 14: 19, 15: 200}[position_count]
-
-
 def _brute_obstruction_tuples(max_pos):
     """Relaxed candidate generator for the completeness cross-check.
 
@@ -317,11 +280,14 @@ def _brute_obstruction_tuples(max_pos):
             yield tuple(zs)
 
 
-def test_constructive_enumeration_is_complete():
-    survivors = {zs for zs in _brute_obstruction_tuples(14)
-                 if claim6_hypotheses_hold(zs)}
-    constructive = set(claim6_tuples(14))
-    assert len(constructive) == 200
+@pytest.mark.parametrize("position_count", [13, 14, 15])
+def test_constructive_enumeration_is_complete(position_count):
+    """Same tuples as the brute-force filter, and in its order, which
+    decides the counterexample claim6 reports first."""
+    survivors = [zs for zs in _brute_obstruction_tuples(position_count - 1)
+                 if claim6_hypotheses_hold(zs)]
+    constructive = list(claim6_tuples(position_count - 1))
+    assert len(constructive) == {13: 1, 14: 19, 15: 200}[position_count]
     assert survivors == constructive
 
 

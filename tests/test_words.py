@@ -123,6 +123,13 @@ def test_check_factorisation_names_first_mismatch():
         check_factorisation(Periodic("ab"), Factorisation(("b",), 1))
     with pytest.raises(ValueError, match="beyond the available prefix"):
         check_factorisation(ExplicitPrefix("ab"), Factorisation(("ab", "a"), 1))
+    with pytest.raises(ValueError, match="mismatch at position 8: expected "
+                                         "'a', word has 'b'"):
+        check_factorisation(Periodic("ab"), Factorisation(("ab", "ab", "aa"), 3))
+    with pytest.raises(ValueError, match="beyond the available prefix at "
+                                         "position 5$"):
+        check_factorisation(ExplicitPrefix("abab"),
+                            Factorisation(("ba", "bab"), 2))
 
 
 def test_block_subfactorisation_examples():
