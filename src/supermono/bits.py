@@ -1,5 +1,6 @@
 """Binary digit diagnostics for naturals: supports, carries, intervals,
-jumps, fragments, centres, middles, zones, and staircase classification.
+jumps, fragments, centres, and the staircase j-sequence with its middles,
+overlapping zones and type-A test.
 
 Positions are 0-based exponents of 2, so position 0 is the least significant
 digit. All reported digit strings read most significant position first.
@@ -8,11 +9,6 @@ digit. All reported digit strings read most significant position first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
-TYPE_A = "TypeA"
-TYPE_B_CANDIDATE = "TypeBCandidate"
-NEITHER = "Neither"
 
 
 def _require_natural(n: int, name: str) -> None:
@@ -237,8 +233,9 @@ def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
     return digit_string(r, lo, hi), (lo, hi)
 
 
-def _check_staircase(zs) -> list[tuple[int, int]]:
-    """Each element's digit_bounds, checked to increase strictly."""
+def _staircase(zs) -> tuple[list[tuple[int, int]], list[int]]:
+    """Each element's digit_bounds, checked to increase strictly, and the
+    j-sequence they give (see j_sequence)."""
     if not zs:
         raise ValueError("zs must be nonempty")
     bounds = [digit_bounds(z) for z in zs]
@@ -249,7 +246,12 @@ def _check_staircase(zs) -> list[tuple[int, int]]:
         if l >= l_next:
             raise ValueError(
                 f"staircase geometry fails: last digits not increasing at index {i + 1}")
-    return bounds
+    js = [bounds[0][0] - 1]
+    for i in range(1, len(zs)):
+        region = carry_region(zs[i - 1], zs[i])
+        prev_last = bounds[i - 1][1]
+        js.append(max(region.stop, prev_last) if region else prev_last)
+    return bounds, js
 
 
 def j_sequence(zs) -> list[int]:
@@ -257,25 +259,15 @@ def j_sequence(zs) -> list[int]:
 
     Requires staircase geometry (first and last digits strictly increasing).
     """
-    bounds = _check_staircase(zs)
-    js = [bounds[0][0] - 1]
-    for i in range(1, len(zs)):
-        region = carry_region(zs[i - 1], zs[i])
-        prev_last = bounds[i - 1][1]
-        js.append(max(region.stop, prev_last) if region else prev_last)
-    return js
+    return _staircase(zs)[1]
 
 
-def middle(zs, n: int) -> tuple[str, bool]:
-    """Digits of z_n strictly between j_n and f_{z_{n+1}}; flag is True when
-    the string is nonempty and contains a 1. n is 1-based."""
-    if not 1 <= n < len(zs):
-        raise ValueError(f"n must be in 1..{len(zs) - 1}, got {n}")
-    js = j_sequence(zs)
-    lo = js[n - 1] + 1
-    hi = first_digit(zs[n]) - 1
-    text = digit_string(zs[n - 1], lo, hi)
-    return text, "1" in text
+def middles(zs) -> list[str]:
+    """For n = 1 .. len(zs) - 1, the digits of z_n strictly between j_n and
+    f_{z_{n+1}}; entry n - 1 holds the middle of z_n."""
+    bounds, js = _staircase(zs)
+    return [digit_string(z, j + 1, f_next - 1)
+            for z, j, (f_next, _) in zip(zs, js, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -290,81 +282,20 @@ class Zone:
         return self.lo > self.hi
 
 
-def overlapping_zone(zs, n: int) -> Zone:
-    """Zone [f_{z_{n+1}}, j_{n+1}] between consecutive terms. n is 1-based."""
-    if not 1 <= n < len(zs):
-        raise ValueError(f"n must be in 1..{len(zs) - 1}, got {n}")
-    js = j_sequence(zs)
-    return Zone(first_digit(zs[n]), js[n])
+def overlapping_zones(zs) -> list[Zone]:
+    """For n = 1 .. len(zs) - 1, the zone [f_{z_{n+1}}, j_{n+1}] between
+    z_n and z_{n+1}; entry n - 1 holds the zone after z_n."""
+    bounds, js = _staircase(zs)
+    return [Zone(f_next, j_next)
+            for (f_next, _), j_next in zip(bounds[1:], js[1:])]
 
 
-@dataclass(frozen=True)
-class SeqClass:
-    """Classification of a finite sequence; checked_cut_depth records how many
-    block-cut patterns the Type-B check examined (TypeBCandidate only)."""
-
-    kind: str
-    checked_cut_depth: int | None = None
-
-
-def _is_type_a(zs) -> bool:
-    fs = [first_digit(z) for z in zs]
-    ls = [last_digit(z) for z in zs]
-    if any(fs[i] >= fs[i + 1] for i in range(len(zs) - 1)):
-        return False
-    if any(ls[i] >= ls[i + 1] for i in range(len(zs) - 1)):
-        return False
-    return all(ls[i] + 1 < fs[i + 2] for i in range(len(zs) - 2))
-
-
-def block_subsequence(zs, cuts) -> list[int]:
-    """Sums of the consecutive blocks (0, k_1], (k_1, k_2], ...; elements
-    beyond the last cut are dropped. Cuts are 1-based and strictly ascending."""
-    if not cuts:
-        raise ValueError("cuts must be nonempty")
-    previous = 0
-    blocks = []
-    for cut in cuts:
-        if cut <= previous:
-            raise ValueError(f"cuts must be strictly ascending, got {tuple(cuts)}")
-        if cut > len(zs):
-            raise ValueError(f"cut {cut} exceeds sequence length {len(zs)}")
-        blocks.append(sum(zs[previous:cut]))
-        previous = cut
-    return blocks
-
-
-def _cut_patterns(length: int):
-    """Ascending cut tuples over 1..length with at least three blocks, in
-    block-count order then lexicographic. Fewer than three blocks cannot
-    witness Type A (the third inequality needs three terms)."""
-    for size in range(3, length + 1):
-        yield from combinations(range(1, length + 1), size)
-
-
-def classify(zs, cut_depth: int = 1000) -> SeqClass:
-    """Type A, Type B candidate (no Type-A block subsequence found within
-    cut_depth examined patterns), or Neither."""
-    if not zs:
-        raise ValueError("zs must be nonempty")
-    if _is_type_a(zs):
-        return SeqClass(TYPE_A)
-    if len(zs) >= 3:
-        fs = [first_digit(z) for z in zs]
-        ls = [last_digit(z) for z in zs]
-        structure = (
-            fs[0] == fs[1]
-            and ls[0] < ls[1]
-            and ls[0] + 1 < fs[2]
-            and _is_type_a(zs[1:])
-        )
-        if structure:
-            examined = 0
-            for cuts in _cut_patterns(len(zs)):
-                if examined >= cut_depth:
-                    break
-                examined += 1
-                if _is_type_a(block_subsequence(zs, cuts)):
-                    return SeqClass(NEITHER)
-            return SeqClass(TYPE_B_CANDIDATE, examined)
-    return SeqClass(NEITHER)
+def is_type_a(zs) -> bool:
+    """Staircase geometry (first and last digits strictly increasing) with
+    each term ending at least two positions below the start of the term
+    after next: l_{z_i} + 1 < f_{z_{i+2}}."""
+    bounds = [digit_bounds(z) for z in zs]
+    return (all(f < f_next and l < l_next
+                for (f, l), (f_next, l_next) in zip(bounds, bounds[1:]))
+            and all(l + 1 < f_after
+                    for (_, l), (f_after, _) in zip(bounds, bounds[2:])))

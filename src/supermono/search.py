@@ -41,7 +41,15 @@ Y_SUBSET = "y_subset"
 Y_BLOCK = "y_block"
 FORMS = (X_ALTERNATING, Y_SUBSET, Y_BLOCK)
 
-Q5_VARIANTS = ("plain", "a1free", "akfree", "with_gaps")
+# Each q5 variant's coefficient choices: (a_1 choices, a_k choices, interior
+# choices).
+_Q5_COEFFICIENTS = {
+    "plain": ((1,), (1,), (1, 2)),
+    "a1free": ((1, 2), (1,), (1, 2)),
+    "akfree": ((1,), (1, 2), (1, 2)),
+    "with_gaps": ((1,), (1,), (0, 1, 2)),
+}
+Q5_VARIANTS = tuple(_Q5_COEFFICIENTS)
 
 LIFT_MODES = ("left", "right", "diff", "sum", "both")
 
@@ -104,7 +112,7 @@ def parse_colouring(text: str) -> Colouring:
     family, colon, arg = body.partition(":")
     args: tuple
     if family in ("const", "dbl"):
-        if arg:
+        if colon:
             raise ValueError(f"{family} takes no argument, got {arg!r}")
         args = ()
     elif family == "theta":
@@ -425,11 +433,6 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     if tally is not None:
         counts[tally] += evaluated
     return SearchReport(params, witnesses, exhausted, nodes, max_depth, counts)
-
-
-def _candidate_is_child(_state, candidate):
-    """grow for searches whose candidate is already the child state."""
-    return candidate
 
 
 def _colour_chain(colour_at, first: int):
@@ -809,16 +812,7 @@ def _q5_patterns(k: int, variant: str):
     but allows interior zeros. For k = 1 the freed-endpoint variants
     constrain both y_1 and 2y_1, reading the endpoint rules literally.
     """
-    if variant == "plain":
-        firsts, lasts, inner = (1,), (1,), (1, 2)
-    elif variant == "a1free":
-        firsts, lasts, inner = (1, 2), (1,), (1, 2)
-    elif variant == "akfree":
-        firsts, lasts, inner = (1,), (1, 2), (1, 2)
-    elif variant == "with_gaps":
-        firsts, lasts, inner = (1,), (1,), (0, 1, 2)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    firsts, lasts, inner = _Q5_COEFFICIENTS[variant]
     if k == 1:
         coeffs = sorted(set(firsts) | set(lasts))
         return [(c,) for c in coeffs]
@@ -853,7 +847,7 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 
     return _dfs(params, [[]], expand,
                 functools.partial(colour_number, colouring),
-                _candidate_is_child, max_len, list, mode,
+                lambda _state, candidate: candidate, max_len, list, mode,
                 {"sums_checked": 0}, "sums_checked")
 
 

@@ -285,7 +285,7 @@ def verify_lastdigit(trials: int = 2000) -> Iterator[int]:
     for t in range(trials):
         zs = _random_type_a(rng, 2 + t % 7)
         yield 1
-        if bits.classify(zs, cut_depth=1).kind != bits.TYPE_A:
+        if not bits.is_type_a(zs):
             raise _Counterexample("constructed list is not type A",
                                   tuple(zs))
         _check_range_sums(zs)
@@ -548,10 +548,7 @@ def _stage3_discipline_ok(ys) -> bool:
             return False
         if part_carry.stop >= bits.first_digit(ys[i + 1]):
             return False
-    for n in range(2, len(ys)):
-        if not bits.middle(ys, n)[1]:
-            return False
-    return True
+    return all("1" in text for text in bits.middles(ys)[1:])
 
 
 @_suite("stage3", "removal always adds f(k)+1+f(k+1) common fragments")
@@ -572,6 +569,7 @@ def verify_stage3(trials: int = 400) -> Iterator[int]:
             raise _Counterexample("could not construct a disciplined sequence",
                                   None)
         prefix = list(itertools.accumulate(ys))
+        zones = bits.overlapping_zones(ys)
         for k in range(1, length - 3):
             yield 1
             b = prefix[k + 3]
@@ -582,8 +580,7 @@ def verify_stage3(trials: int = 400) -> Iterator[int]:
             if f_removed != oracles.common_fragment_count_oracle(a_removed, b) \
                     or f_full != oracles.common_fragment_count_oracle(a_full, b):
                 raise _Counterexample("oracle disagrees on F", tuple(ys) + (k,))
-            zone_lo = bits.overlapping_zone(ys, k)
-            zone_hi = bits.overlapping_zone(ys, k + 1)
+            zone_lo, zone_hi = zones[k - 1], zones[k]
             f_k = bits.common_fragment_count(a_removed, b,
                                              zone_lo.lo, zone_lo.hi)
             f_k1 = bits.common_fragment_count(a_removed, b,

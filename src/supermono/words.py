@@ -275,9 +275,6 @@ class Factorisation:
             _check_letters(u, "factor")
         _check_position(self.suffix_start)
 
-    def total_length(self) -> int:
-        return sum(len(u) for u in self.factors)
-
     def standard_positions(self) -> list[int]:
         """Start position of each factor inside x."""
         positions = []

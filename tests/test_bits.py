@@ -4,8 +4,6 @@ string scanners."""
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,9 +41,9 @@ _NATURAL_CALLS = [
     (bits.common_fragment_count, (5, 7)),
     (bits.centre, (0b1010, 0b11, 0b11000)),
     (bits.j_sequence, (_STAIRCASE,)),
-    (functools.partial(bits.middle, n=1), (_STAIRCASE,)),
-    (functools.partial(bits.overlapping_zone, n=1), (_STAIRCASE,)),
-    (bits.classify, (_STAIRCASE,)),
+    (bits.middles, (_STAIRCASE,)),
+    (bits.overlapping_zones, (_STAIRCASE,)),
+    (bits.is_type_a, (_STAIRCASE,)),
 ]
 
 
@@ -266,52 +264,22 @@ def test_last_digit_of_staircase_pair_sum(data):
     assert bits.last_digit(z1 + z2) in (l2, l2 + 1)
 
 
-def test_block_subsequence_examples():
-    zs = (1, 2, 4, 8)
-    assert bits.block_subsequence(zs, (1, 2, 3, 4)) == [1, 2, 4, 8]
-    assert bits.block_subsequence(zs, (2, 4)) == [3, 12]
-    with pytest.raises(ValueError):
-        bits.block_subsequence(zs, (3, 1))
-    with pytest.raises(ValueError):
-        bits.block_subsequence(zs, ())
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_block_subsequence_composition(data):
-    zs = data.draw(st.lists(naturals, min_size=1, max_size=8))
-    outer = data.draw(st.sets(st.integers(min_value=1, max_value=len(zs)),
-                              min_size=1))
-    cuts1 = sorted(outer)
-    inner = data.draw(st.sets(st.integers(min_value=1, max_value=len(cuts1)),
-                              min_size=1))
-    cuts2 = sorted(inner)
-    once = bits.block_subsequence(bits.block_subsequence(zs, cuts1), cuts2)
-    composed = [cuts1[c - 1] for c in cuts2]
-    assert once == bits.block_subsequence(zs, composed)
-
-
-def test_classify_examples():
-    assert bits.classify([1, 2, 16]).kind == bits.TYPE_A
-    candidate = bits.classify([1, 3, 16])
-    assert candidate.kind == bits.TYPE_B_CANDIDATE
-    assert candidate.checked_cut_depth is not None
-    assert bits.classify([2, 1]).kind == bits.NEITHER
+def test_is_type_a_examples():
+    assert bits.is_type_a([1, 2, 16])
+    assert not bits.is_type_a([1, 3, 16])
+    assert not bits.is_type_a([2, 1])
 
 
 def test_middle_reads_most_significant_first():
-    text, proper = bits.middle((1, 2, 32), 2)
-    assert text == "0001"
-    assert proper is True
+    assert bits.middles((1, 2, 32)) == ["1", "0001"]
 
 
 def test_overlapping_zone_bounds():
-    zone = bits.overlapping_zone((3, 6, 24), 1)
-    assert (zone.lo, zone.hi) == (1, 3)
-    assert not zone.empty
-    assert bits.overlapping_zone((1, 2, 32), 1).empty
-    with pytest.raises(ValueError):
-        bits.overlapping_zone((1, 2, 32), 3)
+    first, second = bits.overlapping_zones((3, 6, 24))
+    assert (first.lo, first.hi) == (1, 3)
+    assert not first.empty
+    assert second.empty
+    assert all(zone.empty for zone in bits.overlapping_zones((1, 2, 32)))
 
 
 @given(a=naturals, b=naturals)

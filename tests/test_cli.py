@@ -176,6 +176,9 @@ def test_search_usage_errors():
     bad_argument = _invoke("search", "plus", "--colouring", "dbl:9@diff")
     assert bad_argument.exit_code == 1
     assert "dbl takes no argument" in bad_argument.stderr
+    empty_argument = _invoke("search", "altsum", "--colouring", "const:")
+    assert empty_argument.exit_code == 1
+    assert "const takes no argument, got ''" in empty_argument.stderr
     empty_stage = _invoke("search", "altsum", "--colouring", "theta:")
     assert empty_stage.exit_code == 1
     assert "unknown theta stage ''" in empty_stage.stderr

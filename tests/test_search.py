@@ -70,7 +70,9 @@ def test_parse_colouring_rejections():
                          ("gaps:2,", "gaps cap must be an integer, got ''"),
                          ("valmod:x", "valmod modulus must be an integer, got 'x'"),
                          ("fpmod:2.5", "fpmod modulus must be an integer, got '2.5'"),
-                         ("base-lsnz:", "base-lsnz base must be an integer, got ''")):
+                         ("base-lsnz:", "base-lsnz base must be an integer, got ''"),
+                         ("const:", "const takes no argument, got ''"),
+                         ("dbl:", "dbl takes no argument, got ''")):
         with pytest.raises(ValueError) as raised:
             parse_colouring(bad)
         assert str(raised.value) == message

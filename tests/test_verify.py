@@ -146,12 +146,39 @@ def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
 
 
 def test_lastdigit_reports_a_constructed_list_that_is_not_type_a(monkeypatch):
-    monkeypatch.setattr(bits, "classify",
-                        lambda zs, cut_depth: bits.SeqClass("other"))
+    monkeypatch.setattr(bits, "is_type_a", lambda zs: False)
     result = verify.verify_lastdigit(200)
     assert (result.ok, result.checked, result.detail,
             result.counterexample) == (
         False, 2136, "constructed list is not type A", (1, 72))
+
+
+@pytest.mark.parametrize("length, below", [(2, 128), (3, 64)])
+def test_is_type_a_holds_exactly_for_the_enumerated_lists(length, below):
+    """The lastdigit suite states the type-A rule twice: as the incremental
+    filter that enumerates its exhaustive lists and as bits.is_type_a,
+    which checks its constructed ones. They must pick the same lists."""
+    listed = {tuple(zs) for zs in verify._type_a_lists(length, below)}
+    assert listed
+    for zs in itertools.product(range(1, below), repeat=length):
+        assert bits.is_type_a(zs) == (zs in listed), zs
+
+
+def test_middles_and_zones_match_their_per_index_definitions():
+    """middles(zs)[n - 1] is the digits of z_n from j_n + 1 up to
+    f_{z_{n+1}} - 1, and overlapping_zones(zs)[n - 1] is
+    Zone(f_{z_{n+1}}, j_{n+1}), on the staircases the stage3 suite draws."""
+    rng = random.Random(verify._SEED)
+    for t in range(200):
+        ys = verify._random_stage3_sequence(rng, 6 + t % 2)
+        js = bits.j_sequence(ys)
+        fs = [bits.first_digit(y) for y in ys]
+        n_range = range(1, len(ys))
+        assert bits.middles(ys) == [
+            bits.digit_string(ys[n - 1], js[n - 1] + 1, fs[n] - 1)
+            for n in n_range]
+        assert bits.overlapping_zones(ys) == [
+            bits.Zone(fs[n], js[n]) for n in n_range]
 
 
 def test_remaining_suites_pass_at_small_bounds():
