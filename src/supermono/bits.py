@@ -11,32 +11,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _require_natural(n: int, name: str) -> None:
-    if n < 1:
-        raise ValueError(f"{name} must be a natural >= 1, got {n}")
+def _not_natural(n: int, name: str) -> ValueError:
+    """The error for an argument below 1. Callers test n < 1 inline and
+    build it only then, so a valid call costs one comparison."""
+    return ValueError(f"{name} must be a natural >= 1, got {n}")
 
 
 def first_digit(n: int) -> int:
     """Position of the least significant 1 of n."""
-    _require_natural(n, "n")
+    if n < 1:
+        raise _not_natural(n, "n")
     return (n & -n).bit_length() - 1
 
 
 def last_digit(n: int) -> int:
     """Position of the most significant 1 of n."""
-    _require_natural(n, "n")
+    if n < 1:
+        raise _not_natural(n, "n")
     return n.bit_length() - 1
 
 
 def digit_bounds(n: int) -> tuple[int, int]:
     """(first, last) digit positions of n."""
-    _require_natural(n, "n")
+    if n < 1:
+        raise _not_natural(n, "n")
     return (n & -n).bit_length() - 1, n.bit_length() - 1
 
 
 def support(n: int) -> list[int]:
     """Ascending list of positions where n has digit 1."""
-    _require_natural(n, "n")
+    if n < 1:
+        raise _not_natural(n, "n")
     positions = []
     p = 0
     while n:
@@ -66,16 +71,20 @@ def first_three_digits(n: int) -> str:
 def label_positions(a: int, b: int) -> list[tuple[int, str]]:
     """Joint support of a and b, each position labelled '2' (digit 1 in both)
     or '1' (digit 1 in exactly one), ascending."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
+    if a < 1:
+        raise _not_natural(a, "a")
+    if b < 1:
+        raise _not_natural(b, "b")
     both = a & b
     return [(p, "2" if (both >> p) & 1 else "1") for p in support(a | b)]
 
 
 def jumps(a: int, b: int) -> int:
     """Number of '2'-to-'1' label transitions over the joint support, ascending."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
+    if a < 1:
+        raise _not_natural(a, "a")
+    if b < 1:
+        raise _not_natural(b, "b")
     union = a | b
     # Each '2' position adds 1 one place up; the carry runs through the gaps
     # there and lands on the next joint-support position, which counts when
@@ -86,7 +95,8 @@ def jumps(a: int, b: int) -> int:
 
 def intervals(c: int) -> int:
     """Number of maximal runs of consecutive 1s in the expansion of c."""
-    _require_natural(c, "c")
+    if c < 1:
+        raise _not_natural(c, "c")
     return (c & ~(c << 1)).bit_count()
 
 
@@ -104,8 +114,10 @@ def carry_region(m: int, n: int) -> CarryRegion | None:
     start is the least position where both have digit 1; stop is the greatest
     position where the sum's digit differs from the plain column sum.
     """
-    _require_natural(m, "m")
-    _require_natural(n, "n")
+    if m < 1:
+        raise _not_natural(m, "m")
+    if n < 1:
+        raise _not_natural(n, "n")
     both = m & n
     if both == 0:
         return None
@@ -185,8 +197,10 @@ def fragments(lower: int, upper: int, side: str) -> list[Fragment]:
 def common_fragments(a: int, b: int, lo: int = 0, hi: int | None = None) -> list[Fragment]:
     """Maximal same-position matched strings of a and b containing a shared 1,
     within [lo, hi] (default: up to the larger last digit)."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
+    if a < 1:
+        raise _not_natural(a, "a")
+    if b < 1:
+        raise _not_natural(b, "b")
     if hi is None:
         hi = max(last_digit(a), last_digit(b))
     return _matched_fragments(a, b, lo, hi, "common")
@@ -196,8 +210,10 @@ def common_fragment_count(a: int, b: int, lo: int = 0, hi: int | None = None) ->
     """len(common_fragments(a, b, lo, hi)) without building the fragments:
     the shared 1s of a run of agreeing digits carry out of its top exactly
     once. No 1 is shared below position 0, and lo > hi is an empty window."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
+    if a < 1:
+        raise _not_natural(a, "a")
+    if b < 1:
+        raise _not_natural(b, "b")
     if hi is None:
         hi = max(a.bit_length(), b.bit_length()) - 1
     lo = lo if lo > 0 else 0

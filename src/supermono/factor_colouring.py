@@ -9,7 +9,7 @@ not considered: an empty half has no first occurrence to compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pair_colouring import PairColour, colour_pair
 from .words import (
@@ -38,8 +38,7 @@ NOT_FACTOR = _NotFactorColour()
 UNKNOWN = _UnknownColour()
 
 
-@dataclass(frozen=True)
-class FactorColour:
+class FactorColour(NamedTuple):
     """Colour of a factor: the full pair colour of its first-occurrence span
     and the split tag (0 when some split u = vw has the start of v's first
     occurrence equal to A and the end of w's equal to B, else 1)."""

@@ -1,10 +1,14 @@
 """The seven-component pair colouring: three digit-position residues, the
 leading three-digit window, and three parity bits (jumps, intervals, common
-fragments), assembled per stage for ablation experiments."""
+fragments), assembled per stage for ablation experiments.
+
+A colour is a tuple record (a NamedTuple): immutable, hashable, and equal
+to another colour exactly when all eight fields, the stage included, are
+equal."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bits
 
@@ -16,8 +20,7 @@ STAGES = (STAGE1, STAGE2, FULL)
 WINDOWS = ("001", "011", "101", "111")
 
 
-@dataclass(frozen=True)
-class PairColour:
+class PairColour(NamedTuple):
     """Colour of a pair (a, b) with a < b; components outside the stage are
     None and excluded from equality-bearing serialisations.
 
@@ -38,11 +41,12 @@ class PairColour:
 
     def key(self) -> str:
         """Serialisation 'c0c1c2-c3-c4c5c6' with absent components omitted."""
-        head = f"{self.c0}{self.c1}{self.c2}-{self.c3}"
-        tail = "".join(
-            str(c) for c in (self.c4, self.c5, self.c6) if c is not None
-        )
-        return f"{head}-{tail}" if tail else head
+        c0, c1, c2, c3, c4, c5, c6, stage = self
+        if stage == FULL:
+            return f"{c0}{c1}{c2}-{c3}-{c4}{c5}{c6}"
+        if stage == STAGE2:
+            return f"{c0}{c1}{c2}-{c3}-{c4}{c5}"
+        return f"{c0}{c1}{c2}-{c3}"
 
     def ordinal(self) -> int:
         """Mixed-radix encoding of a full colour into 0..863."""

@@ -9,6 +9,7 @@ kept for the source's lifetime. Words are 1-indexed throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # The most letters a search run may make a source materialise: a source
 # keeps its text for its lifetime. A limit, not an option.
@@ -184,8 +185,7 @@ def parse_word_spec(text: str) -> WordSource:
         f"unknown word kind {kind!r}; expected periodic, evper, morphic or prefix")
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """First occurrence of a factor: start position and the position just
     after it (end - start is the factor length)."""
 

@@ -65,6 +65,35 @@ def test_naturals_start_at_one():
                     fn(*bad)
 
 
+# Each kernel that checks its int arguments itself: valid arguments and
+# their parameter names, in order.
+_NAMED_NATURAL_CALLS = [
+    (bits.first_digit, (200,), ("n",)),
+    (bits.last_digit, (200,), ("n",)),
+    (bits.digit_bounds, (200,), ("n",)),
+    (bits.support, (200,), ("n",)),
+    (bits.intervals, (200,), ("c",)),
+    (bits.label_positions, (5, 6), ("a", "b")),
+    (bits.jumps, (5, 6), ("a", "b")),
+    (bits.carry_region, (5, 6), ("m", "n")),
+    (bits.common_fragments, (5, 7), ("a", "b")),
+    (bits.common_fragment_count, (5, 7), ("a", "b")),
+]
+
+
+@pytest.mark.parametrize("fn, args, names", _NAMED_NATURAL_CALLS,
+                         ids=[fn.__name__ for fn, _, _ in _NAMED_NATURAL_CALLS])
+def test_natural_errors_name_the_argument(fn, args, names):
+    """A 0 in each argument gives the message that names that argument,
+    word for word, e.g. jumps(5, 0) -> 'b must be a natural >= 1, got 0'."""
+    for i, name in enumerate(names):
+        for value in (0, -3):
+            bad = args[:i] + (value,) + args[i + 1:]
+            with pytest.raises(ValueError) as info:
+                fn(*bad)
+            assert str(info.value) == f"{name} must be a natural >= 1, got {value}"
+
+
 @given(n=st.one_of(naturals, st.integers(min_value=1, max_value=1 << 200)))
 @example(n=1)
 def test_digit_bounds_are_the_first_and_last_digit(n):

@@ -38,6 +38,33 @@ def test_pinned_factor_colours():
     assert phi(x, "ab", 64).serialise() == "(110-001-111,0)"
     assert phi(x, "ba", 64).serialise() == "(111-001-010,1)"
     assert phi(x, "a", 64).serialise() == "(000-001-010,1)"
+    fib = Morphic({"a": "ab", "b": "a"}, "a")
+    for u, serialised in (
+        ("b", "(001-001-011,1)"),
+        ("aa", "(111-001-111,1)"),
+        ("aba", "(100-011-010,0)"),
+        ("bab", "(102-011-010,1)"),
+        ("baab", "(221-001-111,0)"),
+        ("abaab", "(200-101-000,0)"),
+    ):
+        assert phi(fib, u, 64).serialise() == serialised, u
+
+
+def test_factor_colours_and_occurrences_are_immutable_hashable_values():
+    x = Morphic({"a": "ab", "b": "a"}, "a")
+    colour = phi(x, "aba", 64)
+    occ = first_occurrence(x, "aba", 64)
+    for record, fields in ((colour, ("theta", "tag")), (occ, ("start", "end"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    assert colour == FactorColour(colour_pair(1, 4), 0)
+    assert colour != FactorColour(colour_pair(1, 4), 1)
+    assert colour != FactorColour(colour_pair(1, 5), 0)
+    assert occ == Occurrence(1, 4) and occ != Occurrence(1, 5)
+    assert occ != Occurrence(2, 4)
+    assert len({colour, FactorColour(colour_pair(1, 4), 0)}) == 1
+    assert len({occ, Occurrence(1, 4), Occurrence(4, 7)}) == 2
 
 
 def test_absent_and_undecided_factors():

@@ -14,6 +14,7 @@ from supermono.pair_colouring import (
     STAGE1,
     STAGE2,
     STAGES,
+    PairColour,
     colour_pair,
 )
 
@@ -39,6 +40,50 @@ def test_stage_keys_drop_absent_components():
     assert colour_pair(1, 201, STAGE1).key() == "100-001"
     assert colour_pair(1, 201, STAGE2).key() == "100-001-10"
     assert colour_pair(1, 201, FULL).key() == "100-001-101"
+
+
+def _joined_key(colour) -> str:
+    """Referee for key(): the generic join of the present components."""
+    head = f"{colour.c0}{colour.c1}{colour.c2}-{colour.c3}"
+    tail = "".join(
+        str(c) for c in (colour.c4, colour.c5, colour.c6) if c is not None
+    )
+    return f"{head}-{tail}" if tail else head
+
+
+def test_key_matches_the_joined_components_on_every_small_pair():
+    ordinals = {}
+    for b in range(2, 128):
+        for a in range(1, b):
+            for stage in STAGES:
+                colour = colour_pair(a, b, stage)
+                assert colour.key() == _joined_key(colour), (a, b, stage)
+            ordinal = colour.ordinal()
+            assert 0 <= ordinal <= 863
+            assert ordinals.setdefault(ordinal, colour.key()) == colour.key()
+    assert len(set(ordinals.values())) == len(ordinals)
+
+
+_FIELDS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "stage")
+
+
+def test_colours_are_immutable_hashable_values():
+    colour = colour_pair(1, 201)
+    for name in _FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(colour, name, getattr(colour, name))
+    assert colour == PairColour(1, 0, 0, "001", 1, 0, 1, FULL)
+    assert hash(colour) == hash(PairColour(1, 0, 0, "001", 1, 0, 1, FULL))
+    assert colour_pair(1, 201, STAGE2) != colour_pair(1, 201, FULL)
+    colours = [colour_pair(a, b, stage)
+               for b in range(2, 24) for a in range(1, b) for stage in STAGES]
+    for p in colours[::7]:
+        for q in colours:
+            same = [getattr(p, f) for f in _FIELDS] == [getattr(q, f) for f in _FIELDS]
+            assert (p == q) == same
+            if same:
+                assert hash(p) == hash(q)
+    assert len(set(colours)) == len({c.key() + c.stage for c in colours})
 
 
 def test_ordinal_requires_full_stage():
