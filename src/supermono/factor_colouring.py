@@ -15,6 +15,7 @@ from .pair_colouring import PairColour, colour_pair
 from .words import (
     NOT_A_FACTOR,
     UNRESOLVED,
+    PrefixOccurrences,
     WordSource,
     first_occurrence,
     has_aligned_split,
@@ -59,7 +60,8 @@ def phi(x: WordSource, u: str, scan_bound: int):
     inside it, so the tag is always decided. Whether u[:c] first occurs at
     A only turns true as the cut c grows, and whether u[c:] first ends at B
     only turns false, so has_aligned_split decides the tag by bisection on
-    the cut; oracles.split_tag_oracle tries every cut.
+    the cut; oracles.split_tag_oracle tries every cut. prefix_colourer
+    gives the same colours to the prefixes of one word from one table.
     """
     occ = first_occurrence(x, u, scan_bound)
     if occ is NOT_A_FACTOR:
@@ -68,6 +70,30 @@ def phi(x: WordSource, u: str, scan_bound: int):
         return UNKNOWN
     tag = 0 if has_aligned_split(x, u, occ) else 1
     return FactorColour(colour_pair(occ.start, occ.end), tag)
+
+
+def prefix_colourer(x: WordSource, y: str, scan_bound: int):
+    """Colour the prefixes of y relative to x: a callable n ->
+    phi(x, y[:n], scan_bound) for 1 <= n <= len(y), read in any order,
+    and UNKNOWN, unscanned, for n past scan_bound.
+
+    One PrefixOccurrences table gives every prefix found within the scan
+    its first occurrence and its least aligned cut, so its tag takes one
+    bounded search. A prefix not found within the scan goes to phi, whose
+    first_occurrence tells NOT_FACTOR from UNKNOWN by its length.
+    """
+    table = PrefixOccurrences(x, y, scan_bound)
+
+    def colour(n: int):
+        if n > scan_bound:
+            return UNKNOWN
+        start = table.start(n)
+        if start is None:
+            return phi(x, y[:n], scan_bound)
+        tag = 0 if table.has_aligned_split(n) else 1
+        return FactorColour(colour_pair(start, start + n), tag)
+
+    return colour
 
 
 def altsum_identity_check(ms, ks) -> tuple[int, int]:

@@ -9,7 +9,11 @@ the search state; constraints_for builds each family from scratch for
 verify_altsum_witness. The alternating-sum, super-monochromatic and
 Hindman searches hand the engine the candidates their first obligation
 rejects in blocks, found by one lazy colour chain, _colour_chain, once the
-path colour is fixed. Reports are deterministic
+path colour is fixed. Under theta, the words the super-monochromatic and
+Hindman chains read are prefixes of one word (a suffix, or u^ω), and the
+word colouring's prefixes entry colours them from one first-occurrence
+table per word; every other word goes through phi, and one memo per run
+serves both. Reports are deterministic
 functions of the search parameters alone, and every search runs in the
 calling thread. altsum_search and supermono_search still accept a jobs
 argument and ignore it, because the benchmark workloads pass it.
@@ -32,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import bits
-from .factor_colouring import UNKNOWN, phi
+from .factor_colouring import UNKNOWN, phi, prefix_colourer
 from .pair_colouring import STAGES, colour_pair
 from .words import MAX_LETTERS, Factorisation, WordSource, check_factorisation
 
@@ -227,25 +231,63 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     to x and may return the UNKNOWN sentinel within scan_bound; the other
     families are total. Values are hashable and JSON-friendly. A colouring
     that does not colour words raises ArgumentError.
+
+    The callable's prefixes(y) gives n -> the colour of y[:n], for
+    1 <= n <= len(y). Under theta it colours every prefix from one
+    factor_colouring.prefix_colourer table for y, and the callable itself
+    colours each word through phi; one memo, kept for the callable's
+    lifetime, serves both, so a word is coloured once whichever path meets
+    it first. Words past scan_bound are UNKNOWN unscanned, and never
+    cached.
     """
     _check_role(col, "word")
     if col.family == "const":
-        return lambda u: 0
+        return _with_prefixes(lambda u: 0)
     if col.family == "lenmod":
         k = col.args[0]
-        return lambda u: len(u) % k
+        return _with_prefixes(lambda u: len(u) % k)
     if x is None:
         raise ArgumentError("theta word colouring needs a reference word")
     if col.args[0] != "full":
         raise ArgumentError("word-side theta colouring uses the full stage")
+    memo: dict = {}
 
-    @functools.cache
-    def colour_within_scan(u: str):
-        result = phi(x, u, scan_bound)
-        return result if result is UNKNOWN else result.serialise()
+    def colour_of(u: str):
+        if len(u) > scan_bound:
+            return UNKNOWN
+        colour = memo.get(u)
+        if colour is None:
+            colour = memo[u] = _value(phi(x, u, scan_bound))
+        return colour
 
-    # Words past the scan horizon are UNKNOWN unscanned, and never cached.
-    return lambda u: UNKNOWN if len(u) > scan_bound else colour_within_scan(u)
+    def prefixes(y: str):
+        colour_at = prefix_colourer(x, y, scan_bound)
+
+        def colour_prefix(n: int):
+            if n > scan_bound:
+                return UNKNOWN
+            u = y[:n]
+            colour = memo.get(u)
+            if colour is None:
+                colour = memo[u] = _value(colour_at(n))
+            return colour
+
+        return colour_prefix
+
+    return _with_prefixes(colour_of, prefixes)
+
+
+def _value(colour):
+    """A word colour as a search compares it: UNKNOWN or the serialised
+    colour."""
+    return colour if colour is UNKNOWN else colour.serialise()
+
+
+def _with_prefixes(colour_of, prefixes=None):
+    """colour_of with its prefixes entry point attached; by default a
+    prefix is coloured as a word."""
+    colour_of.prefixes = prefixes or (lambda y: lambda n: colour_of(y[:n]))
+    return colour_of
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +658,11 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     ending at u's end, so each suffix start's _colour_chain of prefix
     colours yields only the second factors that pass it and rejects the
     others in blocks. Both modes count and colour exactly what checking
-    one candidate at a time would.
+    one candidate at a time would. Under theta the chain reads its prefixes
+    through the colouring's prefixes entry, from one first-occurrence table
+    for the suffix's text; the other words, a second factor alone or a
+    subset word that skips a factor, go through phi unless the run's memo
+    already holds them.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -636,8 +682,10 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     # candidate u's obligations, every subset word + u and then u itself,
     # are built one at a time and only until one breaks the path colour.
     def root(start: int):
+        colour_prefix = colour_of.prefixes(
+            text[start - 1:start - 1 + len_bound])
         return (start, start, [], [""], _colour_chain(
-            lambda end: colour_of(text[start - 1:end]), start + 1))
+            lambda end: colour_prefix(end - start + 1), start + 1))
 
     def expand(state, colour):
         start, pos, factors, subsets, chain = state
@@ -699,6 +747,9 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     obligation is u^(a_1 + v): a_1's _colour_chain of powers yields only
     the candidates that pass it and rejects the others in blocks, as in
     supermono_search. colour_power memoises the run's colours of u^s.
+    Under theta every power within scan_bound letters is a prefix of u^ω
+    and is coloured from one first-occurrence table for it; the longer
+    powers are UNKNOWN unscanned.
     """
     if not u:
         raise ArgumentError("u must be a nonempty word")
@@ -711,7 +762,13 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     _check_params(params, {"scan_bound": scan_bound}, n=2, bound=1,
                   scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
-    colour_power = functools.cache(lambda s: colour_of(u * s))
+    # u^s is the prefix of u^ω of s|u| letters: the powers within the scan
+    # are read from one table of prefixes, the longer ones word by word.
+    powers = u * (scan_bound // len(u))
+    colour_prefix = colour_of.prefixes(powers)
+    colour_power = functools.cache(
+        lambda s: colour_prefix(s * len(u)) if s * len(u) <= len(powers)
+        else colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
     # A state is (values, subset sums of the values, a_1's chain), and the

@@ -8,6 +8,7 @@ kept for the source's lifetime. Words are 1-indexed throughout.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -247,6 +248,11 @@ def has_aligned_split(x: WordSource, u: str, occ: Occurrence) -> bool:
     same argument. So an aligned split exists exactly when the least cut of
     the first kind is also of the second; bisection finds it with
     O(log |u|) searches of the text before occ.
+
+    This is the per-word path, which factor_colouring.phi takes. The
+    prefixes of one word read together, as a search's colour chains read
+    them, use PrefixOccurrences instead: its table of first starts gives
+    the least cut without a search.
     """
     text = x._materialise(occ.end - 1)
     # A k-letter match that ends by index before + k starts before occ.
@@ -259,6 +265,50 @@ def has_aligned_split(x: WordSource, u: str, occ: Occurrence) -> bool:
         else:
             lo = cut + 1
     return lo < len(u) and text.find(u[lo:], 0, before + len(u)) < 0
+
+
+class PrefixOccurrences:
+    """First occurrences in x, within scan_bound letters, of the prefixes
+    y[:n] of one word y, 1 <= n <= len(y), read in any order.
+
+    A longer prefix never first occurs earlier than a shorter one, so the
+    table of 0-based first starts F(0) = 0, F(1), ... is non-decreasing.
+    It is extended on demand: F(c) is F(c - 1) when the letter after that
+    occurrence is y's next letter, and otherwise the first match of y[:c]
+    after it. Once a prefix is not found within the scan, no longer one is.
+    """
+
+    def __init__(self, x: WordSource, y: str, scan_bound: int):
+        self._text = x._materialise(scan_bound)
+        self._limit = min(scan_bound, len(self._text))
+        self._y = y
+        self._starts = [0]
+        self._unfound = len(y) + 1  # the least length not found, once met
+
+    def start(self, n: int) -> int | None:
+        """The 1-based start of y[:n]'s first occurrence, which ends just
+        before start + n, or None when it is not found within the scan."""
+        starts, text, y = self._starts, self._text, self._y
+        while len(starts) <= n < self._unfound:
+            c, at = len(starts), starts[-1]
+            if at + c > self._limit or text[at + c - 1] != y[c - 1]:
+                at = text.find(y[:c], at + 1, self._limit)
+                if at < 0:
+                    self._unfound = c
+                    break
+            starts.append(at)
+        if n >= self._unfound:
+            return None
+        return starts[n] + 1
+
+    def has_aligned_split(self, n: int) -> bool:
+        """has_aligned_split for y[:n], once start(n) has found it: the
+        least cut c whose F(c) is F(n) comes from the table, and one search
+        of the text before the occurrence decides whether y[c:n] first ends
+        with it."""
+        at = self._starts[n]
+        cut = bisect.bisect_left(self._starts, at, 1, n)
+        return cut < n and self._text.find(self._y[cut:n], 0, at - 1 + n) < 0
 
 
 @dataclass(frozen=True)

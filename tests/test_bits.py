@@ -84,10 +84,11 @@ _NAMED_NATURAL_CALLS = [
 @pytest.mark.parametrize("fn, args, names", _NAMED_NATURAL_CALLS,
                          ids=[fn.__name__ for fn, _, _ in _NAMED_NATURAL_CALLS])
 def test_natural_errors_name_the_argument(fn, args, names):
-    """A 0 in each argument gives the message that names that argument,
-    word for word, e.g. jumps(5, 0) -> 'b must be a natural >= 1, got 0'."""
+    """A 0 or a negative value in each argument gives the message that
+    names that argument, word for word, e.g. jumps(5, 0) -> 'b must be a
+    natural >= 1, got 0'."""
     for i, name in enumerate(names):
-        for value in (0, -3):
+        for value in (0, -1, -3):
             bad = args[:i] + (value,) + args[i + 1:]
             with pytest.raises(ValueError) as info:
                 fn(*bad)

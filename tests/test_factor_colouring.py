@@ -5,6 +5,9 @@ colouring."""
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from supermono.factor_colouring import (
     FactorColour,
     altsum_identity_check,
     phi,
+    prefix_colourer,
 )
 from supermono.oracles import split_tag_oracle
 from supermono.pair_colouring import colour_pair
@@ -139,6 +143,52 @@ def test_split_tag_matches_the_referee_on_any_word_and_scan(spec, u, slack):
     colour = phi(x, u, scan)
     tag = colour.tag if isinstance(colour, FactorColour) else colour
     assert tag == split_tag_oracle(x, u, scan)
+
+
+# In evper:aab|c, "a" first occurs before "ab", whose "b" first occurs at
+# its end: the cut of "ab" at 1 aligns only its right half, so its tag is 1.
+_PREFIX_SPECS = ["periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
+                  "morphic:a->ab,b->ba|a", "morphic:a->abc,b->ac,c->b|a",
+                  "prefix:abaababaabaab", "evper:aab|c"]
+
+
+def _outcome_kind(colour, n: int, scan: int) -> str:
+    if colour is NOT_FACTOR:
+        return "not a factor"
+    if colour is UNKNOWN:
+        return "past the scan" if n > scan else "unresolved"
+    return f"tag {colour.tag}"
+
+
+@pytest.mark.parametrize("spec", _PREFIX_SPECS)
+def test_prefix_colourer_matches_phi_in_and_out_of_order(spec):
+    """Every prefix of up to 40 letters of each suffix starting at 1..12
+    and of a^ω, (ab)^ω and (aab)^ω gets phi's colour, read in order of
+    length or shuffled, at scan bounds that leave prefixes unresolved (3,
+    7), certify non-factors (64) and leave the prefixes past them UNKNOWN.
+    On prefixes of up to 12 letters the tags are the every-cut referee's."""
+    x = parse_word_spec(spec)
+    words = [x.prefix(start + 39)[start - 1:] for start in range(1, 13)]
+    words += [(u * 40)[:40] for u in ("a", "ab", "aab")]
+    shuffled = list(range(1, 41))
+    random.Random(0).shuffle(shuffled)
+    kinds = set()
+    for y, scan in itertools.product(words, (3, 7, 64)):
+        expected = {n: UNKNOWN if n > scan else phi(x, y[:n], scan)
+                    for n in range(1, len(y) + 1)}
+        for order in (sorted(expected), [n for n in shuffled if n in expected]):
+            colour_at = prefix_colourer(x, y, scan)
+            assert {n: colour_at(n) for n in order} == expected, (y, scan)
+        for n in range(1, min(len(y), scan, 12) + 1):
+            colour = expected[n]
+            tag = colour.tag if isinstance(colour, FactorColour) else colour
+            assert tag == split_tag_oracle(x, y[:n], scan), (y[:n], scan)
+        kinds |= {_outcome_kind(colour, n, scan)
+                  for n, colour in expected.items()}
+    wanted = {"unresolved", "past the scan", "tag 0", "tag 1"}
+    if spec.startswith(("periodic:", "evper:")):
+        wanted.add("not a factor")
+    assert kinds == wanted
 
 
 def test_phi_searches_one_first_occurrence_per_word(monkeypatch):

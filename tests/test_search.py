@@ -634,7 +634,8 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
 
 
 def _record_colourings(monkeypatch) -> list:
-    """Make every word-colouring callable list each word it is asked for."""
+    """Make every word-colouring callable list each word it is asked for,
+    as a word or as a prefix y[:n] through its prefixes entry point."""
     coloured = []
     build = search.word_colour_fn
 
@@ -644,6 +645,16 @@ def _record_colourings(monkeypatch) -> list:
         def colour(u):
             coloured.append(u)
             return colour_of(u)
+
+        def prefixes(y):
+            colour_prefix = colour_of.prefixes(y)
+
+            def colour_at(n):
+                coloured.append(y[:n])
+                return colour_prefix(n)
+            return colour_at
+
+        colour.prefixes = prefixes
         return colour
 
     monkeypatch.setattr(search, "word_colour_fn", recording)
@@ -844,16 +855,20 @@ def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
 
 
 def test_words_past_the_scan_bound_are_not_cached():
+    """Neither a word nor a chain's prefix past the scan bound is kept."""
     colour_of = search.word_colour_fn(_THETA, _AB, 64)
+    colour_prefix = colour_of.prefixes("ba" * 2033)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for length in range(66, 4066, 2):
             assert colour_of("ab" * (length // 2)) is UNKNOWN
+            assert colour_prefix(length + 1) is UNKNOWN
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # 2,000 words of 66 to 4,064 letters hold 4.28 MB when the cache keeps them.
+    # 2,000 words of 66 to 4,064 letters hold 4.28 MB when the memo keeps
+    # them, and as many prefixes one letter longer as much again.
     assert retained < 100_000
 
 
@@ -1107,3 +1122,15 @@ def test_search_outcomes_are_pinned(run, expected):
     rep = run()
     assert (rep.witnesses, rep.exhausted, rep.nodes_explored,
             rep.max_depth_reached, rep.counts) == expected
+
+
+def test_benchmark_sized_supermono_outcome_is_the_referee_outcome():
+    """The benchmark's fib_supermono pass, whose gate pins neither the
+    colour evaluations nor the unknown aborts: every count is what checking
+    one candidate at a time gives, the 84 unknown aborts included, which
+    phi gives on words that no prefix table colours."""
+    args = (_word(_FIB), _col("theta"), 24, 4, 100, 4096, "all")
+    expected = ([], True, 121_327, 2,
+                {"colour_evaluations": 122_084, "unknown_aborts": 84})
+    assert _supermono_referee(*args) == expected
+    assert _outcome(supermono_search(*args)) == expected
