@@ -85,12 +85,18 @@ def jumps(a: int, b: int) -> int:
         raise _not_natural(a, "a")
     if b < 1:
         raise _not_natural(b, "b")
-    union = a | b
-    # Each '2' position adds 1 one place up; the carry runs through the gaps
-    # there and lands on the next joint-support position, which counts when
-    # it is a '1'.
-    gaps = ~union & ((1 << (union.bit_length() + 1)) - 1)
-    return ((gaps + ((a & b) << 1)) & (a ^ b)).bit_count()
+    # ~x holds a 1 at every agreeing position, so a '2' carries up through
+    # the agreeing run it sits in and lands on the '1' just above, if any.
+    return (((a & b) + ~(x := a ^ b)) & x).bit_count()
+
+
+def top_run_shared(a: int, b: int) -> bool:
+    """Whether a and b share a 1 above every position where they differ."""
+    if a < 1:
+        raise _not_natural(a, "a")
+    if b < 1:
+        raise _not_natural(b, "b")
+    return (a & b).bit_length() > (a ^ b).bit_length()
 
 
 def intervals(c: int) -> int:

@@ -1,6 +1,7 @@
 """The seven-component pair colouring: three digit-position residues, the
 leading three-digit window, and three parity bits (jumps, intervals, common
-fragments), assembled per stage for ablation experiments.
+fragments), assembled per stage for ablation experiments. One jump count
+gives c4 and c6 = c4 + t (mod 2), t the top-run bit (see PairColour).
 
 A colour is a tuple record (a NamedTuple): immutable, hashable, and equal
 to another colour exactly when all eight fields, the stage included, are
@@ -27,7 +28,9 @@ class PairColour(NamedTuple):
     c0, c1: last and first digit position of b - a, mod 3. c2: last digit
     position of a, mod 3 (the smaller element, not the difference). c3:
     leading three-digit window of b - a. c4: jump-count parity. c5: interval
-    parity of b - a. c6: common-fragment parity.
+    parity of b - a. c6: common-fragment parity. Every maximal agreement run
+    of a and b holding a shared 1 but the topmost meets a 2-to-1 jump just
+    above, so the count is the jumps plus t = bits.top_run_shared(a, b).
     """
 
     c0: int
@@ -77,8 +80,9 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
     c2 = bits.last_digit(a) % 3
     # the digit at first is 1, so the window (d >> first) & 7 is odd
     c3 = WINDOWS[(d >> first & 7) >> 1]
-    c4 = bits.jumps(a, b) % 2 if stage != STAGE1 else None
-    c5 = bits.intervals(d) % 2 if stage != STAGE1 else None
-    c6 = bits.common_fragment_count(a, b) % 2 if stage == FULL else None
-    return PairColour(c0, c1, c2, c3, c4, c5, c6, stage)
-
+    if stage == STAGE1:
+        return PairColour(c0, c1, c2, c3, None, None, None, stage)
+    jumps = bits.jumps(a, b)
+    c6 = (jumps + bits.top_run_shared(a, b)) & 1 if stage == FULL else None
+    return PairColour(c0, c1, c2, c3, jumps & 1, bits.intervals(d) & 1, c6,
+                      stage)

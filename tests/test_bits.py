@@ -4,6 +4,8 @@ string scanners."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ _NATURAL_CALLS = [
     (bits.first_three_digits, (200,)),
     (bits.label_positions, (5, 6)),
     (bits.jumps, (5, 6)),
+    (bits.top_run_shared, (5, 6)),
     (bits.carry_region, (5, 6)),
     (bits.fragments, (0b101, 0b1010, "right")),
     (bits.fragments, (0b101, 0b1010, "left")),
@@ -75,6 +78,7 @@ _NAMED_NATURAL_CALLS = [
     (bits.intervals, (200,), ("c",)),
     (bits.label_positions, (5, 6), ("a", "b")),
     (bits.jumps, (5, 6), ("a", "b")),
+    (bits.top_run_shared, (5, 6), ("a", "b")),
     (bits.carry_region, (5, 6), ("m", "n")),
     (bits.common_fragments, (5, 7), ("a", "b")),
     (bits.common_fragment_count, (5, 7), ("a", "b")),
@@ -149,6 +153,70 @@ def test_pinned_jumps_on_equal_power_and_wide_pairs(a, b, expected):
     assert bits.jumps(a, b) == expected
     assert bits.jumps(b, a) == expected
     assert oracles.jumps_oracle(a, b) == expected
+
+
+_RNG_200 = random.Random(200)
+_BITS_200 = [_RNG_200.getrandbits(200) | 1 << 199 for _ in range(4)]
+
+
+@pytest.mark.parametrize("a, b", [
+    (0b1010 << 150, 0b0101 << 150),
+    ((1 << 150) - 1, 1 << 149),
+    ((1 << 200) - 1, (1 << 200) - 1 ^ (1 << 100) ^ 1),
+    ((1 << 100) - 1 << 50, (1 << 201) - 1),
+    (_WIDE, _WIDE),
+    (1 << 199, 1 << 199),
+    (1 << 199, 1),
+    (1 << 199, (1 << 200) - 1),
+    *zip(_BITS_200, _BITS_200[1:]),
+    (_BITS_200[0], _BITS_200[0] & _BITS_200[1]),
+    (_BITS_200[2] & ~_BITS_200[3], _BITS_200[3]),
+], ids=["disjoint", "disjoint-runs", "nested-holes", "nested-run", "equal",
+        "equal-single-bit", "single-bits", "single-bit-in-run",
+        "200-bit-0", "200-bit-1", "200-bit-2", "200-bit-nested",
+        "200-bit-disjoint"])
+def test_jumps_match_scanner_on_wide_pairs(a, b):
+    assert bits.jumps(a, b) == oracles.jumps_oracle(a, b)
+    assert bits.jumps(b, a) == oracles.jumps_oracle(a, b)
+
+
+def _top_run_shared_by_digits(a: int, b: int) -> bool:
+    """Referee: scan the digits above the highest difference of a and b for
+    a 1 of both."""
+    width = max(a.bit_length(), b.bit_length())
+    diffs = [p for p in range(width) if (a >> p) & 1 != (b >> p) & 1]
+    start = diffs[-1] + 1 if diffs else 0
+    return any((a >> p) & (b >> p) & 1 for p in range(start, width))
+
+
+def _assert_fragment_count_is_jumps_plus_top_run(a, b):
+    """The unwindowed count, the count over the explicit window [0, top]
+    and the fragment list all equal jumps plus the top-run bit, and the
+    bit is the per-digit one."""
+    top_run = bits.top_run_shared(a, b)
+    assert top_run == _top_run_shared_by_digits(a, b), (a, b)
+    expected = bits.jumps(a, b) + top_run
+    top = max(a.bit_length(), b.bit_length()) - 1
+    assert bits.common_fragment_count(a, b) == expected, (a, b)
+    assert bits.common_fragment_count(a, b, 0, top) == expected, (a, b)
+    assert len(bits.common_fragments(a, b)) == expected, (a, b)
+
+
+def test_common_fragment_count_is_jumps_plus_top_run_below_2_9():
+    for a in range(1, 1 << 9):
+        for b in range(1, 1 << 9):
+            _assert_fragment_count_is_jumps_plus_top_run(a, b)
+
+
+@given(a=st.integers(min_value=1, max_value=1 << 256),
+       b=st.integers(min_value=1, max_value=1 << 256))
+@example(a=(1 << 256) - 1, b=(1 << 256) - 1)
+@example(a=1 << 256, b=1)
+@settings(max_examples=300)
+def test_common_fragment_count_is_jumps_plus_top_run(a, b):
+    _assert_fragment_count_is_jumps_plus_top_run(a, b)
+    _assert_fragment_count_is_jumps_plus_top_run(b, a)
+    _assert_fragment_count_is_jumps_plus_top_run(a, a)
 
 
 def test_jumps_need_naturals():

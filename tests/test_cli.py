@@ -4,6 +4,10 @@ usage errors."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -260,3 +264,14 @@ def test_version_flag():
     result = _invoke("--version")
     assert result.exit_code == 0
     assert result.output == f"supermono, version {__version__}\n"
+
+
+def test_python_m_supermono_runs_the_cli_from_a_plain_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "supermono", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"supermono, version {__version__}\n"

@@ -224,6 +224,30 @@ def test_common_fragment_count_needs_naturals():
             common_fragment_count(a, b)
 
 
+def _scanner_colour(a, b, stage):
+    """Referee for colour_pair: the digit components read off the binary
+    string of b - a, and each parity from its string scanner."""
+    digits = bin(b - a)[2:]
+    last, first = len(digits) - 1, len(digits) - 1 - digits.rindex("1")
+    parities = (oracles.jumps_oracle(a, b) % 2,
+                oracles.intervals_oracle(b - a) % 2,
+                oracles.common_fragment_count_oracle(a, b) % 2)
+    kept = {STAGE1: 0, STAGE2: 2, FULL: 3}[stage]
+    parities = parities[:kept] + (None,) * (3 - kept)
+    return PairColour(last % 3, first % 3, (a.bit_length() - 1) % 3,
+                      digits[max(0, len(digits) - first - 3):
+                             len(digits) - first].zfill(3),
+                      *parities, stage)
+
+
+def test_colour_matches_the_scanner_colour_on_every_pair_below_2_8():
+    for b in range(2, 1 << 8):
+        for a in range(1, b):
+            for stage in STAGES:
+                assert colour_pair(a, b, stage) == _scanner_colour(a, b, stage), \
+                    (a, b, stage)
+
+
 def _assert_difference_components(a, b):
     """c0, c1 and c3 read b - a through digit_bounds and one window shift;
     the referees are the per-digit definitions."""
