@@ -57,9 +57,10 @@ def digit_string(n: int, lo: int, hi: int) -> str:
     below position 0 read 0."""
     if lo > hi:
         return ""
-    width = hi - lo + 1
+    top = 1 << (hi - lo + 1)
     window = n >> lo if lo >= 0 else n << -lo
-    return format(window & ((1 << width) - 1), f"0{width}b")
+    # the 1 at `top` keeps the window's leading 0s; [3:] drops '0b1'
+    return bin(window & (top - 1) | top)[3:]
 
 
 def first_three_digits(n: int) -> str:
@@ -183,6 +184,10 @@ def fragments(lower: int, upper: int, side: str) -> list[Fragment]:
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if lower < 1:
+        raise _not_natural(lower, "lower")
+    if upper < 1:
+        raise _not_natural(upper, "upper")
     f_lo, l_lo = digit_bounds(lower)
     f_up, l_up = digit_bounds(upper)
     if not f_lo < f_up:
@@ -233,9 +238,15 @@ def centre(r: int, p: int, s: int) -> tuple[str, tuple[int, int]]:
     The standing hypotheses are enforced: f_p < f_r < f_s, l_p < l_r < l_s,
     l_p >= f_r, l_r >= f_s, l_p + 1 < f_s.
     """
-    f_p, l_p = digit_bounds(p)
-    f_r, l_r = digit_bounds(r)
-    f_s, l_s = digit_bounds(s)
+    if r < 1:
+        raise _not_natural(r, "r")
+    if p < 1:
+        raise _not_natural(p, "p")
+    if s < 1:
+        raise _not_natural(s, "s")
+    f_p, l_p = (p & -p).bit_length() - 1, p.bit_length() - 1
+    f_r, l_r = (r & -r).bit_length() - 1, r.bit_length() - 1
+    f_s, l_s = (s & -s).bit_length() - 1, s.bit_length() - 1
     if not f_p < f_r:
         raise ValueError(f"centre hypothesis f_p < f_r fails: {f_p} >= {f_r}")
     if not f_r < f_s:

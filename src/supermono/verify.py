@@ -300,7 +300,15 @@ def verify_claim4(position_count: int = 16) -> Iterator[int]:
     """For every 4-tuple of pairwise right-to-left disjoint staircase
     numbers with supports inside 0..position_count-1, reinstating the
     second term removes exactly one high-to-low jump:
-    J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum."""
+    J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum.
+
+    The present sum y1+y2+y3 depends on c3 alone, so each subset reads
+    its k - 3 present counts once, before its triple loop. That is exact:
+    in lexicographic order the first triple with a given c3 is
+    (1, 2, c3), at index c3 - 3, so the first failing c3 fails first
+    there, and the triples before it need only J(y1+y3, Y) checked. The
+    first counterexample and the count through it are the same as
+    checking both sums on every triple."""
     universe = list(range(position_count))
     for k in range(4, position_count + 1):
         triples = list(itertools.combinations(range(1, k), 3))
@@ -311,17 +319,23 @@ def verify_claim4(position_count: int = 16) -> Iterator[int]:
                 value += 1 << p
                 prefix.append(value)
             full = prefix[k]
-            # y1+y2+y3 is prefix[c3] whatever c1 and c2 are, so its jump
-            # count is read once per c3
-            present_ok = {c3: bits.jumps(prefix[c3], full) == 1
-                          for c3 in range(3, k)}
-            for c1, c2, c3 in triples:
-                missing = prefix[c1] + prefix[c3] - prefix[c2]
-                if bits.jumps(missing, full) != 2 or not present_ok[c3]:
-                    yield triples.index((c1, c2, c3)) + 1
-                    parts = (prefix[c1], prefix[c2] - prefix[c1],
-                             prefix[c3] - prefix[c2], full - prefix[c3])
-                    raise _Counterexample("jump delta is not exactly 1", parts)
+            # index of the first failing triple: (1, 2, c3) for the first
+            # c3 whose present sum fails, unless a missing sum fails before
+            bad = len(triples)
+            for c3 in range(3, k):
+                if bits.jumps(prefix[c3], full) != 1:
+                    bad = c3 - 3
+                    break
+            for c1, c2, c3 in triples if bad == len(triples) else triples[:bad]:
+                if bits.jumps(prefix[c1] + prefix[c3] - prefix[c2], full) != 2:
+                    bad = triples.index((c1, c2, c3))
+                    break
+            if bad < len(triples):
+                yield bad + 1
+                c1, c2, c3 = triples[bad]
+                parts = (prefix[c1], prefix[c2] - prefix[c1],
+                         prefix[c3] - prefix[c2], full - prefix[c3])
+                raise _Counterexample("jump delta is not exactly 1", parts)
             yield len(triples)
 
 
@@ -345,6 +359,10 @@ def claim6_tuples(max_pos: int):
     to fill their centre ranges, and force exact complementary fills on
     [f3,l2] and [f4,l3]; every remaining interior digit is free. The test
     suite cross-checks this derivation against a brute-force filter.
+
+    The fills come in itertools.product order, so z5's last region
+    (l4, l5), whose digits touch no other term, varies fastest: the
+    tuples that differ only there come in one run with z1..z4 unchanged.
     """
     # the chain's least gaps 1, 1, 2, 1, 2, 1, 2, 1, 1 leave this slack
     # over ten strictly increasing positions
@@ -364,11 +382,13 @@ def claim6_tuples(max_pos: int):
 
 def claim6_hypotheses_hold(zs) -> bool:
     """The pairwise-disjointness and all-1-centre hypothesis predicate,
-    evaluated through the library centre operation."""
-    for a, b in itertools.combinations(zs, 2):
-        if a & b:
-            return False
+    evaluated through the library centre operation. The supports are
+    pairwise disjoint exactly when no 1 of their union is counted twice."""
     z1, z2, z3, z4, z5 = zs
+    if (z1 | z2 | z3 | z4 | z5).bit_count() != (
+            z1.bit_count() + z2.bit_count() + z3.bit_count() + z4.bit_count()
+            + z5.bit_count()):
+        return False
     centres = ((z2, z1, z3), (z3, z2, z4), (z4, z3, z5),
                (z2 + z3, z1, z4), (z3 + z4, z2, z5))
     for r, p, s in centres:
@@ -385,8 +405,7 @@ def _claim6_bookkeeping(zs) -> bool:
     """Interval counts against the k-expressions from the obstruction
     argument."""
     z1, z2, z3, z4, z5 = zs
-    windows = [bits.digit_bounds(z) for z in zs]
-    (f1, l1), (f2, l2), (f3, l3), (f4, l4), (f5, _) = windows
+    (f1, l1), (f2, l2), (f3, l3), (f4, l4), (f5, _) = map(bits.digit_bounds, zs)
 
     def between(c, lo, hi):
         return bits.intervals(c & _ones(lo, hi))
@@ -419,7 +438,17 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
     """Every enumerated 5-tuple satisfying the disjointness and
     all-1-centre hypotheses is non-monochromatic on the named pair set
     under the two-stage colouring, and its interval counts obey the
-    bookkeeping identities."""
+    bookkeeping identities.
+
+    Every tuple gets its own hypothesis and bookkeeping checks, but the
+    pair set reads z1..z4 only, so it is coloured only when they differ
+    from the last coloured tuple's: 1,296 of 1,544 tuples at position
+    count 16 (944 distinct z1..z4; a group recurs when a digit z4 and z5
+    share goes to z5 or to neither), 42,078 of 53,826 at the default 18.
+    That is exact: the colouring is a function of the pairs, and a
+    repeated set is one just found non-monochromatic, or the suite would
+    have stopped."""
+    coloured = None
     for zs in claim6_tuples(position_count - 1):
         yield 1
         if not claim6_hypotheses_hold(zs):
@@ -427,6 +456,9 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
                                   zs)
         if not _claim6_bookkeeping(zs):
             raise _Counterexample("interval bookkeeping mismatch", zs)
+        if zs[:4] == coloured:
+            continue
+        coloured = zs[:4]
         pairs = claim6_pair_set(zs)
         first = colour_pair(*pairs[0], STAGE2)
         if all(colour_pair(a, b, STAGE2) == first for a, b in pairs[1:]):

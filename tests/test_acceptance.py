@@ -65,6 +65,7 @@ def test_sum_first_digit_climbs_for_shared_window_pairs():
     result = verify.run_suite("claim1", 16384)
     _report("sum first-digit climb", result.ok, started, 60.0,
             f"{result.checked} pairs, {result.detail}")
+    assert result.checked == 11_176_620
 
 
 def test_jump_delta_is_one_for_disjoint_staircase_quadruples():
@@ -72,6 +73,7 @@ def test_jump_delta_is_one_for_disjoint_staircase_quadruples():
     result = verify.run_suite("claim4", 16)
     _report("staircase jump delta", result.ok, started, 120.0,
             f"{result.checked} quadruples, {result.detail}")
+    assert result.checked == 3_080_193
 
 
 def test_obstruction_tuples_are_never_stage2_monochromatic():
@@ -79,6 +81,7 @@ def test_obstruction_tuples_are_never_stage2_monochromatic():
     result = verify.run_suite("claim6", 18)
     _report("obstruction tuple colours", result.ok, started, 300.0,
             f"{result.checked} tuples, {result.detail}")
+    assert result.checked == 53_826
 
 
 def test_index_transform_preserves_constraint_lists():

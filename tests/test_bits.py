@@ -4,6 +4,7 @@ string scanners."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -82,6 +83,8 @@ _NAMED_NATURAL_CALLS = [
     (bits.carry_region, (5, 6), ("m", "n")),
     (bits.common_fragments, (5, 7), ("a", "b")),
     (bits.common_fragment_count, (5, 7), ("a", "b")),
+    (bits.fragments, (0b101, 0b1010, "right"), ("lower", "upper")),
+    (bits.centre, (0b1010, 0b11, 0b11000), ("r", "p", "s")),
 ]
 
 
@@ -110,13 +113,33 @@ def test_digit_string_reads_most_significant_first():
     assert bits.digit_string(6, 0, 2) == "110"
 
 
+def _digits_referee(n: int, lo: int, hi: int) -> str:
+    return "".join(str((n >> p) & 1 if p >= 0 else 0)
+                   for p in range(hi, lo - 1, -1))
+
+
 def test_digit_string_matches_the_per_digit_definition():
     for n in range(600):
         for lo in range(-4, 12):
             for hi in range(-5, 14):
-                want = "".join(str((n >> p) & 1 if p >= 0 else 0)
-                               for p in range(hi, lo - 1, -1))
-                assert bits.digit_string(n, lo, hi) == want, (n, lo, hi)
+                assert bits.digit_string(n, lo, hi) == \
+                    _digits_referee(n, lo, hi), (n, lo, hi)
+    for n, lo, hi in ((1 << 256, 250, 260), ((1 << 256) - 1, -3, 258),
+                      (5 << 200, 199, 203)):
+        assert bits.digit_string(n, lo, hi) == \
+            _digits_referee(n, lo, hi), (n, lo, hi)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_digit_string_matches_the_per_digit_definition_on_wide_naturals(data):
+    """Windows anywhere from below position 0 to past the top digit of an
+    n up to 2^256, so many cross it and read leading 0s."""
+    n = data.draw(st.integers(min_value=0, max_value=1 << 256))
+    top = n.bit_length()
+    lo = data.draw(st.integers(min_value=-4, max_value=top + 4))
+    hi = data.draw(st.integers(min_value=lo - 1, max_value=top + 8))
+    assert bits.digit_string(n, lo, hi) == _digits_referee(n, lo, hi)
 
 
 def test_pinned_jumps_and_labels():
@@ -328,6 +351,94 @@ def test_centre_window_and_digits():
 def test_centre_rejects_broken_staircase():
     with pytest.raises(ValueError):
         bits.centre(0b1001, 0b110010, 0b10100000)
+
+
+def _centre_referee(r: int, p: int, s: int):
+    """centre from the per-digit definitions: (text, window), or the
+    message of the first failing check."""
+    for name, value in (("r", r), ("p", p), ("s", s)):
+        if value < 1:
+            return f"{name} must be a natural >= 1, got {value}"
+
+    def bounds(v):
+        ones = [q for q in range(v.bit_length()) if (v >> q) & 1]
+        return min(ones), max(ones)
+
+    (f_p, l_p), (f_r, l_r), (f_s, l_s) = map(bounds, (p, r, s))
+    checks = [
+        (f_p < f_r, f"f_p < f_r fails: {f_p} >= {f_r}"),
+        (f_r < f_s, f"f_r < f_s fails: {f_r} >= {f_s}"),
+        (l_p < l_r, f"l_p < l_r fails: {l_p} >= {l_r}"),
+        (l_r < l_s, f"l_r < l_s fails: {l_r} >= {l_s}"),
+        (l_p >= f_r, f"l_p >= f_r fails: {l_p} < {f_r}"),
+        (l_r >= f_s, f"l_r >= f_s fails: {l_r} < {f_s}"),
+        (l_p + 1 < f_s, f"l_p + 1 < f_s fails: {l_p + 1} >= {f_s}"),
+    ]
+    for holds, message in checks:
+        if not holds:
+            return f"centre hypothesis {message}"
+    text = "".join(str((r >> q) & 1) for q in range(f_s - 1, l_p, -1))
+    return text, (l_p + 1, f_s - 1)
+
+
+def _centre_or_message(r: int, p: int, s: int):
+    try:
+        return bits.centre(r, p, s)
+    except ValueError as err:
+        return str(err)
+
+
+def test_centre_matches_the_per_digit_referee_below_2_5():
+    """Every triple of values below 2^5, 0 included: the window, its
+    digits, or the first failing check's message."""
+    accepted = 0
+    for r, p, s in itertools.product(range(32), repeat=3):
+        got = _centre_or_message(r, p, s)
+        assert got == _centre_referee(r, p, s), (r, p, s)
+        accepted += isinstance(got, tuple)
+    assert accepted > 0
+
+
+@st.composite
+def _centre_triples(draw):
+    """(r, p, s) meeting every centre hypothesis: the chain
+    f_p < f_r <= l_p < l_p + 2 <= f_s <= l_r < l_s, random interiors."""
+    f_p = draw(st.integers(0, 8))
+    f_r = f_p + draw(st.integers(1, 8))
+    l_p = f_r + draw(st.integers(0, 12))
+    f_s = l_p + draw(st.integers(2, 16))
+    l_r = f_s + draw(st.integers(0, 12))
+    l_s = l_r + draw(st.integers(1, 8))
+
+    def natural(f, l):
+        interior = draw(st.integers(0, (1 << 64) - 1)) << (f + 1)
+        return (1 << f) | (1 << l) | interior & ((1 << l) - 1)
+
+    return natural(f_r, l_r), natural(f_p, l_p), natural(f_s, l_s)
+
+
+_WIDE = st.integers(min_value=-2, max_value=1 << 64)
+
+
+@given(triple=_centre_triples() | st.tuples(_WIDE, _WIDE, _WIDE))
+@settings(max_examples=500)
+def test_centre_matches_the_per_digit_referee_on_wide_naturals(triple):
+    assert _centre_or_message(*triple) == _centre_referee(*triple)
+
+
+@pytest.mark.parametrize("r, p, s, message", [
+    (0b1, 0b11, 0b100, "f_p < f_r fails: 0 >= 0"),
+    (0b110, 0b1, 0b10, "f_r < f_s fails: 1 >= 1"),
+    (0b10, 0b1001, 0b100, "l_p < l_r fails: 3 >= 1"),
+    (0b110, 0b1, 0b100, "l_r < l_s fails: 2 >= 2"),
+    (0b10, 0b1, 0b100, "l_p >= f_r fails: 0 < 1"),
+    (0b110, 0b11, 0b11000, "l_r >= f_s fails: 2 < 3"),
+    (0b110, 0b11, 0b1100, "l_p + 1 < f_s fails: 2 >= 2"),
+])
+def test_centre_hypothesis_messages_are_pinned(r, p, s, message):
+    with pytest.raises(ValueError) as info:
+        bits.centre(r, p, s)
+    assert str(info.value) == f"centre hypothesis {message}"
 
 
 def _position_value(positions) -> int:

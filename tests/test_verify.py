@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from supermono import bits, oracles, verify
+from supermono.pair_colouring import STAGE2
 from supermono.verify import (
     SUITES,
     SuiteResult,
@@ -143,6 +144,132 @@ def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
     assert result.suite == suite
     assert (result.ok, result.checked, result.detail,
             result.counterexample) == outcome
+
+
+def _claim4_referee(position_count):
+    """verify_claim4 one instance at a time: both jump counts of every
+    triple, read through bits.jumps. Returns (ok, checked, detail,
+    counterexample)."""
+    checked = 0
+    for k in range(4, position_count + 1):
+        for subset in itertools.combinations(range(position_count), k):
+            prefix = [0, *itertools.accumulate(1 << p for p in subset)]
+            full = prefix[k]
+            for c1, c2, c3 in itertools.combinations(range(1, k), 3):
+                checked += 1
+                missing = prefix[c1] + prefix[c3] - prefix[c2]
+                if bits.jumps(missing, full) != 2 or \
+                        bits.jumps(prefix[c3], full) != 1:
+                    return (False, checked, "jump delta is not exactly 1",
+                            (prefix[c1], prefix[c2] - prefix[c1],
+                             prefix[c3] - prefix[c2], full - prefix[c3]))
+    return True, checked, "jump count always drops from 2 to 1", None
+
+
+def _pairwise_disjoint_and_all_1_centres(zs):
+    """claim6_hypotheses_hold with disjointness tested pair by pair."""
+    if any(a & b for a, b in itertools.combinations(zs, 2)):
+        return False
+    z1, z2, z3, z4, z5 = zs
+    for r, p, s in ((z2, z1, z3), (z3, z2, z4), (z4, z3, z5),
+                    (z2 + z3, z1, z4), (z3 + z4, z2, z5)):
+        try:
+            text, _ = bits.centre(r, p, s)
+        except ValueError:
+            return False
+        if "0" in text:
+            return False
+    return True
+
+
+def _claim6_referee(position_count):
+    """verify_claim6 one instance at a time: every tuple's hypotheses,
+    bookkeeping and pair set colours, read through verify.colour_pair.
+    Returns (ok, checked, detail, counterexample)."""
+    checked = 0
+    for zs in claim6_tuples(position_count - 1):
+        checked += 1
+        if not _pairwise_disjoint_and_all_1_centres(zs):
+            return (False, checked,
+                    "enumerated tuple fails its own hypotheses", zs)
+        if not verify._claim6_bookkeeping(zs):
+            return False, checked, "interval bookkeeping mismatch", zs
+        colours = {verify.colour_pair(a, b, STAGE2)
+                   for a, b in claim6_pair_set(zs)}
+        if len(colours) == 1:
+            return False, checked, "monochromatic pair set", zs
+    return (True, checked,
+            "no hypothesis-satisfying tuple is two-stage monochromatic", None)
+
+
+def _claim4_fault(positions, missing=(), present=()):
+    """A fault adding one jump, in the subset of these positions, to the
+    missing sum y1+y3 of each triple in `missing` and to the present sum
+    y1+y2+y3 of each c3 in `present`."""
+    def inject(monkeypatch):
+        prefix = [0, *itertools.accumulate(1 << p for p in positions)]
+        full = prefix[-1]
+        wrong = {prefix[c1] + prefix[c3] - prefix[c2]
+                 for c1, c2, c3 in missing}
+        wrong |= {prefix[c3] for c3 in present}
+        _shift(monkeypatch, bits, "jumps",
+               lambda a, b: b == full and a in wrong, 1)
+    return inject
+
+
+def _claim6_fault(index):
+    """A fault making verify.colour_pair constant on the pair set of the
+    index-th tuple at position count 15, and on no other z1..z4 group."""
+    def inject(monkeypatch):
+        pairs = set(claim6_pair_set(list(claim6_tuples(14))[index]))
+        real = verify.colour_pair
+        monkeypatch.setattr(
+            verify, "colour_pair",
+            lambda a, b, stage: 0 if (a, b) in pairs else real(a, b, stage))
+    return inject
+
+
+@pytest.mark.parametrize("suite, bound, fault", [
+    ("claim4", 8, None),
+    ("claim4", 8, _claim4_fault((0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
+                                present=[5])),
+    ("claim4", 8, _claim4_fault((0, 2, 3, 5, 6, 7), missing=[(1, 3, 4)],
+                                present=[4])),
+    ("claim4", 8, _claim4_fault((1, 2, 4, 5, 7), present=[4])),
+    ("claim4", 8, _claim4_fault((0, 1, 3, 4, 6, 7), present=[4, 5])),
+    ("claim4", 8, _claim4_fault((0, 1, 3, 4, 6, 7), present=[5, 3])),
+    ("claim6", 15, None),
+    ("claim6", 15, _claim6_fault(9)),
+    ("claim6", 15, _claim6_fault(100)),
+], ids=["claim4-passes", "claim4-missing-before-bad-c3",
+        "claim4-bad-c3-before-missing", "claim4-bad-c3",
+        "claim4-two-bad-c3", "claim4-two-bad-c3-first-at-index-0",
+        "claim6-passes", "claim6-recurring-group", "claim6-mid-group"])
+def test_claim_suites_match_their_per_instance_referees(
+        monkeypatch, suite, bound, fault):
+    """claim4 reads each subset's present sums once and claim6 colours a
+    pair set once per run of equal z1..z4; each reports what checking
+    every instance in full reports."""
+    if fault is not None:
+        fault(monkeypatch)
+    referee = {"claim4": _claim4_referee, "claim6": _claim6_referee}[suite]
+    want = referee(bound)
+    assert (want[0] is True) == (fault is None)
+    result = getattr(verify, f"verify_{suite}")(bound)
+    assert (result.ok, result.checked, result.detail,
+            result.counterexample) == want
+
+
+def test_hypothesis_predicate_matches_the_pairwise_disjointness_test():
+    """The popcount identity against pair-by-pair disjointness, on tuples
+    made to overlap by one extra digit in one term."""
+    for zs in claim6_tuples(14):
+        assert claim6_hypotheses_hold(zs)
+        for i in range(5):
+            for p in range(16):
+                moved = zs[:i] + (zs[i] | 1 << p,) + zs[i + 1:]
+                assert claim6_hypotheses_hold(moved) == \
+                    _pairwise_disjoint_and_all_1_centres(moved), (moved,)
 
 
 def test_lastdigit_reports_a_constructed_list_that_is_not_type_a(monkeypatch):
