@@ -80,15 +80,21 @@ def label_positions(a: int, b: int) -> list[tuple[int, str]]:
     return [(p, "2" if (both >> p) & 1 else "1") for p in support(a | b)]
 
 
-def jumps(a: int, b: int) -> int:
-    """Number of '2'-to-'1' label transitions over the joint support, ascending."""
+def jump_marks(a: int, b: int) -> int:
+    """Mask of the '1'-labelled positions just above an agreeing run of a
+    and b that holds a '2': one mark per '2'-to-'1' label transition."""
     if a < 1:
         raise _not_natural(a, "a")
     if b < 1:
         raise _not_natural(b, "b")
     # ~x holds a 1 at every agreeing position, so a '2' carries up through
     # the agreeing run it sits in and lands on the '1' just above, if any.
-    return (((a & b) + ~(x := a ^ b)) & x).bit_count()
+    return ((a & b) + ~(x := a ^ b)) & x
+
+
+def jumps(a: int, b: int) -> int:
+    """Number of '2'-to-'1' label transitions over the joint support, ascending."""
+    return jump_marks(a, b).bit_count()
 
 
 def top_run_shared(a: int, b: int) -> bool:

@@ -6,17 +6,20 @@ raises `_Counterexample(detail, counterexample)` at its first failure. A
 body may yield one instance at a time, or a block's count once the whole
 block has passed; at a failure inside a block it first yields the count
 through the failing instance, so `checked` is the same either way. claim1
-is the exception: its block is one group of packed sums, and a failing
-group is not counted. The registered function sums the yields into a
-SuiteResult that carries the first counterexample, or `passed` when the
-body finishes. Suites that construct random instances use a fixed seed, so
-every run checks the same instances.
+and claim4 check each block as packed sums in one int. A failing claim4
+block, one subset's sums, is still counted through its failing triple;
+claim1 is the exception, and its failing group is not counted. The
+registered function sums the yields into a SuiteResult that carries the
+first counterexample, or `passed` when the body finishes. Suites that
+construct random instances use a fixed seed, so every run checks the same
+instances.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -295,6 +298,30 @@ def verify_lastdigit(trials: int = 2000) -> Iterator[int]:
 # Jump elimination
 
 
+def _claim4_layout(k: int, width: int) -> tuple[list[int], list[int], int]:
+    """The packed layout for k-element subsets: one lane of `width` bits
+    per sum, the k - 3 present sums y1+y2+y3 (c3 = 3..k-1) first, then
+    the missing sums y1+y3 in lexicographic triple order.
+
+    Lane j's bit of sums[i] says whether the subset's element i is in
+    lane j's sum, and of marks[i] whether that sum's jump mark is due at
+    element i: at c3 for a present sum, at c1 and c3 for a missing one.
+    Times the subset's powers of 2, they pack every sum and every due
+    mark. ones holds a 1 at the foot of every lane."""
+    lanes = [(range(c3), (c3,)) for c3 in range(3, k)]
+    lanes += [(itertools.chain(range(c1), range(c2, c3)), (c1, c3))
+              for c1, c2, c3 in itertools.combinations(range(1, k), 3)]
+    sums, marks = [0] * k, [0] * k
+    for j, (members, due) in enumerate(lanes):
+        foot = 1 << (j * width)
+        for i in members:
+            sums[i] |= foot
+        for i in due:
+            marks[i] |= foot
+    ones = ((1 << (width * len(lanes))) - 1) // ((1 << width) - 1)
+    return sums, marks, ones
+
+
 @_suite("claim4", "jump count always drops from 2 to 1")
 def verify_claim4(position_count: int = 16) -> Iterator[int]:
     """For every 4-tuple of pairwise right-to-left disjoint staircase
@@ -302,40 +329,36 @@ def verify_claim4(position_count: int = 16) -> Iterator[int]:
     second term removes exactly one high-to-low jump:
     J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum.
 
-    The present sum y1+y2+y3 depends on c3 alone, so each subset reads
-    its k - 3 present counts once, before its triple loop. That is exact:
-    in lexicographic order the first triple with a given c3 is
-    (1, 2, c3), at index c3 - 3, so the first failing c3 fails first
-    there, and the triples before it need only J(y1+y3, Y) checked. The
-    first counterexample and the count through it are the same as
-    checking both sums on every triple."""
-    universe = list(range(position_count))
+    Each subset takes one bits.jump_marks call: every sum in a lane of
+    position_count bits (see _claim4_layout), against Y in every lane.
+    No carry crosses a lane: every sum lacks Y's top element, which is
+    labelled 1 and absorbs the lane's carry, and above it both read 0
+    to the lane's end, which no carry reaches. If the marks are the due
+    ones, every count is right. Otherwise each lane's marks are counted,
+    and the first triple whose y1+y3 count is not 2, or whose c3's
+    y1+y2+y3 count is not 1, is the counterexample, counted through: the
+    same triple and count as checking both sums of every triple."""
+    powers = [1 << p for p in range(position_count)]
+    lane = (1 << position_count) - 1
     for k in range(4, position_count + 1):
         triples = list(itertools.combinations(range(1, k), 3))
-        for subset in itertools.combinations(universe, k):
-            prefix = [0]
-            value = 0
-            for p in subset:
-                value += 1 << p
-                prefix.append(value)
-            full = prefix[k]
-            # index of the first failing triple: (1, 2, c3) for the first
-            # c3 whose present sum fails, unless a missing sum fails before
-            bad = len(triples)
-            for c3 in range(3, k):
-                if bits.jumps(prefix[c3], full) != 1:
-                    bad = c3 - 3
-                    break
-            for c1, c2, c3 in triples if bad == len(triples) else triples[:bad]:
-                if bits.jumps(prefix[c1] + prefix[c3] - prefix[c2], full) != 2:
-                    bad = triples.index((c1, c2, c3))
-                    break
-            if bad < len(triples):
-                yield bad + 1
-                c1, c2, c3 = triples[bad]
-                parts = (prefix[c1], prefix[c2] - prefix[c1],
-                         prefix[c3] - prefix[c2], full - prefix[c3])
-                raise _Counterexample("jump delta is not exactly 1", parts)
+        sums, marks, ones = _claim4_layout(k, position_count)
+        for subset in itertools.combinations(powers, k):
+            full = sum(subset)
+            found = bits.jump_marks(sum(map(operator.mul, sums, subset)),
+                                    full * ones)
+            if found == sum(map(operator.mul, marks, subset)):
+                yield len(triples)
+                continue
+            counts = [(found >> (j * position_count) & lane).bit_count()
+                      for j in range(k - 3 + len(triples))]
+            for bad, (c1, c2, c3) in enumerate(triples):
+                if counts[k - 3 + bad] != 2 or counts[c3 - 3] != 1:
+                    yield bad + 1
+                    y = [0, *itertools.accumulate(subset)]
+                    raise _Counterexample(
+                        "jump delta is not exactly 1",
+                        (y[c1], y[c2] - y[c1], y[c3] - y[c2], full - y[c3]))
             yield len(triples)
 
 

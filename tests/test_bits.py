@@ -36,6 +36,7 @@ _NATURAL_CALLS = [
     (bits.intervals, (200,)),
     (bits.first_three_digits, (200,)),
     (bits.label_positions, (5, 6)),
+    (bits.jump_marks, (5, 6)),
     (bits.jumps, (5, 6)),
     (bits.top_run_shared, (5, 6)),
     (bits.carry_region, (5, 6)),
@@ -78,6 +79,7 @@ _NAMED_NATURAL_CALLS = [
     (bits.support, (200,), ("n",)),
     (bits.intervals, (200,), ("c",)),
     (bits.label_positions, (5, 6), ("a", "b")),
+    (bits.jump_marks, (5, 6), ("a", "b")),
     (bits.jumps, (5, 6), ("a", "b")),
     (bits.top_run_shared, (5, 6), ("a", "b")),
     (bits.carry_region, (5, 6), ("m", "n")),
@@ -85,11 +87,24 @@ _NAMED_NATURAL_CALLS = [
     (bits.common_fragment_count, (5, 7), ("a", "b")),
     (bits.fragments, (0b101, 0b1010, "right"), ("lower", "upper")),
     (bits.centre, (0b1010, 0b11, 0b11000), ("r", "p", "s")),
+    # a bad value beside a valid 5: (0, 5), (5, 0), (-3, 5), (5, -1), ...
+    (bits.jumps, (5, 5), ("a", "b")),
+    (bits.common_fragment_count, (5, 5), ("a", "b")),
 ]
 
 
+def _call_ids(rows):
+    """The function's name, with its valid arguments when it has an
+    earlier row."""
+    seen = set()
+    for fn, args, _ in rows:
+        name = fn.__name__
+        yield name if name not in seen else f"{name}-{'-'.join(map(str, args))}"
+        seen.add(name)
+
+
 @pytest.mark.parametrize("fn, args, names", _NAMED_NATURAL_CALLS,
-                         ids=[fn.__name__ for fn, _, _ in _NAMED_NATURAL_CALLS])
+                         ids=list(_call_ids(_NAMED_NATURAL_CALLS)))
 def test_natural_errors_name_the_argument(fn, args, names):
     """A 0 or a negative value in each argument gives the message that
     names that argument, word for word, e.g. jumps(5, 0) -> 'b must be a
@@ -155,6 +170,27 @@ def test_jumps_match_scanner_on_every_small_pair():
     for a in range(1, 1 << 8):
         for b in range(1, 1 << 8):
             assert bits.jumps(a, b) == oracles.jumps_oracle(a, b), (a, b)
+
+
+def _jump_mark_positions(a: int, b: int) -> set[int]:
+    """Referee: the '1'-labelled support positions whose next-lower
+    support position is labelled '2', read off the digit strings."""
+    width = max(a.bit_length(), b.bit_length())
+    da, db = (bin(n)[2:].zfill(width)[::-1] for n in (a, b))
+    labels = [(p, "2" if da[p] == db[p] == "1" else "1")
+              for p in range(width) if "1" in (da[p], db[p])]
+    return {p for (_, below), (p, label) in zip(labels, labels[1:])
+            if below == "2" and label == "1"}
+
+
+def test_jump_marks_sit_just_above_each_2_on_every_small_pair():
+    for a in range(1, 1 << 8):
+        for b in range(a + 1, 1 << 8):
+            marks = bits.jump_marks(a, b)
+            assert marks >= 0, (a, b)
+            assert {p for p in range(marks.bit_length()) if marks >> p & 1} \
+                == _jump_mark_positions(a, b), (a, b)
+            assert bits.jumps(a, b) == marks.bit_count(), (a, b)
 
 
 _WIDE = (1 << 100) | (1 << 70) | 1
@@ -240,12 +276,6 @@ def test_common_fragment_count_is_jumps_plus_top_run(a, b):
     _assert_fragment_count_is_jumps_plus_top_run(a, b)
     _assert_fragment_count_is_jumps_plus_top_run(b, a)
     _assert_fragment_count_is_jumps_plus_top_run(a, a)
-
-
-def test_jumps_need_naturals():
-    for a, b in ((0, 5), (5, 0), (-3, 5), (5, -1)):
-        with pytest.raises(ValueError, match="must be a natural"):
-            bits.jumps(a, b)
 
 
 def test_pinned_intervals():

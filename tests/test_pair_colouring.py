@@ -218,12 +218,6 @@ def test_pinned_common_fragment_counts_on_equal_power_and_wide_pairs(
     assert len(bits.common_fragments(a, b)) == expected
 
 
-def test_common_fragment_count_needs_naturals():
-    for a, b in ((0, 5), (5, 0), (-3, 5), (5, -1)):
-        with pytest.raises(ValueError, match="must be a natural"):
-            common_fragment_count(a, b)
-
-
 def _scanner_colour(a, b, stage):
     """Referee for colour_pair: the digit components read off the binary
     string of b - a, and each parity from its string scanner."""

@@ -83,6 +83,32 @@ def _shift(monkeypatch, module, name, when, by):
                         lambda *args: real(*args) + (by if when(*args) else 0))
 
 
+def _jump_mark_fault(monkeypatch, width, when, move=False):
+    """Patch bits.jump_marks lane by lane, for lanes of `width` bits as
+    verify_claim4 packs them: in each lane whose (sum, full) has
+    when(sum, full), add a mark at the lane's lowest unmarked position,
+    or with move, take the lowest mark there instead, keeping the count.
+    bits.jumps reads jump_marks, so a one-lane call sees the same fault.
+    Returns the list of faulted lanes, appended to as calls fault them."""
+    real = bits.jump_marks
+    lane = (1 << width) - 1
+    faulted = []
+
+    def jump_marks(a, b):
+        marks = real(a, b)
+        for shift in range(0, max(a, b).bit_length(), width):
+            pair = (a >> shift & lane, b >> shift & lane)
+            found = marks >> shift & lane
+            if when(*pair) and (found or not move):
+                free = ~found & (found + 1)
+                marks ^= (free | (found & -found if move else 0)) << shift
+                faulted.append(pair)
+        return marks
+
+    monkeypatch.setattr(bits, "jump_marks", jump_marks)
+    return faulted
+
+
 # (suite, bound, fault, outcome): fault injects one failure through a
 # public name, or is None; outcome is (ok, checked, detail, counterexample).
 _OUTCOMES = [
@@ -103,11 +129,11 @@ _OUTCOMES = [
     ("stage3", (50,), None,
      (True, 125, "removal always adds f(k)+1+f(k+1) common fragments", None)),
     ("claim4", (10,),
-     lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 13, 1),
+     lambda mp: _jump_mark_fault(mp, 10, lambda a, b: a == 13),
      (False, 29, "jump delta is not exactly 1", (1, 4, 8, 16))),
     # trips the missing pair y1+y3 rather than the present y1+y2+y3
     ("claim4", (10,),
-     lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 9, 1),
+     lambda mp: _jump_mark_fault(mp, 10, lambda a, b: a == 9),
      (False, 8, "jump delta is not exactly 1", (1, 2, 8, 16))),
     ("lastdigit", (200,),
      lambda mp: _shift(mp, bits, "last_digit", lambda n: n == 12, 2),
@@ -148,7 +174,7 @@ def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
 
 def _claim4_referee(position_count):
     """verify_claim4 one instance at a time: both jump counts of every
-    triple, read through bits.jumps. Returns (ok, checked, detail,
+    triple, one bits.jumps call each. Returns (ok, checked, detail,
     counterexample)."""
     checked = 0
     for k in range(4, position_count + 1):
@@ -202,18 +228,20 @@ def _claim6_referee(position_count):
             "no hypothesis-satisfying tuple is two-stage monochromatic", None)
 
 
-def _claim4_fault(positions, missing=(), present=()):
-    """A fault adding one jump, in the subset of these positions, to the
-    missing sum y1+y3 of each triple in `missing` and to the present sum
-    y1+y2+y3 of each c3 in `present`."""
+def _claim4_fault(position_count, positions, missing=(), present=(),
+                  move=False):
+    """A fault adding one jump mark, in the subset of these positions, to
+    the missing sum y1+y3 of each triple in `missing` and to the present
+    sum y1+y2+y3 of each c3 in `present`; with move, moving one of the
+    sum's marks instead, which keeps its jump count."""
     def inject(monkeypatch):
         prefix = [0, *itertools.accumulate(1 << p for p in positions)]
         full = prefix[-1]
         wrong = {prefix[c1] + prefix[c3] - prefix[c2]
                  for c1, c2, c3 in missing}
         wrong |= {prefix[c3] for c3 in present}
-        _shift(monkeypatch, bits, "jumps",
-               lambda a, b: b == full and a in wrong, 1)
+        return _jump_mark_fault(monkeypatch, position_count,
+                                lambda a, b: b == full and a in wrong, move)
     return inject
 
 
@@ -229,35 +257,50 @@ def _claim6_fault(index):
     return inject
 
 
-@pytest.mark.parametrize("suite, bound, fault", [
-    ("claim4", 8, None),
-    ("claim4", 8, _claim4_fault((0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
-                                present=[5])),
-    ("claim4", 8, _claim4_fault((0, 2, 3, 5, 6, 7), missing=[(1, 3, 4)],
-                                present=[4])),
-    ("claim4", 8, _claim4_fault((1, 2, 4, 5, 7), present=[4])),
-    ("claim4", 8, _claim4_fault((0, 1, 3, 4, 6, 7), present=[4, 5])),
-    ("claim4", 8, _claim4_fault((0, 1, 3, 4, 6, 7), present=[5, 3])),
-    ("claim6", 15, None),
-    ("claim6", 15, _claim6_fault(9)),
-    ("claim6", 15, _claim6_fault(100)),
+@pytest.mark.parametrize("suite, bound, fault, passes", [
+    ("claim4", 8, None, True),
+    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
+                                present=[5]), False),
+    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 3, 4)],
+                                present=[4]), False),
+    ("claim4", 8, _claim4_fault(8, (1, 2, 4, 5, 7), present=[4]), False),
+    ("claim4", 8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[4, 5]),
+     False),
+    ("claim4", 8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[5, 3]),
+     False),
+    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
+                                present=[5], move=True), True),
+    # with claim4-passes, every layout from 4 to 10 positions
+    *[("claim4", n, None, True) for n in (4, 5, 6, 7, 9, 10)],
+    ("claim6", 15, None, True),
+    ("claim6", 15, _claim6_fault(9), False),
+    ("claim6", 15, _claim6_fault(100), False),
 ], ids=["claim4-passes", "claim4-missing-before-bad-c3",
         "claim4-bad-c3-before-missing", "claim4-bad-c3",
         "claim4-two-bad-c3", "claim4-two-bad-c3-first-at-index-0",
+        "claim4-moved-mark",
+        *[f"claim4-passes-at-{n}" for n in (4, 5, 6, 7, 9, 10)],
         "claim6-passes", "claim6-recurring-group", "claim6-mid-group"])
 def test_claim_suites_match_their_per_instance_referees(
-        monkeypatch, suite, bound, fault):
-    """claim4 reads each subset's present sums once and claim6 colours a
-    pair set once per run of equal z1..z4; each reports what checking
-    every instance in full reports."""
-    if fault is not None:
-        fault(monkeypatch)
+        monkeypatch, suite, bound, fault, passes):
+    """claim4 checks each subset's sums in one packed call and claim6
+    colours a pair set once per run of equal z1..z4; each reports what
+    checking every instance in full reports. A claim4 fault is one
+    extra or moved jump mark in the lanes of chosen sums; a moved mark
+    changes the packed marks but no count, so the subset still passes.
+    The smallest layouts have subsets whose top element sits at a lane's
+    last bit, where the lane's carry stops."""
+    faulted = fault(monkeypatch) if fault is not None else None
     referee = {"claim4": _claim4_referee, "claim6": _claim6_referee}[suite]
     want = referee(bound)
-    assert (want[0] is True) == (fault is None)
+    assert want[0] is passes
+    if faulted is not None:
+        faulted.clear()
     result = getattr(verify, f"verify_{suite}")(bound)
     assert (result.ok, result.checked, result.detail,
             result.counterexample) == want
+    if faulted is not None:
+        assert faulted, "the fault never reached the suite's packed call"
 
 
 def test_hypothesis_predicate_matches_the_pairwise_disjointness_test():
