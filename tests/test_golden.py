@@ -41,6 +41,16 @@ CASES = {
        for fmt in ("json", "text", "csv")},
 }
 
+HELP = {
+    "help.text": (),
+    "help_inspect.text": ("inspect",),
+    "help_inspect_pair.text": ("inspect-pair",),
+    "help_verify.text": ("verify",),
+    "help_search.text": ("search",),
+    **{f"help_search_{name}.text": ("search", name)
+       for name in ("altsum", "supermono", "hindman", "plus", "q5")},
+}
+
 
 def _stdout(*args) -> tuple[int, str]:
     result = CliRunner().invoke(main, list(args))
@@ -67,6 +77,16 @@ def test_readme_example_is_verbatim(command):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name):
     assert _stdout(*CASES[name]) == (0, (GOLDEN / name).read_text())
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_matches_golden_file(name):
+    # A fixed program name and width keep the text independent of how the
+    # tests are launched and of the terminal's COLUMNS.
+    result = CliRunner().invoke(main, [*HELP[name], "--help"],
+                                prog_name="supermono", terminal_width=80)
+    assert (result.exit_code, result.stdout) == (
+        0, (GOLDEN / name).read_text())
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
