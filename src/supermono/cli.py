@@ -1,13 +1,17 @@
 """Command-line surface: digit diagnostics, verification suites and
-bounded search experiments with reproducible reports.
+bounded search experiments with reproducible reports. The search
+subcommands are built from one table, _SEARCHES, that gives each its search
+function, help text and own options; one body, _run_search, runs them all.
 
 Exit codes: 0 completed or passed, 1 usage or parse error (including every
-argument a search rejects and a suite bound that leaves nothing to check),
-2 verification failure, 3 witnesses found where --expect-none was set.
+argument a search rejects, a suite bound that checks nothing or is above
+its cap, and an --out path that cannot be written), 2 verification
+failure, 3 witnesses found where --expect-none was set.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -33,9 +37,11 @@ def _emit(text: str, out: str | None) -> None:
         base = os.environ.get(OUT_ENV)
         if base:
             path = Path(base) / path
-    if path.parent != Path("."):
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+        path.write_text(text)
+    except OSError as err:
+        raise click.FileError(str(path), hint=str(err))
     click.echo(f"wrote {path}")
 
 
@@ -45,31 +51,14 @@ def _emit_record(fmt: str, data: dict, rows, out: str | None) -> None:
           else report.aligned(rows), out)
 
 
-def _checked(call, *args, **kwargs):
-    """Return call(*args, **kwargs), turning an argument the library
-    rejects into a usage error (exit 1).
-
-    The spec parsers run no engine, so every ValueError they raise is
-    rejected input. A search raises search.ArgumentError for each argument
-    it rejects; any other ValueError from a running search is an internal
-    fault and stays a traceback.
-    """
-    rejected = (ValueError
-                if call in (search.parse_colouring, words.parse_word_spec)
-                else search.ArgumentError)
-    try:
-        return call(*args, **kwargs)
-    except rejected as err:
-        raise click.UsageError(str(err))
-
-
 _PLAIN_FORMAT = click.option(
     "--format", "fmt", type=click.Choice(("text", "json")), default="text",
     show_default=True, help="Output format.")
-_OUT = click.option(
-    "--out", default=None, metavar="PATH",
+_OUT_ATTRS = dict(
+    default=None, metavar="PATH",
     help="Write to PATH instead of stdout; relative PATH resolves under "
          f"${OUT_ENV} when set.")
+_OUT = click.option("--out", **_OUT_ATTRS)
 
 
 @click.group()
@@ -164,7 +153,10 @@ def verify_cmd(suite: str, bound: int | None, fmt: str,
     bound was too small for the suite to take on any."""
     if bound is not None and bound < 1:
         raise click.UsageError(f"bound must be positive, got {bound}")
-    result = verify.run_suite(suite, bound)
+    try:
+        result = verify.run_suite(suite, bound)
+    except verify.BoundError as err:
+        raise click.UsageError(str(err))
     if result.ok and result.checked == 0:
         raise click.UsageError(
             f"suite {suite} checks no instance at bound {bound}")
@@ -195,128 +187,120 @@ def search_group() -> None:
     """Bounded searches for monochromatic configurations."""
 
 
-def _search_options(fn):
-    fn = click.option("--mode", type=click.Choice(("first", "all")),
-                      default="first", show_default=True,
-                      help="Stop at the first witness or enumerate all.")(fn)
-    fn = click.option("--format", "fmt",
-                      type=click.Choice(report.FORMATS), default="text",
-                      show_default=True, help="Report format.")(fn)
-    fn = _OUT(fn)
-    fn = click.option("--expect-none", is_flag=True,
-                      help="Exit 3 when any witness is found.")(fn)
-    return fn
+# One entry per search command: the search it runs, its help text and its
+# own options. Each option's parameter name is the search's own argument
+# name, so the parsed options are the call's keyword arguments.
+_SEARCHES = {
+    "altsum": (search.altsum_search,
+               "Sequences whose alternating-sum constraint pairs are one "
+               "colour.", [
+        click.Option(["--colouring"], default="theta", show_default=True),
+        click.Option(["--B", "bound"], type=int, default=16,
+                     show_default=True, help="Largest sequence value."),
+        click.Option(["--L", "max_len"], type=int, default=4,
+                     show_default=True, help="Witness length."),
+        click.Option(["--form"], type=click.Choice(search.FORMS),
+                     default=search.X_ALTERNATING, show_default=True),
+        click.Option(["--allow-k1-equal-1"], is_flag=True,
+                     help="Let index families start at the first element."),
+    ]),
+    "supermono": (search.supermono_search,
+                  "Consecutive factors of a suffix whose ordered-subset "
+                  "concatenations are one colour.", [
+        click.Option(["--word", "x"], required=True,
+                     help="Reference word spec."),
+        click.Option(["--colouring"], default="theta", show_default=True),
+        click.Option(["--n", "n_factors"], type=int, default=3,
+                     show_default=True,
+                     help="Number of consecutive factors."),
+        click.Option(["--suffix-bound"], type=int, default=6,
+                     show_default=True, help="Largest suffix start tried."),
+        click.Option(["--len-bound"], type=int, default=12,
+                     show_default=True, help="Largest total factor length."),
+        click.Option(["--scan-bound"], type=int,
+                     default=search.DEFAULT_SCAN_BOUND, show_default=True,
+                     help="Occurrence scan horizon."),
+    ]),
+    "hindman": (search.hindman_search,
+                "Value sequences whose nonempty subset sums s all give u^s "
+                "one colour.", [
+        click.Option(["--u"], default="a", show_default=True,
+                     help="Base word repeated s times per value s."),
+        click.Option(["--word", "x"], default=None,
+                     help="Reference word spec (needed by the theta "
+                          "colouring)."),
+        click.Option(["--colouring"], default="lenmod:2", show_default=True),
+        click.Option(["--n"], type=int, default=3, show_default=True,
+                     help="Number of sequence values."),
+        click.Option(["--bound"], type=int, default=10, show_default=True,
+                     help="Largest sequence value."),
+        click.Option(["--scan-bound"], type=int,
+                     default=search.DEFAULT_SCAN_BOUND, show_default=True,
+                     help="Occurrence scan horizon for word colourings."),
+    ]),
+    "plus": (search.plus_pair_search,
+             "Sequences whose pairs (value, later subset sum) are one "
+             "colour.", [
+        click.Option(["--colouring"], default="valmod:2", show_default=True),
+        click.Option(["--n"], type=int, default=3, show_default=True,
+                     help="Number of sequence values."),
+        click.Option(["--bound"], type=int, default=16, show_default=True,
+                     help="Largest sequence value."),
+    ]),
+    "q5": (search.q5_search,
+           "Sequences whose coefficient-weighted prefix sums are one "
+           "colour.", [
+        click.Option(["--colouring"], default="base-lsnz:3",
+                     show_default=True),
+        click.Option(["--variant"], type=click.Choice(search.Q5_VARIANTS),
+                     default="plain", show_default=True),
+        click.Option(["--L", "max_len"], type=int, default=3,
+                     show_default=True, help="Witness length."),
+        click.Option(["--bound"], type=int, default=243, show_default=True,
+                     help="Largest sequence value."),
+    ]),
+}
 
+def _run_search(run, fmt: str, out: str | None, expect_none: bool,
+                **args) -> None:
+    """Parse the word spec, when given, then the colouring spec; run the
+    search, emit its report, and exit 3 when --expect-none is set and a
+    witness was found.
 
-def _finish_search(rep, fmt: str, out: str | None, expect_none: bool) -> None:
+    The spec parsers run no engine, so every ValueError they raise is
+    rejected input. A search raises search.ArgumentError for each argument
+    it rejects; both are usage errors (exit 1). Any other ValueError from a
+    running search is an internal fault and stays a traceback."""
+    try:
+        if args.get("x") is not None:
+            args["x"] = words.parse_word_spec(args["x"])
+        args["colouring"] = search.parse_colouring(args["colouring"])
+    except ValueError as err:
+        raise click.UsageError(str(err))
+    try:
+        rep = run(**args)
+    except search.ArgumentError as err:
+        raise click.UsageError(str(err))
     _emit(report.render(rep, fmt), out)
     if expect_none and rep.witnesses:
         sys.exit(3)
 
 
-@search_group.command("altsum")
-@click.option("--colouring", default="theta", show_default=True)
-@click.option("--B", "bound", type=int, default=16, show_default=True,
-              help="Largest sequence value.")
-@click.option("--L", "max_len", type=int, default=4, show_default=True,
-              help="Witness length.")
-@click.option("--form", type=click.Choice(search.FORMS),
-              default=search.X_ALTERNATING, show_default=True)
-@click.option("--allow-k1-equal-1", is_flag=True,
-              help="Let index families start at the first element.")
-@_search_options
-def search_altsum(colouring: str, bound: int, max_len: int, form: str,
-                  allow_k1_equal_1: bool, mode: str, fmt: str,
-                  out: str | None, expect_none: bool) -> None:
-    """Sequences whose alternating-sum constraint pairs are one colour."""
-    col = _checked(search.parse_colouring, colouring)
-    rep = _checked(search.altsum_search, col, bound, max_len, form, mode,
-                   allow_k1_equal_1=allow_k1_equal_1)
-    _finish_search(rep, fmt, out, expect_none)
-
-
-@search_group.command("supermono")
-@click.option("--word", required=True, help="Reference word spec.")
-@click.option("--colouring", default="theta", show_default=True)
-@click.option("--n", "n_factors", type=int, default=3, show_default=True,
-              help="Number of consecutive factors.")
-@click.option("--suffix-bound", type=int, default=6, show_default=True,
-              help="Largest suffix start tried.")
-@click.option("--len-bound", type=int, default=12, show_default=True,
-              help="Largest total factor length.")
-@click.option("--scan-bound", type=int, default=search.DEFAULT_SCAN_BOUND,
-              show_default=True, help="Occurrence scan horizon.")
-@_search_options
-def search_supermono(word: str, colouring: str, n_factors: int,
-                     suffix_bound: int, len_bound: int, scan_bound: int,
-                     mode: str, fmt: str, out: str | None,
-                     expect_none: bool) -> None:
-    """Consecutive factors of a suffix whose ordered-subset concatenations
-    are one colour."""
-    x = _checked(words.parse_word_spec, word)
-    col = _checked(search.parse_colouring, colouring)
-    rep = _checked(search.supermono_search, x, col, suffix_bound, n_factors,
-                   len_bound, scan_bound, mode)
-    _finish_search(rep, fmt, out, expect_none)
-
-
-@search_group.command("hindman")
-@click.option("--u", default="a", show_default=True,
-              help="Base word repeated s times per value s.")
-@click.option("--word", default=None,
-              help="Reference word spec (needed by the theta colouring).")
-@click.option("--colouring", default="lenmod:2", show_default=True)
-@click.option("--n", "n_values", type=int, default=3, show_default=True,
-              help="Number of sequence values.")
-@click.option("--bound", type=int, default=10, show_default=True,
-              help="Largest sequence value.")
-@click.option("--scan-bound", type=int, default=search.DEFAULT_SCAN_BOUND,
-              show_default=True,
-              help="Occurrence scan horizon for word colourings.")
-@_search_options
-def search_hindman(u: str, word: str | None, colouring: str, n_values: int,
-                   bound: int, scan_bound: int, mode: str,
-                   fmt: str, out: str | None, expect_none: bool) -> None:
-    """Value sequences whose nonempty subset sums s all give u^s one
-    colour."""
-    col = _checked(search.parse_colouring, colouring)
-    x = _checked(words.parse_word_spec, word) if word is not None else None
-    rep = _checked(search.hindman_search, u, col, n_values, bound, x=x,
-                   scan_bound=scan_bound, mode=mode)
-    _finish_search(rep, fmt, out, expect_none)
-
-
-@search_group.command("plus")
-@click.option("--colouring", default="valmod:2", show_default=True)
-@click.option("--n", "n_values", type=int, default=3, show_default=True,
-              help="Number of sequence values.")
-@click.option("--bound", type=int, default=16, show_default=True,
-              help="Largest sequence value.")
-@_search_options
-def search_plus(colouring: str, n_values: int, bound: int, mode: str,
-                fmt: str, out: str | None, expect_none: bool) -> None:
-    """Sequences whose pairs (value, later subset sum) are one colour."""
-    col = _checked(search.parse_colouring, colouring)
-    rep = _checked(search.plus_pair_search, col, n_values, bound, mode)
-    _finish_search(rep, fmt, out, expect_none)
-
-
-@search_group.command("q5")
-@click.option("--colouring", default="base-lsnz:3", show_default=True)
-@click.option("--variant", type=click.Choice(search.Q5_VARIANTS),
-              default="plain", show_default=True)
-@click.option("--L", "max_len", type=int, default=3, show_default=True,
-              help="Witness length.")
-@click.option("--bound", type=int, default=243, show_default=True,
-              help="Largest sequence value.")
-@_search_options
-def search_q5(colouring: str, variant: str, max_len: int, bound: int,
-              mode: str, fmt: str, out: str | None,
-              expect_none: bool) -> None:
-    """Sequences whose coefficient-weighted prefix sums are one colour."""
-    col = _checked(search.parse_colouring, colouring)
-    rep = _checked(search.q5_search, col, variant, max_len, bound, mode)
-    _finish_search(rep, fmt, out, expect_none)
+for _name, (_run, _help, _options) in _SEARCHES.items():
+    search_group.add_command(click.Command(
+        _name, help=_help, callback=functools.partial(_run_search, _run),
+        params=[
+            *_options,
+            click.Option(["--expect-none"], is_flag=True,
+                         help="Exit 3 when any witness is found."),
+            click.Option(["--out"], **_OUT_ATTRS),
+            click.Option(["--format", "fmt"],
+                         type=click.Choice(report.FORMATS), default="text",
+                         show_default=True, help="Report format."),
+            click.Option(["--mode"], type=click.Choice(("first", "all")),
+                         default="first", show_default=True,
+                         help="Stop at the first witness or enumerate all."),
+        ]))
 
 
 if __name__ == "__main__":

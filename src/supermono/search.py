@@ -21,9 +21,10 @@ argument and ignore it, because the benchmark workloads pass it.
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
 includes a bound that would make a word source materialise more than
-words.MAX_LETTERS letters. Each search has a witness verifier that checks
-the role too, recolours the witness's whole family from scratch and
-applies one rule, _at_most_one_colour, to it.
+words.MAX_LETTERS letters, and a q5 length whose coefficient pattern table
+would hold more than Q5_MAX_COEFFICIENTS coefficients. Each search has a
+witness verifier that checks the role too, recolours the witness's whole
+family from scratch and applies one rule, _at_most_one_colour, to it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ _Q5_COEFFICIENTS = {
     "with_gaps": ((1,), (1,), (0, 1, 2)),
 }
 Q5_VARIANTS = tuple(_Q5_COEFFICIENTS)
+
+# The most coefficients q5_search's pattern table may hold over every prefix
+# length; the table is built before the first node, at about 11 bytes per
+# coefficient, so this caps it near 46 MB.
+Q5_MAX_COEFFICIENTS = 1 << 22
 
 LIFT_MODES = ("left", "right", "diff", "sum", "both")
 
@@ -881,11 +887,22 @@ def _q5_patterns(k: int, variant: str):
     return out
 
 
+def _q5_pattern_count(k: int, variant: str) -> int:
+    """len(_q5_patterns(k, variant)), without building the patterns."""
+    firsts, lasts, inner = _Q5_COEFFICIENTS[variant]
+    if k == 1:
+        return len(set(firsts) | set(lasts))
+    return len(firsts) * len(inner) ** (k - 2) * len(lasts)
+
+
 def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
               mode: str = "first") -> SearchReport:
     """Search y_1..y_L <= bound (repeats allowed) with every coefficient
     sum a_1 y_1 + ... + a_k y_k, k = 1..L, one colour under a number
-    colouring, with coefficients drawn per variant."""
+    colouring, with coefficients drawn per variant.
+
+    An L whose pattern table would hold more than Q5_MAX_COEFFICIENTS
+    coefficients is rejected before the table is built."""
     if variant not in Q5_VARIANTS:
         raise ArgumentError(f"unknown variant {variant!r}")
     params = {
@@ -893,6 +910,14 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
         "L": max_len, "bound": bound, "mode": mode,
     }
     _check_params(params, L=1, bound=1)
+    coefficients = 0
+    for k in range(1, max_len + 1):
+        coefficients += k * _q5_pattern_count(k, variant)
+        if coefficients > Q5_MAX_COEFFICIENTS:
+            raise ArgumentError(
+                f"L must be at most {k - 1} for variant {variant}, got "
+                f"{max_len}: longer coefficient patterns hold more than "
+                f"{Q5_MAX_COEFFICIENTS} coefficients")
     _check_role(colouring, "number")
     patterns = [()] + [_q5_patterns(k, variant) for k in range(1, max_len + 1)]
 

@@ -29,6 +29,10 @@ from .pair_colouring import STAGE2, colour_pair
 
 _SEED = 988121
 
+# The largest claim1 bound: the suite groups every value below its bound
+# before it checks one, at about 38 bytes per value (about 40 MB at the cap).
+CLAIM1_MAX_BOUND = 1 << 20
+
 
 @dataclass
 class SuiteResult:
@@ -37,6 +41,10 @@ class SuiteResult:
     checked: int
     detail: str
     counterexample: tuple | None = None
+
+
+class BoundError(ValueError):
+    """A suite bound the suite refuses before it checks anything."""
 
 
 class _Counterexample(Exception):
@@ -217,7 +225,11 @@ def _claim1_counterexample(group: list[int], f: int) -> tuple[int, int] | None:
 def verify_claim1(bound: int = 16384) -> Iterator[int]:
     """For a, b < bound with equal first-digit position f and equal digits
     at f, f+1, f+2, the first digit of a+b sits exactly at f+1 (so the
-    f mod 3 colour component of sums shifts; 1 is not 0 mod 3)."""
+    f mod 3 colour component of sums shifts; 1 is not 0 mod 3). A bound
+    above CLAIM1_MAX_BOUND raises BoundError."""
+    if bound > CLAIM1_MAX_BOUND:
+        raise BoundError(f"claim1 bound must be at most {CLAIM1_MAX_BOUND}, "
+                         f"got {bound}")
     groups: dict[tuple[int, int], list[int]] = {}
     for v in range(1, bound):
         f = bits.first_digit(v)

@@ -113,6 +113,15 @@ def test_verify_usage_errors():
     assert _invoke("verify", "claim1", "--bound", "0").exit_code == 1
 
 
+def test_verify_claim1_bound_above_its_cap_is_a_usage_error():
+    over = verify.CLAIM1_MAX_BOUND + 1
+    result = _invoke("verify", "claim1", "--bound", str(over))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert (f"claim1 bound must be at most {verify.CLAIM1_MAX_BOUND}, "
+            f"got {over}") in result.stderr
+
+
 @pytest.mark.parametrize("suite, bound", [
     ("claim1", 1), ("claim1", 4), ("claim1", 9), ("claim4", 1),
     ("claim4", 3), ("claim6", 1), ("claim6", 12)])
@@ -195,6 +204,15 @@ def test_search_usage_errors():
         assert "invalid literal" not in bad_integer.stderr
 
 
+@pytest.mark.parametrize("command", ["supermono", "hindman"])
+def test_a_malformed_word_is_reported_before_a_malformed_colouring(command):
+    result = _invoke("search", command, "--word", "bogus:ab",
+                     "--colouring", "wat:3")
+    assert result.exit_code == 1
+    assert "unknown word kind 'bogus'" in result.stderr
+    assert "colouring family" not in result.stderr
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "n.txt"
     result = _invoke("inspect", "200", "--out", str(target))
@@ -210,6 +228,20 @@ def test_out_resolves_relative_paths_under_env_dir(tmp_path, monkeypatch):
     written = tmp_path / "sub" / "n.txt"
     assert written.read_text() == _invoke("inspect", "200").output
     assert str(written) in result.output
+
+
+@pytest.mark.parametrize("target", ["directory", "parent-is-a-file"])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, target):
+    if target == "directory":
+        path = tmp_path
+    else:
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "n.txt"
+    result = _invoke("inspect", "5", "--out", str(path))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"Could not open file {str(path)!r}" in result.stderr
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_jobs_option_is_a_usage_error():
@@ -237,10 +269,12 @@ def test_jobs_option_is_a_usage_error():
      "a pair lift applies only when a number family colours pairs"),
     (("supermono", "--word", "periodic:ab", "--scan-bound", "1048577"),
      "scan_bound must be at most 1048576, got 1048577"),
+    (("q5", "--variant", "with_gaps", "--L", "20"),
+     "L must be at most 13 for variant with_gaps, got 20"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "hindman-theta-no-word",
         "supermono-valmod", "supermono-theta-stage1", "hindman-n-1",
         "plus-n-1", "altsum-B-0", "hindman-empty-u", "q5-lift",
-        "supermono-scan-over-cap"])
+        "supermono-scan-over-cap", "q5-L-over-cap"])
 def test_colouring_in_the_wrong_role_is_a_usage_error(args, message):
     result = _invoke("search", *args)
     assert result.exit_code == 1

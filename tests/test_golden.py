@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from supermono import verify
-from supermono.cli import main
+from supermono.cli import main, search_group
 from supermono.verify import SuiteResult
 
 HERE = Path(__file__).resolve().parent
@@ -72,6 +72,19 @@ def _readme_example(command: str) -> str:
 ])
 def test_readme_example_is_verbatim(command):
     assert _stdout(*command.split()) == (0, _readme_example(command))
+
+
+def test_readme_command_list_is_every_registered_command():
+    text = README.read_text()
+    start = text.index("```\n", text.index("## Command line\n")) + 4
+    listed = []
+    for line in text[start:text.index("```", start)].splitlines():
+        words = line.split()
+        listed.append(" ".join(words[1:3] if words[1] == "search"
+                               else words[1:2]))
+    registered = [name for name in main.commands if name != "search"]
+    registered += [f"search {name}" for name in search_group.commands]
+    assert sorted(listed) == sorted(registered)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -776,6 +776,25 @@ def test_search_rejects_its_arguments_before_any_node(run, message,
     assert x._text == "ab"
 
 
+@pytest.mark.parametrize("variant, longest", [
+    ("plain", 18), ("a1free", 17), ("akfree", 17), ("with_gaps", 13)])
+def test_q5_refuses_a_pattern_table_over_the_cap_before_building_it(
+        variant, longest, monkeypatch):
+    for k in range(1, 9):
+        assert search._q5_pattern_count(k, variant) == \
+            len(search._q5_patterns(k, variant))
+    sizes = [k * search._q5_pattern_count(k, variant)
+             for k in range(1, longest + 2)]
+    assert sum(sizes[:-1]) <= search.Q5_MAX_COEFFICIENTS < sum(sizes)
+    monkeypatch.setattr(search, "_q5_patterns", _no_engine)
+    monkeypatch.setattr(search, "_dfs", _no_engine)
+    for max_len in (longest + 1, 10 ** 9):
+        with pytest.raises(search.ArgumentError, match=re.escape(
+                f"L must be at most {longest} for variant {variant}, "
+                f"got {max_len}")):
+            q5_search(parse_colouring("const"), variant, max_len, 1)
+
+
 @pytest.mark.parametrize("check", [
     lambda: verify_altsum_witness(parse_colouring("lenmod:2"), [1],
                                   X_ALTERNATING),

@@ -398,6 +398,19 @@ def test_claim1_checked_counts_are_pinned():
         assert (result.ok, result.checked) == (True, checked), bound
 
 
+def test_claim1_refuses_a_bound_above_its_cap_before_grouping(monkeypatch):
+    def no_grouping(v):
+        raise AssertionError("claim1 grouped a value")
+
+    monkeypatch.setattr(bits, "first_digit", no_grouping)
+    over = verify.CLAIM1_MAX_BOUND + 1
+    for bound in (over, 10 ** 12):
+        with pytest.raises(verify.BoundError, match=(
+                f"claim1 bound must be at most {verify.CLAIM1_MAX_BOUND}, "
+                f"got {bound}")):
+            verify.run_suite("claim1", bound)
+
+
 def test_claim1_failure_carries_the_pair_and_the_count_before_it(monkeypatch):
     def fail_on_first_digit_two(group, f):
         return (group[0], group[-1]) if f == 2 else None
