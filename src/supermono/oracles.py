@@ -1,10 +1,12 @@
 """Naive string-scanning reference implementations.
 
 These deliberately avoid the bit arithmetic used by supermono.bits: numbers
-are expanded into least-significant-first digit strings and every answer is
-read off by scanning characters. The split-tag referee tries every cut with
-one first-occurrence search per half. They exist purely to cross-check the
-fast implementations.
+are expanded into least-significant-first digit strings, and every answer
+is read off those strings by slicing, zipping and counting, with no
+per-character helper. The carry region is read from the digits of the sum
+itself against each column's plain sum. The split-tag referee tries every
+cut with one first-occurrence search per half. They exist purely to
+cross-check the fast implementations.
 """
 
 from __future__ import annotations
@@ -14,14 +16,24 @@ from .bits import CarryRegion, Fragment
 
 def _lsb_digits(n: int, width: int = 0) -> str:
     """Binary digits of n, least significant first, padded to width with '0'."""
-    text = bin(n)[2:][::-1]
-    if len(text) < width:
-        text += "0" * (width - len(text))
-    return text
+    return bin(n)[2:][::-1].ljust(width, "0")
 
 
-def _char(text: str, p: int) -> str:
-    return text[p] if 0 <= p < len(text) else "0"
+def _column_sums(a: int, b: int) -> str:
+    """The plain digit sum of each column of a + b, least significant
+    first, from position 0 to one above the longer number."""
+    width = max(a.bit_length(), b.bit_length()) + 1
+    return "".join("012"[(p == "1") + (q == "1")] for p, q in
+                   zip(_lsb_digits(a, width), _lsb_digits(b, width)))
+
+
+def _window(n: int, lo: int, hi: int) -> str:
+    """Digits lo..hi of n, least significant first; positions below 0 read
+    '0', and lo > hi is the empty window."""
+    if lo > hi:
+        return ""
+    pad = max(-lo, 0)
+    return ("0" * pad + _lsb_digits(n, hi + 1))[lo + pad:hi + pad + 1]
 
 
 def support_oracle(n: int) -> list[int]:
@@ -29,18 +41,9 @@ def support_oracle(n: int) -> list[int]:
 
 
 def jumps_oracle(a: int, b: int) -> int:
-    width = max(a.bit_length(), b.bit_length())
-    da, db = _lsb_digits(a, width), _lsb_digits(b, width)
-    labels = []
-    for p in range(width):
-        ones = (da[p] == "1") + (db[p] == "1")
-        if ones == 2:
-            labels.append("2")
-        elif ones == 1:
-            labels.append("1")
-    return sum(
-        1 for i in range(len(labels) - 1) if labels[i] == "2" and labels[i + 1] == "1"
-    )
+    """Count each '2' followed by a '1' in the labels of the joint support:
+    its column sums, '2' where both digits are 1 and '1' where one is."""
+    return _column_sums(a, b).replace("0", "").count("21")
 
 
 def intervals_oracle(c: int) -> int:
@@ -48,50 +51,34 @@ def intervals_oracle(c: int) -> int:
 
 
 def carry_region_oracle(m: int, n: int) -> CarryRegion | None:
-    """School addition column by column, recording where the result digit
-    disagrees with the plain column sum."""
-    width = max(m.bit_length(), n.bit_length()) + 1
-    dm, dn = _lsb_digits(m, width), _lsb_digits(n, width)
-    both = []
-    disagree = []
-    carry = 0
-    for p in range(width):
-        column = int(dm[p]) + int(dn[p])
-        total = column + carry
-        result_digit = total % 2
-        carry = total // 2
-        if int(dm[p]) == int(dn[p]) == 1:
-            both.append(p)
-        if result_digit != column:
-            disagree.append(p)
-    if not both:
+    """From the least column where both digits are 1 to the greatest column
+    where the digit of m + n differs from the column's plain sum; None when
+    no column has both digits 1."""
+    columns = _column_sums(m, n)
+    start = columns.find("2")
+    if start < 0:
         return None
-    return CarryRegion(min(both), max(disagree))
+    total = _lsb_digits(m + n, len(columns))
+    return CarryRegion(start, max(p for p, (digit, column)
+                                  in enumerate(zip(total, columns))
+                                  if digit != column))
 
 
 def _scan_fragments(x: int, y: int, lo: int, hi: int, side: str) -> list[Fragment]:
-    """Split the window into maximal agreement segments of x and y, then keep
-    each segment that contains a both-1 position, trimmed to its highest one."""
-    width = max(x.bit_length(), y.bit_length(), hi + 1)
-    dx, dy = _lsb_digits(x, width), _lsb_digits(y, width)
-    agreement = "".join(
-        "A" if _char(dx, p) == _char(dy, p) else "." for p in range(lo, hi + 1)
-    )
+    """Walk the maximal runs of window positions where x and y agree, and
+    keep each run that holds a shared 1, trimmed to its highest one."""
+    dx, dy = _window(x, lo, hi), _window(y, lo, hi)
     frags = []
-    cursor = 0
-    for segment in agreement.split("."):
-        if segment:
-            seg_lo = lo + cursor
-            seg_hi = seg_lo + len(segment) - 1
-            top = None
-            for p in range(seg_hi, seg_lo - 1, -1):
-                if _char(dx, p) == "1" and _char(dy, p) == "1":
-                    top = p
-                    break
-            if top is not None:
-                text = "".join(_char(dx, p) for p in range(top, seg_lo - 1, -1))
-                frags.append(Fragment(text, seg_lo, top, side))
-        cursor += len(segment) + 1
+    run_lo = 0
+    for i in range(len(dx) + 1):
+        if i < len(dx) and dx[i] == dy[i]:
+            continue
+        # x and y agree on the run, so each 1 of x there is a shared 1
+        top = dx.rfind("1", run_lo, i)
+        if top >= 0:
+            frags.append(Fragment(dx[run_lo:top + 1][::-1],
+                                  lo + run_lo, lo + top, side))
+        run_lo = i + 1
     return frags
 
 
@@ -107,7 +94,7 @@ def fragments_oracle(lower: int, upper: int, side: str) -> list[Fragment]:
     if not l_lo < l_up:
         raise ValueError(
             f"fragment hypothesis l_lower < l_upper fails: {l_lo} >= {l_up}")
-    if any(_char(d_lo, p) == "1" and _char(d_up, p) == "1" for p in range(l_up + 1)):
+    if any(p == q == "1" for p, q in zip(d_lo, d_up)):
         raise ValueError("fragment hypothesis fails: supports not disjoint")
     if not l_lo >= f_up:
         raise ValueError(

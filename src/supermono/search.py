@@ -21,10 +21,11 @@ argument and ignore it, because the benchmark workloads pass it.
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
 includes a bound that would make a word source materialise more than
-words.MAX_LETTERS letters, and a q5 length whose coefficient pattern table
-would hold more than Q5_MAX_COEFFICIENTS coefficients. Each search has a
-witness verifier that checks the role too, recolours the witness's whole
-family from scratch and applies one rule, _at_most_one_colour, to it.
+words.MAX_LETTERS letters, a family of more than MAX_TERMS terms, and a
+q5 length whose coefficient pattern table would hold more than
+Q5_MAX_COEFFICIENTS coefficients. Each search has a witness verifier that
+checks the role too, recolours the witness's whole family from scratch
+and applies one rule, _at_most_one_colour, to it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ Q5_VARIANTS = tuple(_Q5_COEFFICIENTS)
 # length; the table is built before the first node, at about 11 bytes per
 # coefficient, so this caps it near 46 MB.
 Q5_MAX_COEFFICIENTS = 1 << 22
+
+# The most terms a search family may have: n for supermono, hindman and
+# plus, L for altsum. Every search state holds all the subset combinations
+# of its terms (subset words, subset sums, or altsum's lefts), so a run's
+# memory doubles with each term; plus under const peaks near 190 MB at 20.
+MAX_TERMS = 20
 
 LIFT_MODES = ("left", "right", "diff", "sum", "both")
 
@@ -397,11 +404,12 @@ class SearchReport:
 
 
 def _check_params(params: dict, letters: dict | None = None,
-                  **least: int) -> None:
+                  terms: str | None = None, **least: int) -> None:
     """Reject an unknown mode, each named parameter below its least
-    allowed value, and each entry of letters, a count of letters the run
-    may materialise, above MAX_LETTERS. The names are the report's, so a
-    message names the value as the report would."""
+    allowed value, the parameter named by terms above MAX_TERMS, and each
+    entry of letters, a count of letters the run may materialise, above
+    MAX_LETTERS. The names are the report's, so a message names the value
+    as the report would."""
     if params["mode"] not in ("first", "all"):
         raise ArgumentError(
             f"mode must be 'first' or 'all', got {params['mode']!r}")
@@ -409,6 +417,9 @@ def _check_params(params: dict, letters: dict | None = None,
         if params[name] < low:
             raise ArgumentError(
                 f"{name} must be at least {low}, got {params[name]}")
+    if terms is not None and params[terms] > MAX_TERMS:
+        raise ArgumentError(
+            f"{terms} must be at most {MAX_TERMS}, got {params[terms]}")
     for name, count in (letters or {}).items():
         if count > MAX_LETTERS:
             raise ArgumentError(
@@ -571,7 +582,7 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
         "L": max_len, "form": form, "mode": mode,
         "allow_k1_equal_1": allow_k1_equal_1,
     }
-    _check_params(params, B=1, L=1)
+    _check_params(params, terms="L", B=1, L=1)
     colour_of = pair_colour_fn(colouring)
     increasing = form == X_ALTERNATING
     first = 1 if allow_k1_equal_1 else 2
@@ -678,7 +689,7 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     reach = suffix_bound + len_bound - 1
     _check_params(params, {"scan_bound": scan_bound,
                            "suffix_bound + len_bound - 1": reach},
-                  suffix_bound=1, n=1, len_bound=1, scan_bound=1)
+                  terms="n", suffix_bound=1, n=1, len_bound=1, scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
@@ -765,8 +776,8 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
         "word": x.spec if x is not None else None,
         "scan_bound": scan_bound,
     }
-    _check_params(params, {"scan_bound": scan_bound}, n=2, bound=1,
-                  scan_bound=1)
+    _check_params(params, {"scan_bound": scan_bound}, terms="n", n=2,
+                  bound=1, scan_bound=1)
     colour_of = word_colour_fn(colouring, x, scan_bound)
     # u^s is the prefix of u^ω of s|u| letters: the powers within the scan
     # are read from one table of prefixes, the longer ones word by word.
@@ -831,7 +842,7 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
         "kind": "plus", "colouring": colouring.spec, "n": n,
         "bound": bound, "mode": mode,
     }
-    _check_params(params, n=2, bound=1)
+    _check_params(params, terms="n", n=2, bound=1)
     colour_of = pair_colour_fn(colouring)
     counts = {"constraints_checked": 0}
 

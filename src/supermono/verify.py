@@ -147,12 +147,17 @@ def _check_oracle_pair(a: int, b: int) -> None:
         raise _Counterexample("common_fragment_count mismatch", (a, b))
     if bits.carry_region(a, b) != oracles.carry_region_oracle(a, b):
         raise _Counterexample("carry_region mismatch", (a, b))
-    for lower, upper in ((a, b), (b, a)):
-        for side in ("right", "left"):
-            got = _fragments_either(bits.fragments, lower, upper, side)
-            want = _fragments_either(oracles.fragments_oracle, lower, upper, side)
-            if got != want:
-                raise _Counterexample(f"fragments {side} mismatch", (a, b))
+    _check_fragments(a, b, (a, b))
+    _check_fragments(b, a, (a, b))
+
+
+def _check_fragments(lower: int, upper: int, counterexample: tuple) -> None:
+    """Raise on the first side whose fragments, or hypothesis rejection,
+    differ between bits.fragments and the scanner."""
+    for side in ("right", "left"):
+        if _fragments_either(bits.fragments, lower, upper, side) != \
+                _fragments_either(oracles.fragments_oracle, lower, upper, side):
+            raise _Counterexample(f"fragments {side} mismatch", counterexample)
 
 
 @_suite("oracles", "jumps, intervals, carry, fragments, common fragments "
@@ -189,11 +194,7 @@ def verify_oracles(bound: int = 1024) -> Iterator[int]:
     for _ in range(20_000 * bound // 1024):
         lower, upper = _random_fragment_pair(rng)
         yield 1
-        for side in ("right", "left"):
-            if bits.fragments(lower, upper, side) != \
-                    oracles.fragments_oracle(lower, upper, side):
-                raise _Counterexample(f"fragments {side} mismatch",
-                                      (lower, upper))
+        _check_fragments(lower, upper, (lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +629,10 @@ def verify_stage3(trials: int = 400) -> Iterator[int]:
     rng = random.Random(_SEED)
     for t in range(trials):
         length = 6 + t % 2
-        for _ in range(50):
-            ys = _random_stage3_sequence(rng, length)
-            if _stage3_discipline_ok(ys):
-                break
-        else:
-            raise _Counterexample("could not construct a disciplined sequence",
-                                  None)
+        ys = _random_stage3_sequence(rng, length)
+        if not _stage3_discipline_ok(ys):
+            raise _Counterexample("constructed sequence is not disciplined",
+                                  tuple(ys))
         prefix = list(itertools.accumulate(ys))
         zones = bits.overlapping_zones(ys)
         for k in range(1, length - 3):

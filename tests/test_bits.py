@@ -359,6 +359,8 @@ def test_common_fragment_count_matches_scanner(a, b):
 @example(a=0b1101, b=0b0101, lo=1, hi=20)
 @example(a=6, b=6, lo=0, hi=-1)
 @example(a=5, b=7, lo=-2, hi=None)
+@example(a=5, b=7, lo=-2, hi=-3)
+@example(a=5, b=7, lo=-1, hi=-3)
 @settings(max_examples=500)
 def test_windowed_common_fragment_count_matches_list_and_scanner(a, b, lo, hi):
     """The count over [lo, hi] agrees with the fragment list, and the list
@@ -381,6 +383,19 @@ def test_centre_window_and_digits():
 def test_centre_rejects_broken_staircase():
     with pytest.raises(ValueError):
         bits.centre(0b1001, 0b110010, 0b10100000)
+
+
+@pytest.mark.parametrize("zs, message", [
+    ([], "zs must be nonempty"),
+    ([4, 2], "staircase geometry fails: first digits not increasing at "
+             "index 1"),
+    ([3, 2], "staircase geometry fails: last digits not increasing at "
+             "index 1"),
+])
+def test_j_sequence_rejects_a_broken_staircase(zs, message):
+    with pytest.raises(ValueError) as info:
+        bits.j_sequence(zs)
+    assert str(info.value) == message
 
 
 def _centre_referee(r: int, p: int, s: int):

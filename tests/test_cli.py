@@ -184,6 +184,11 @@ def test_search_usage_errors():
     bad_word = _invoke("search", "supermono", "--word", "bogus:ab")
     assert bad_word.exit_code == 1
     assert "word kind" in bad_word.stderr
+    for spec, message in (("evper:ab", "evper payload needs"),
+                          ("morphic:a->ab,b->a,a->b|a", "duplicate rule")):
+        malformed = _invoke("search", "supermono", "--word", spec)
+        assert malformed.exit_code == 1
+        assert message in malformed.stderr
     bad_colouring = _invoke("search", "altsum", "--colouring", "wat:3")
     assert bad_colouring.exit_code == 1
     bad_argument = _invoke("search", "plus", "--colouring", "dbl:9@diff")
@@ -271,10 +276,19 @@ def test_jobs_option_is_a_usage_error():
      "scan_bound must be at most 1048576, got 1048577"),
     (("q5", "--variant", "with_gaps", "--L", "20"),
      "L must be at most 13 for variant with_gaps, got 20"),
+    (("altsum", "--colouring", "const", "--L", "21"),
+     "L must be at most 20, got 21"),
+    (("supermono", "--word", "periodic:ab", "--colouring", "const",
+      "--n", "21"), "n must be at most 20, got 21"),
+    (("hindman", "--colouring", "const", "--n", "21"),
+     "n must be at most 20, got 21"),
+    (("plus", "--colouring", "const", "--n", "24", "--bound", "1000000000"),
+     "n must be at most 20, got 24"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "hindman-theta-no-word",
         "supermono-valmod", "supermono-theta-stage1", "hindman-n-1",
         "plus-n-1", "altsum-B-0", "hindman-empty-u", "q5-lift",
-        "supermono-scan-over-cap", "q5-L-over-cap"])
+        "supermono-scan-over-cap", "q5-L-over-cap", "altsum-L-over-cap",
+        "supermono-n-over-cap", "hindman-n-over-cap", "plus-n-over-cap"])
 def test_colouring_in_the_wrong_role_is_a_usage_error(args, message):
     result = _invoke("search", *args)
     assert result.exit_code == 1

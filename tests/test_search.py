@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from supermono import report, search, words
 from supermono.factor_colouring import UNKNOWN
 from supermono.search import (
+    MAX_TERMS,
     Q5_VARIANTS,
     X_ALTERNATING,
     Y_BLOCK,
@@ -727,6 +728,7 @@ def _no_engine(*args, **kwargs):
 
 
 _OVER = MAX_LETTERS + 1
+_TERMS = MAX_TERMS + 1
 
 
 # Each case: a search given the word source x, and its refusal message.
@@ -761,11 +763,23 @@ _OVER = MAX_LETTERS + 1
     (lambda x: hindman_search("a", parse_colouring("theta"), 2, 4, x=x,
                               scan_bound=_OVER),
      f"scan_bound must be at most {MAX_LETTERS}, got {_OVER}"),
+    (lambda x: altsum_search(parse_colouring("const"), 4, _TERMS),
+     f"L must be at most {MAX_TERMS}, got {_TERMS}"),
+    (lambda x: supermono_search(x, parse_colouring("const"), 1, _TERMS, 40),
+     f"n must be at most {MAX_TERMS}, got {_TERMS}"),
+    (lambda x: hindman_search("a", parse_colouring("const"), _TERMS, 10**9),
+     f"n must be at most {MAX_TERMS}, got {_TERMS}"),
+    (lambda x: plus_pair_search(parse_colouring("const"), _TERMS, 10**9),
+     f"n must be at most {MAX_TERMS}, got {_TERMS}"),
+    (lambda x: altsum_search(parse_colouring("const"), 4, 2, form="z"),
+     "unknown constraint form 'z'"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
         "supermono-valmod", "supermono-lift", "supermono-scan-0",
         "hindman-theta-no-word", "hindman-theta-stage2",
         "supermono-scan-over-cap", "supermono-reach-over-cap",
-        "hindman-scan-over-cap"])
+        "hindman-scan-over-cap", "altsum-L-over-cap",
+        "supermono-n-over-cap", "hindman-n-over-cap", "plus-n-over-cap",
+        "altsum-unknown-form"])
 def test_search_rejects_its_arguments_before_any_node(run, message,
                                                       monkeypatch):
     monkeypatch.setattr(search, "_dfs", _no_engine)

@@ -3,6 +3,7 @@ cross-check that the constructive obstruction enumeration is complete."""
 
 from __future__ import annotations
 
+import ast
 import collections
 import functools
 import itertools
@@ -44,17 +45,6 @@ def test_oracle_suite_passes_at_small_bounds():
     assert result.suite == "oracles"
     assert result.checked == 9516
     assert result.counterexample is None
-
-
-def test_oracle_suite_referees_the_fragment_count(monkeypatch):
-    count = bits.common_fragment_count
-    monkeypatch.setattr(bits, "common_fragment_count",
-                        lambda a, b: count(a, b) + (a == 3))
-    result = verify_oracles(8)
-    assert not result.ok
-    assert result.detail == "common_fragment_count mismatch"
-    assert result.counterexample == (3, 4)
-    assert result.checked == 19
 
 
 @pytest.mark.parametrize("build, expected", [
@@ -109,6 +99,22 @@ def _jump_mark_fault(monkeypatch, width, when, move=False):
     return faulted
 
 
+def _fragment_fault(monkeypatch, side, raises=False):
+    """Patch bits.fragments, wherever the real call succeeds on `side`, to
+    list one extra fragment, or with raises, to raise a ValueError."""
+    real = bits.fragments
+
+    def fragments(lower, upper, s):
+        listed = real(lower, upper, s)
+        if s != side:
+            return listed
+        if raises:
+            raise ValueError("fragments fault")
+        return listed + [bits.Fragment("1", 0, 0, side)]
+
+    monkeypatch.setattr(bits, "fragments", fragments)
+
+
 # (suite, bound, fault, outcome): fault injects one failure through a
 # public name, or is None; outcome is (ok, checked, detail, counterexample).
 _OUTCOMES = [
@@ -149,6 +155,58 @@ _OUTCOMES = [
                        lambda a, b: True, 1),
      (False, 1, "oracle disagrees on F",
       (21, 1936, 62464, 950272, 46661632, 1912602624, 1))),
+    ("stage3", (50,),
+     lambda mp: mp.setattr(bits, "middles", lambda ys: ["0"] * len(ys)),
+     (False, 0, "constructed sequence is not disciplined",
+      (21, 1936, 62464, 950272, 46661632, 1912602624))),
+    # one fault per check of the oracle suite: at bound 8 the exhaustive
+    # phase checks 7 values and 21 pairs, then 781 random pairs and 156
+    # constructed ones; no pair before the constructed phase meets the
+    # fragment hypotheses at bound 8, and (5, 10) is the first at bound 16
+    ("oracles", (8,),
+     lambda mp: _shift(mp, bits, "jumps", lambda a, b: a == 5, 1),
+     (False, 26, "jumps mismatch", (5, 6))),
+    ("oracles", (8,),
+     lambda mp: mp.setattr(bits, "common_fragments", lambda a, b: []),
+     (False, 9, "common_fragments mismatch", (1, 3))),
+    ("oracles", (8,),
+     lambda mp: _shift(mp, bits, "common_fragment_count",
+                       lambda a, b: a == 3, 1),
+     (False, 19, "common_fragment_count mismatch", (3, 4))),
+    ("oracles", (8,),
+     lambda mp: mp.setattr(bits, "carry_region", lambda m, n: None),
+     (False, 9, "carry_region mismatch", (1, 3))),
+    ("oracles", (16,),
+     lambda mp: _fragment_fault(mp, "right"),
+     (False, 70, "fragments right mismatch", (5, 10))),
+    ("oracles", (16,),
+     lambda mp: _fragment_fault(mp, "left"),
+     (False, 70, "fragments left mismatch", (5, 10))),
+    ("oracles", (8,),
+     lambda mp: _shift(mp, bits, "intervals", lambda n: n == 6, 1),
+     (False, 6, "intervals mismatch", (6,))),
+    ("oracles", (8,),
+     lambda mp: mp.setattr(bits, "support", lambda n: []),
+     (False, 1, "support mismatch", (1,))),
+    # the random phase: its first value past the exhaustive bound
+    ("oracles", (8,),
+     lambda mp: _shift(mp, bits, "intervals", lambda n: n >= 8, 1),
+     (False, 29, "intervals mismatch", (331393138,))),
+    # the constructed phase: its first pair, where a kernel that raises
+    # is reported like a wrong list
+    ("oracles", (8,),
+     lambda mp: _fragment_fault(mp, "right"),
+     (False, 810, "fragments right mismatch", (15240, 16448))),
+    ("oracles", (8,),
+     lambda mp: _fragment_fault(mp, "left", raises=True),
+     (False, 810, "fragments left mismatch", (15240, 16448))),
+    ("claim6", (15,),
+     lambda mp: mp.setattr(bits, "centre", lambda r, p, s: ("0", (0, 0))),
+     (False, 1, "enumerated tuple fails its own hypotheses",
+      (5, 42, 336, 2688, 5120))),
+    ("claim6", (15,),
+     lambda mp: _shift(mp, bits, "intervals", lambda c: True, 1),
+     (False, 1, "interval bookkeeping mismatch", (5, 42, 336, 2688, 5120))),
 ]
 
 
@@ -438,6 +496,31 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
         filter(None, (str(src), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+_BITWISE = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift,
+            ast.Invert)
+
+
+def _bitwise_lines(source: str) -> list[int]:
+    """Lines of source that apply a bitwise operator outside an annotation."""
+    tree = ast.parse(source)
+    notes = {id(part) for node in ast.walk(tree)
+             for note in (getattr(node, "annotation", None),
+                          getattr(node, "returns", None)) if note is not None
+             for part in ast.walk(note)}
+    return [node.lineno for node in ast.walk(tree)
+            if id(node) not in notes
+            and isinstance(getattr(node, "op", None), _BITWISE)]
+
+
+def test_oracles_use_no_bitwise_operator():
+    """The string scanners referee the bit kernels, so they must not share
+    their bit tricks; `CarryRegion | None` is an annotation, not code."""
+    assert _bitwise_lines("def f(a: int | None) -> int | None: return a") == []
+    assert _bitwise_lines("def f(a):\n    a <<= 1\n    return ~a & 3") \
+        == [2, 3, 3]
+    assert _bitwise_lines(Path(oracles.__file__).read_text()) == []
 
 
 def test_verify_and_cli_import_without_numpy():

@@ -61,8 +61,31 @@ def test_parse_word_spec():
     morphic = parse_word_spec("morphic:a->ab,b->a|a")
     assert morphic.prefix(5) == "abaab"
     assert isinstance(parse_word_spec("prefix:abaab"), ExplicitPrefix)
-    with pytest.raises(ValueError):
-        parse_word_spec("cyclic:ab")
+
+
+# Each malformed spec and its message: the spec's own form, then each
+# check Morphic makes of its rules and seed.
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:ab", "unknown word kind 'cyclic'; expected periodic, evper, "
+                  "morphic or prefix"),
+    ("periodic", "word spec needs 'kind:payload', got 'periodic'"),
+    ("evper:ab", "evper payload needs 'prefix|period', got 'ab'"),
+    ("morphic:a->ab", "morphic payload needs 'rules|seed', got 'a->ab'"),
+    ("morphic:a->ab,bb|a", "morphic rule needs 'letter->image', got 'bb'"),
+    ("morphic:a->ab,b->a,a->a|a", "duplicate rule for 'a'"),
+    ("morphic:a->ab,b->a|ab", "seed must be a single letter, got 'ab'"),
+    ("morphic:b->a|a", "seed 'a' has no rule"),
+    ("morphic:a->ab,b->a,ab->a|a",
+     "rule keys must be single letters, got 'ab'"),
+    ("morphic:a->ab,b->|a", "rule for 'b' has an empty image"),
+    ("morphic:a->ab|a", "letter 'b' appears in an image but has no rule"),
+    ("morphic:a->ba,b->a|a", "morphism not prolongable: image of 'a' must "
+                             "start with it and be longer"),
+])
+def test_parse_word_spec_names_what_is_malformed(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_word_spec(spec)
+    assert str(info.value) == message
 
 
 def test_first_occurrence_examples():
@@ -193,6 +216,9 @@ def test_standardise_reports_exhausted_bounds():
     outcome = standardise(ExplicitPrefix("aaab"), Factorisation(("b",), 4), 2, 8)
     assert isinstance(outcome, BoundExhausted)
     assert "scan bound 2" in outcome.reason
+    outcome = standardise(fibonacci_word(), Factorisation(("a",), 3), 100, 10)
+    assert outcome == BoundExhausted(
+        1, 0, "first group occurs early but the two suffixes disagree")
 
 
 @given(data=st.data())
