@@ -8,10 +8,14 @@ block has passed; at a failure inside a block it first yields the count
 through the failing instance, so `checked` is the same either way. claim1
 and claim4 check each block as packed sums in one int. A failing claim4
 block, one subset's sums, is still counted through its failing triple;
-claim1 is the exception, and its failing group is not counted. The
-registered function sums the yields into a SuiteResult that carries the
-first counterexample, or `passed` when the body finishes. Suites that
-construct random instances use a fixed seed, so every run checks the same
+claim1 is the exception, and its failing group is not counted. claim6
+checks every tuple, but calls the library centre once per digit-bound
+shape, the run of tuples whose five (first, last) digit pairs agree: the
+centre's verdict depends only on those bounds, and each later tuple of
+the shape tests its centre windows as masks. The registered function
+sums the yields into a SuiteResult that carries the first
+counterexample, or `passed` when the body finishes. Suites that construct
+random instances use a fixed seed, so every run checks the same
 instances.
 """
 
@@ -416,18 +420,24 @@ def claim6_tuples(max_pos: int):
              (f5 + 1, l4, (-1, 3, 4)), (l4 + 1, l5, (-1, 4))))
 
 
+def _claim6_centres(zs) -> tuple[tuple[int, int, int], ...]:
+    """The five (r, p, s) centre triples of the hypotheses."""
+    z1, z2, z3, z4, z5 = zs
+    return ((z2, z1, z3), (z3, z2, z4), (z4, z3, z5),
+            (z2 + z3, z1, z4), (z3 + z4, z2, z5))
+
+
 def claim6_hypotheses_hold(zs) -> bool:
     """The pairwise-disjointness and all-1-centre hypothesis predicate,
-    evaluated through the library centre operation. The supports are
-    pairwise disjoint exactly when no 1 of their union is counted twice."""
+    evaluated through the library centre operation: the per-tuple referee
+    of verify_claim6's hypothesis checks. The supports are pairwise
+    disjoint exactly when no 1 of their union is counted twice."""
     z1, z2, z3, z4, z5 = zs
     if (z1 | z2 | z3 | z4 | z5).bit_count() != (
             z1.bit_count() + z2.bit_count() + z3.bit_count() + z4.bit_count()
             + z5.bit_count()):
         return False
-    centres = ((z2, z1, z3), (z3, z2, z4), (z4, z3, z5),
-               (z2 + z3, z1, z4), (z3 + z4, z2, z5))
-    for r, p, s in centres:
+    for r, p, s in _claim6_centres(zs):
         try:
             text, _ = bits.centre(r, p, s)
         except ValueError:
@@ -439,7 +449,7 @@ def claim6_hypotheses_hold(zs) -> bool:
 
 def _claim6_bookkeeping(zs) -> bool:
     """Interval counts against the k-expressions from the obstruction
-    argument."""
+    argument: the per-tuple referee of verify_claim6's bookkeeping."""
     z1, z2, z3, z4, z5 = zs
     (f1, l1), (f2, l2), (f3, l3), (f4, l4), (f5, _) = map(bits.digit_bounds, zs)
 
@@ -459,6 +469,26 @@ def _claim6_bookkeeping(zs) -> bool:
             and bits.intervals(z2 + z4) == 2 + k1 + k2 + k3 + k4)
 
 
+def _claim6_shape_masks(zs) -> tuple[int, ...]:
+    """The masks every tuple of zs's digit-bound shape is checked against:
+    the five centre windows, from the library centre, then the bookkeeping
+    windows [f2, l1], [f3, l2], [f4, l3] and [f5, l4]. A centre that
+    raises or reads a 0 on zs is the hypothesis counterexample."""
+    windows = []
+    for r, p, s in _claim6_centres(zs):
+        try:
+            text, (lo, hi) = bits.centre(r, p, s)
+        except ValueError:
+            text = "0"
+        if "0" in text:
+            raise _Counterexample("enumerated tuple fails its own hypotheses",
+                                  zs)
+        windows.append(_ones(lo, hi))
+    (f1, l1), (f2, l2), (f3, l3), (f4, l4), (f5, _) = map(bits.digit_bounds, zs)
+    return (*windows, _ones(f2, l1), _ones(f3, l2), _ones(f4, l3),
+            _ones(f5, l4))
+
+
 def claim6_pair_set(zs) -> list[tuple[int, int]]:
     """The five alternating-family pairs named by the obstruction proof;
     their differences are z2, z3, z4, z2+z3, z2+z4."""
@@ -476,28 +506,82 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
     under the two-stage colouring, and its interval counts obey the
     bookkeeping identities.
 
-    Every tuple gets its own hypothesis and bookkeeping checks, but the
-    pair set reads z1..z4 only, so it is coloured only when they differ
-    from the last coloured tuple's: 1,296 of 1,544 tuples at position
-    count 16 (944 distinct z1..z4; a group recurs when a digit z4 and z5
-    share goes to z5 or to neither), 42,078 of 53,826 at the default 18.
-    That is exact: the colouring is a function of the pairs, and a
-    repeated set is one just found non-monochromatic, or the suite would
-    have stopped."""
-    coloured = None
+    Every tuple is checked, but work that depends only on its shape, the
+    digit bounds (f_i, l_i) of its five terms, is done once per run of
+    tuples of one shape. Each tuple gets the popcount disjointness test.
+    At a new shape the library centre checks the tuple's five centre
+    triples and gives their windows as masks (_claim6_shape_masks);
+    every tuple of the shape then passes its centres when each window is
+    all 1 (r & w == w), and its eleven bookkeeping counts read its
+    digits through the shape's four window masks. That is exact: the
+    centre's verdict depends only on the digit bounds of r, p and s, and
+    its text is r's digits in [l_p + 1, f_s - 1]; once the terms are
+    disjoint, z2 + z3 and z3 + z4 carry nothing, so their bounds follow
+    from the shape. At position count 16 that is 1,430 centre calls
+    (286 shapes) for 1,544 tuples, where each tuple's own centres would
+    take 7,720; at the default 18, 15,015 for 53,826 tuples.
+
+    The pair set reads z1..z4 only, so it is coloured only when they
+    differ from the last coloured tuple's: a repeated set is one just
+    found non-monochromatic, or the suite would have stopped. Its colours
+    come through a memo keyed by pair, cleared whenever z1..z4's digit
+    bounds change, since pair sets of one such shape share pairs: 1,670
+    colour_pair calls for 1,296 sets at position count 16 (2,810 without
+    the memo), 36,434 for 42,078 at 18 (87,963). The colouring is a
+    function of the pair, so the memo changes no verdict. A memo kept for
+    the whole run would save little more and grows with the bound."""
+    intervals = bits.intervals
+    shape = coloured = colour_shape = masks = None
+    colours: dict[tuple[int, int], object] = {}
+
+    def colour(a, b):
+        found = colours.get((a, b))
+        if found is None:
+            found = colours[a, b] = colour_pair(a, b, STAGE2)
+        return found
+
     for zs in claim6_tuples(position_count - 1):
         yield 1
-        if not claim6_hypotheses_hold(zs):
+        z1, z2, z3, z4, z5 = zs
+        if (z1 | z2 | z3 | z4 | z5).bit_count() != (
+                z1.bit_count() + z2.bit_count() + z3.bit_count()
+                + z4.bit_count() + z5.bit_count()):
             raise _Counterexample("enumerated tuple fails its own hypotheses",
                                   zs)
-        if not _claim6_bookkeeping(zs):
+        # each term's lowest 1 and length give its (first, last) digits
+        bounds = (z1 & -z1, z1.bit_length(), z2 & -z2, z2.bit_length(),
+                  z3 & -z3, z3.bit_length(), z4 & -z4, z4.bit_length(),
+                  z5 & -z5, z5.bit_length())
+        if bounds != shape:
+            shape = bounds
+            masks = _claim6_shape_masks(zs)
+        c1, c2, c3, c4, c5, w1, w2, w3, w4 = masks
+        z23 = z2 + z3
+        if (z2 & c1 != c1 or z3 & c2 != c2 or z4 & c3 != c3
+                or z23 & c4 != c4 or (z3 + z4) & c5 != c5):
+            raise _Counterexample("enumerated tuple fails its own hypotheses",
+                                  zs)
+        k1 = intervals(z2 & w1)
+        k2 = intervals(z2 & w2)
+        k3 = intervals(z3 & w3)
+        k4 = intervals(z4 & w4)
+        if not (intervals(z3 & w2) == k2
+                and intervals(z4 & w3) == k3
+                and intervals(z2) == 1 + k1 + k2
+                and intervals(z3) == 1 + k2 + k3
+                and intervals(z4) == 1 + k3 + k4
+                and intervals(z23) == 1 + k1 + k3
+                and intervals(z2 + z4) == 2 + k1 + k2 + k3 + k4):
             raise _Counterexample("interval bookkeeping mismatch", zs)
         if zs[:4] == coloured:
             continue
         coloured = zs[:4]
+        if bounds[:8] != colour_shape:
+            colour_shape = bounds[:8]
+            colours.clear()
         pairs = claim6_pair_set(zs)
-        first = colour_pair(*pairs[0], STAGE2)
-        if all(colour_pair(a, b, STAGE2) == first for a, b in pairs[1:]):
+        first = colour(*pairs[0])
+        if all(colour(a, b) == first for a, b in pairs[1:]):
             raise _Counterexample("monochromatic pair set", zs)
 
 

@@ -4,6 +4,7 @@ string scanners."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -484,6 +485,65 @@ def test_centre_hypothesis_messages_are_pinned(r, p, s, message):
     with pytest.raises(ValueError) as info:
         bits.centre(r, p, s)
     assert str(info.value) == f"centre hypothesis {message}"
+
+
+def _free_digits(n: int, keep: int = 0) -> int:
+    """The positions strictly between n's first and last digits that are
+    not 1s of keep, as a mask."""
+    f, l = bits.digit_bounds(n)
+    return ((1 << l) - (2 << f)) & ~keep if l > f else 0
+
+
+def _centre_window(p: int, s: int) -> int:
+    """r's window [l_p + 1, f_s - 1] as a mask; 0 when it is empty."""
+    lo, hi = bits.last_digit(p) + 1, bits.first_digit(s) - 1
+    return ((1 << (hi + 1)) - (1 << lo)) if lo <= hi else 0
+
+
+def test_centre_reads_only_bounds_and_the_window_on_small_triples():
+    """The contract verify_claim6's per-shape check rests on: centre's
+    result, accepted or not, depends only on the digit bounds of r, p and
+    s and on r's digits in its window. Every triple of naturals r, p below
+    2^5 and s below 2^6 against the triple with the same bounds whose free
+    digits are all 0: any refill that keeps those stays in the range, so
+    every two such triples are compared through it."""
+    outcomes = collections.Counter()
+    for r, p, s in itertools.product(range(1, 32), range(1, 32),
+                                     range(1, 64)):
+        want = _centre_or_message(r, p, s)
+        outcomes[isinstance(want, tuple)] += 1
+        cleared = (r & ~_free_digits(r, _centre_window(p, s)),
+                   p & ~_free_digits(p), s & ~_free_digits(s))
+        assert _centre_or_message(*cleared) == want, (r, p, s)
+    assert outcomes[True] and outcomes[False]
+
+
+def test_centre_reads_only_bounds_and_the_window_on_random_triples():
+    """As on small triples, on seeded ones: half built to meet every centre
+    hypothesis, half wide naturals, each refilled at random eight times."""
+    rng = random.Random(2027)
+    outcomes = collections.Counter()
+    for t in range(1000):
+        if t % 2:
+            r, p, s = (rng.randrange(1, 1 << 40) for _ in range(3))
+        else:
+            f_p = rng.randrange(0, 8)
+            f_r = f_p + rng.randrange(1, 8)
+            l_p = f_r + rng.randrange(0, 12)
+            f_s = l_p + rng.randrange(2, 16)
+            l_r = f_s + rng.randrange(0, 12)
+            l_s = l_r + rng.randrange(1, 8)
+            r, p, s = ((1 << f) | (1 << l) | rng.getrandbits(l) >> f << f
+                       for f, l in ((f_r, l_r), (f_p, l_p), (f_s, l_s)))
+        want = _centre_or_message(r, p, s)
+        outcomes[isinstance(want, tuple)] += 1
+        free = (_free_digits(r, _centre_window(p, s)), _free_digits(p),
+                _free_digits(s))
+        for _ in range(8):
+            refilled = [n & ~mask | rng.getrandbits(mask.bit_length()) & mask
+                        for n, mask in zip((r, p, s), free)]
+            assert _centre_or_message(*refilled) == want, (r, p, s, refilled)
+    assert outcomes[True] >= 400 and outcomes[False] >= 400
 
 
 def _position_value(positions) -> int:

@@ -268,10 +268,11 @@ def _pairwise_disjoint_and_all_1_centres(zs):
 
 def _claim6_referee(position_count):
     """verify_claim6 one instance at a time: every tuple's hypotheses,
-    bookkeeping and pair set colours, read through verify.colour_pair.
-    Returns (ok, checked, detail, counterexample)."""
+    bookkeeping and pair set colours, read through verify.claim6_tuples
+    and verify.colour_pair. Returns (ok, checked, detail,
+    counterexample)."""
     checked = 0
-    for zs in claim6_tuples(position_count - 1):
+    for zs in verify.claim6_tuples(position_count - 1):
         checked += 1
         if not _pairwise_disjoint_and_all_1_centres(zs):
             return (False, checked,
@@ -359,6 +360,95 @@ def test_claim_suites_match_their_per_instance_referees(
             result.counterexample) == want
     if faulted is not None:
         assert faulted, "the fault never reached the suite's packed call"
+
+
+def _digit_bound_shape(zs):
+    """Each term's (first, last) digit positions; (-1, -1) for 0."""
+    return tuple(((z & -z).bit_length() - 1, z.bit_length() - 1) for z in zs)
+
+
+def _holed(zs):
+    """z2 loses the lowest digit of its centre window [l1 + 1, f3 - 1]."""
+    z1, z2, z3, z4, z5 = zs
+    return z1, z2 & ~(1 << z1.bit_length()), z3, z4, z5
+
+
+def _shared(zs):
+    """z1 takes z2's first digit, which lies strictly inside z1's span."""
+    z1, z2, z3, z4, z5 = zs
+    return (z1 | (z2 & -z2), z2, z3, z4, z5)
+
+
+def _moved_last(zs):
+    """z1's last digit moves one place down onto a free position above f2,
+    which opens a hole at l1 in z2's centre window; None when that
+    position is taken or is not above f2."""
+    z1, z2, z3, z4, z5 = zs
+    last = 1 << (z1.bit_length() - 1)
+    if last >> 1 <= z2 & -z2 or last >> 1 & (z1 | z2 | z3 | z4 | z5):
+        return None
+    return (z1 ^ last ^ last >> 1, z2, z3, z4, z5)
+
+
+def _zeroed(zs):
+    """z5 is 0; no other check reads it."""
+    return (*zs[:4], 0)
+
+
+@pytest.mark.parametrize("alter, keeps_shape", [
+    (_holed, True), (_shared, True), (_moved_last, False), (_zeroed, False),
+], ids=["hole-in-centre-window", "shared-digit", "moved-last-digit",
+        "zero-term"])
+def test_claim6_checks_each_tuple_of_a_shape_like_its_referee(
+        monkeypatch, alter, keeps_shape):
+    """verify_claim6 checks a tuple's centres against its shape's masks and
+    calls the library centre only at a new shape. Each fault alters the
+    first tuple at position count 15 that shares its shape with the tuple
+    before it and that the fault applies to; suite and referee read the
+    same altered stream and report the same failure there. A stale mask
+    would miss the faults that start a new shape."""
+    tuples = list(claim6_tuples(14))
+    index, altered = next(
+        (i, alter(zs)) for i, zs in enumerate(tuples) if i > 0
+        and _digit_bound_shape(zs) == _digit_bound_shape(tuples[i - 1])
+        and alter(zs) is not None)
+    assert (_digit_bound_shape(altered) == _digit_bound_shape(tuples[index])) \
+        is keeps_shape
+    tuples[index] = altered
+    monkeypatch.setattr(verify, "claim6_tuples", lambda max_pos: iter(tuples))
+    want = _claim6_referee(15)
+    assert want == (False, index + 1,
+                    "enumerated tuple fails its own hypotheses", altered)
+    result = verify.verify_claim6(15)
+    assert (result.ok, result.checked, result.detail,
+            result.counterexample) == want
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that every call is counted; returns the counter."""
+    calls = collections.Counter()
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_claim6_calls_the_centre_once_per_shape_and_colours_through_a_memo(
+        monkeypatch):
+    """At position count 16: one library centre call per centre triple of
+    each of the 286 digit-bound shapes (each tuple's own would be 7,720),
+    and 1,670 colour_pair calls where colouring every pair set's pairs
+    without the memo would make 2,810."""
+    centre = _counting(monkeypatch, bits, "centre")
+    colour = _counting(monkeypatch, verify, "colour_pair")
+    assert verify.verify_claim6(16).checked == 1544
+    assert centre["centre"] == 1430
+    assert colour["colour_pair"] == 1670
+    assert verify.verify_claim6(15).checked == 200
 
 
 def test_hypothesis_predicate_matches_the_pairwise_disjointness_test():
