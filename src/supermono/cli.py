@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__, bits, report, search, verify, words
-from .pair_colouring import FULL, colour_pair
+from .pair_colouring import FULL, PairColour, colour_pair
 
 click.UsageError.exit_code = 1
 
@@ -108,7 +108,7 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
     if a == b:
         raise click.UsageError("pair members must be distinct")
     a, b = min(a, b), max(a, b)
-    colour = colour_pair(a, b, FULL)
+    code = colour_pair(a, b, FULL)
     carry = bits.carry_region(a, b)
     labels = bits.label_positions(a, b)
     data = {
@@ -119,8 +119,8 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
         "difference_intervals": bits.intervals(b - a),
         "common_fragments": bits.common_fragment_count(a, b),
         "carry_region": None if carry is None else [carry.start, carry.stop],
-        "colour_key": colour.key(),
-        "colour_ordinal": colour.ordinal(),
+        "colour_key": PairColour.decode(code, FULL).key(),
+        "colour_ordinal": code,
     }
     _emit_record(fmt, data, [
         ("a", a),

@@ -2,16 +2,16 @@
 
 A finite word u occurring in the reference word x picks up the pair
 (A, B) = (start, end) of its first occurrence. Its colour is the full
-pair colour of (A, B) plus a tag recording whether some two-part split
-u = vw reproduces A from v and B from w. Splits with an empty half are
-not considered: an empty half has no first occurrence to compare.
+pair colour code of (A, B) plus a tag recording whether some two-part
+split u = vw reproduces A from v and B from w. Splits with an empty half
+are not considered: an empty half has no first occurrence to compare.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .pair_colouring import PairColour, colour_pair
+from .pair_colouring import FULL, PairColour, colour_pair
 from .words import (
     NOT_A_FACTOR,
     UNRESOLVED,
@@ -40,15 +40,16 @@ UNKNOWN = _UnknownColour()
 
 
 class FactorColour(NamedTuple):
-    """Colour of a factor: the full pair colour of its first-occurrence span
-    and the split tag (0 when some split u = vw has the start of v's first
-    occurrence equal to A and the end of w's equal to B, else 1)."""
+    """Colour of a factor: the full pair colour code of its first-occurrence
+    span (colour_pair's int) and the split tag (0 when some split u = vw
+    has the start of v's first occurrence equal to A and the end of w's
+    equal to B, else 1). serialise() writes the code's key and the tag."""
 
-    theta: PairColour
+    theta: int
     tag: int
 
     def serialise(self) -> str:
-        return f"({self.theta.key()},{self.tag})"
+        return f"({PairColour.decode(self.theta, FULL).key()},{self.tag})"
 
 
 def phi(x: WordSource, u: str, scan_bound: int):

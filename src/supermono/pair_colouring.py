@@ -3,9 +3,11 @@ leading three-digit window, and three parity bits (jumps, intervals, common
 fragments), assembled per stage for ablation experiments. One jump count
 gives c4 and c6 = c4 + t (mod 2), t the top-run bit (see PairColour).
 
-A colour is a tuple record (a NamedTuple): immutable, hashable, and equal
-to another colour exactly when all eight fields, the stage included, are
-equal."""
+A colour is one int, its code: the stage's components packed by a mixed
+radix, c0 first. Stage1 packs c0..c3 into 0..107, stage2 adds c4 and c5
+(0..431) and full adds c6 (0..863). Two pairs share a colour of one stage
+exactly when their codes are equal. PairColour.decode gives the named
+components of a code, for display."""
 
 from __future__ import annotations
 
@@ -20,10 +22,13 @@ STAGES = (STAGE1, STAGE2, FULL)
 
 WINDOWS = ("001", "011", "101", "111")
 
+# the number of codes of each stage: 3 * 3 * 3 * 4, then times 2 per parity
+CODE_COUNTS = {STAGE1: 108, STAGE2: 432, FULL: 864}
+
 
 class PairColour(NamedTuple):
-    """Colour of a pair (a, b) with a < b; components outside the stage are
-    None and excluded from equality-bearing serialisations.
+    """The named components of a colour code, for display; components
+    outside the stage are None and excluded from the key.
 
     c0, c1: last and first digit position of b - a, mod 3. c2: last digit
     position of a, mod 3 (the smaller element, not the difference). c3:
@@ -42,6 +47,25 @@ class PairColour(NamedTuple):
     c6: int | None
     stage: str
 
+    @classmethod
+    def decode(cls, code: int, stage: str = FULL) -> PairColour:
+        """The components of a colour code of the given stage."""
+        if stage not in STAGES:
+            raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+        if not 0 <= code < CODE_COUNTS[stage]:
+            raise ValueError(f"{stage} colour codes lie in 0.."
+                             f"{CODE_COUNTS[stage] - 1}, got {code}")
+        c4 = c5 = c6 = None
+        if stage == FULL:
+            code, c6 = divmod(code, 2)
+        if stage != STAGE1:
+            code, c5 = divmod(code, 2)
+            code, c4 = divmod(code, 2)
+        code, window = divmod(code, 4)
+        code, c2 = divmod(code, 3)
+        c0, c1 = divmod(code, 3)
+        return cls(c0, c1, c2, WINDOWS[window], c4, c5, c6, stage)
+
     def key(self) -> str:
         """Serialisation 'c0c1c2-c3-c4c5c6' with absent components omitted."""
         c0, c1, c2, c3, c4, c5, c6, stage = self
@@ -51,22 +75,10 @@ class PairColour(NamedTuple):
             return f"{c0}{c1}{c2}-{c3}-{c4}{c5}"
         return f"{c0}{c1}{c2}-{c3}"
 
-    def ordinal(self) -> int:
-        """Mixed-radix encoding of a full colour into 0..863."""
-        if self.stage != FULL:
-            raise ValueError(f"ordinal needs a full colour, got stage {self.stage}")
-        value = self.c0
-        value = value * 3 + self.c1
-        value = value * 3 + self.c2
-        value = value * 4 + WINDOWS.index(self.c3)
-        value = value * 2 + self.c4
-        value = value * 2 + self.c5
-        value = value * 2 + self.c6
-        return value
 
-
-def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
-    """Colour of the pair (a, b) under the requested stage. Requires a < b."""
+def colour_pair(a: int, b: int, stage: str = FULL) -> int:
+    """Colour code of the pair (a, b) under the requested stage. Requires
+    a < b."""
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     if a < 1:
@@ -75,14 +87,14 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> PairColour:
         raise ValueError(f"pair must satisfy a < b, got a={a}, b={b}")
     d = b - a
     first, last = bits.digit_bounds(d)
-    c0 = last % 3
-    c1 = first % 3
-    c2 = bits.last_digit(a) % 3
-    # the digit at first is 1, so the window (d >> first) & 7 is odd
-    c3 = WINDOWS[(d >> first & 7) >> 1]
+    # the digit at first is 1, so the window (d >> first) & 7 is odd and
+    # its index in WINDOWS is the window shifted right once
+    code = ((last % 3 * 3 + first % 3) * 3 + bits.last_digit(a) % 3) * 4 \
+        + ((d >> first & 7) >> 1)
     if stage == STAGE1:
-        return PairColour(c0, c1, c2, c3, None, None, None, stage)
+        return code
     jumps = bits.jumps(a, b)
-    c6 = (jumps + bits.top_run_shared(a, b)) & 1 if stage == FULL else None
-    return PairColour(c0, c1, c2, c3, jumps & 1, bits.intervals(d) & 1, c6,
-                      stage)
+    code = code * 4 + (jumps & 1) * 2 + (bits.intervals(d) & 1)
+    if stage == STAGE2:
+        return code
+    return code * 2 + ((jumps + bits.top_run_shared(a, b)) & 1)

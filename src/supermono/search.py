@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import bits
-from .factor_colouring import UNKNOWN, phi, prefix_colourer
+from .factor_colouring import NOT_FACTOR, UNKNOWN, phi, prefix_colourer
 from .pair_colouring import STAGES, colour_pair
 from .words import MAX_LETTERS, Factorisation, WordSource, check_factorisation
 
@@ -206,11 +206,11 @@ def colour_number(col: Colouring, n: int):
 
 
 def colour_pair_value(col: Colouring, a: int, b: int):
-    """Colour an ordered pair a < b."""
+    """Colour an ordered pair a < b; under theta, the stage's colour code."""
     if not 1 <= a < b:
         raise ValueError("pair colourings need 1 <= a < b")
     if col.family == "theta":
-        return colour_pair(a, b, col.args[0]).key()
+        return colour_pair(a, b, col.args[0])
     if col.family == "const":
         return 0
     if col.family not in _NUMBER_FAMILIES:
@@ -242,8 +242,11 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
 
     The theta family colours words through the induced colouring relative
     to x and may return the UNKNOWN sentinel within scan_bound; the other
-    families are total. Values are hashable and JSON-friendly. A colouring
-    that does not colour words raises ArgumentError.
+    families are total. Every other value is an int: under theta a factor
+    colour's full code times 2 plus its tag, and -1 for a word certified
+    absent from x, so two words share a value exactly when their
+    serialised colours agree. A colouring that does not colour words
+    raises ArgumentError.
 
     The callable's prefixes(y) gives n -> the colour of y[:n], for
     1 <= n <= len(y). Under theta it colours every prefix from one
@@ -291,9 +294,13 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
 
 
 def _value(colour):
-    """A word colour as a search compares it: UNKNOWN or the serialised
-    colour."""
-    return colour if colour is UNKNOWN else colour.serialise()
+    """A word colour as a search compares it: UNKNOWN itself, -1 for
+    NOT_FACTOR, else the factor colour's theta * 2 + tag (0..1727)."""
+    if colour is UNKNOWN:
+        return colour
+    if colour is NOT_FACTOR:
+        return -1
+    return colour.theta * 2 + colour.tag
 
 
 def _with_prefixes(colour_of, prefixes=None):

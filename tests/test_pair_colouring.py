@@ -1,7 +1,10 @@
 """Seven-component pair colouring: pinned colours, stage projections, the
-ordinal encoding and the sum obstruction the first refinement stage carries."""
+packed colour codes and the sum obstruction the first refinement stage
+carries."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from supermono import bits, oracles
 from supermono.bits import common_fragment_count
 from supermono.pair_colouring import (
+    CODE_COUNTS,
     FULL,
     STAGE1,
     STAGE2,
@@ -21,25 +25,37 @@ from supermono.pair_colouring import (
 small = st.integers(min_value=1, max_value=1 << 12)
 
 
+def _record(a, b, stage=FULL) -> PairColour:
+    """The named components of the pair's colour code."""
+    return PairColour.decode(colour_pair(a, b, stage), stage)
+
+
 def test_pinned_colour_of_1_201():
-    colour = colour_pair(1, 201)
+    assert colour_pair(1, 201) == 293
+    colour = _record(1, 201)
     assert (colour.c0, colour.c1, colour.c2) == (1, 0, 0)
     assert colour.c3 == "001"
     assert (colour.c4, colour.c5, colour.c6) == (1, 0, 1)
     assert colour.key() == "100-001-101"
-    assert colour.ordinal() == 293
 
 
 def test_pinned_colour_of_132_431():
-    colour = colour_pair(132, 431)
-    assert colour.key() == "201-011-000"
-    assert colour.ordinal() == 616
+    assert colour_pair(132, 431) == 616
+    assert _record(132, 431).key() == "201-011-000"
+
+
+def test_code_zero_is_a_real_colour():
+    """The first code is a colour like any other, so no truthiness test
+    may read it as unfixed."""
+    assert colour_pair(1, 10) == 0
+    assert _record(1, 10) == PairColour(0, 0, 0, "001", 0, 0, 0, FULL)
+    assert _record(1, 10).key() == "000-001-000"
 
 
 def test_stage_keys_drop_absent_components():
-    assert colour_pair(1, 201, STAGE1).key() == "100-001"
-    assert colour_pair(1, 201, STAGE2).key() == "100-001-10"
-    assert colour_pair(1, 201, FULL).key() == "100-001-101"
+    assert _record(1, 201, STAGE1).key() == "100-001"
+    assert _record(1, 201, STAGE2).key() == "100-001-10"
+    assert _record(1, 201, FULL).key() == "100-001-101"
 
 
 def _joined_key(colour) -> str:
@@ -52,30 +68,30 @@ def _joined_key(colour) -> str:
 
 
 def test_key_matches_the_joined_components_on_every_small_pair():
-    ordinals = {}
+    codes = {}
     for b in range(2, 128):
         for a in range(1, b):
             for stage in STAGES:
-                colour = colour_pair(a, b, stage)
+                colour = _record(a, b, stage)
                 assert colour.key() == _joined_key(colour), (a, b, stage)
-            ordinal = colour.ordinal()
-            assert 0 <= ordinal <= 863
-            assert ordinals.setdefault(ordinal, colour.key()) == colour.key()
-    assert len(set(ordinals.values())) == len(ordinals)
+            code = colour_pair(a, b)
+            assert 0 <= code <= 863
+            assert codes.setdefault(code, colour.key()) == colour.key()
+    assert len(set(codes.values())) == len(codes)
 
 
 _FIELDS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "stage")
 
 
 def test_colours_are_immutable_hashable_values():
-    colour = colour_pair(1, 201)
+    colour = _record(1, 201)
     for name in _FIELDS:
         with pytest.raises(AttributeError):
             setattr(colour, name, getattr(colour, name))
     assert colour == PairColour(1, 0, 0, "001", 1, 0, 1, FULL)
     assert hash(colour) == hash(PairColour(1, 0, 0, "001", 1, 0, 1, FULL))
-    assert colour_pair(1, 201, STAGE2) != colour_pair(1, 201, FULL)
-    colours = [colour_pair(a, b, stage)
+    assert _record(1, 201, STAGE2) != _record(1, 201, FULL)
+    colours = [_record(a, b, stage)
                for b in range(2, 24) for a in range(1, b) for stage in STAGES]
     for p in colours[::7]:
         for q in colours:
@@ -84,12 +100,6 @@ def test_colours_are_immutable_hashable_values():
             if same:
                 assert hash(p) == hash(q)
     assert len(set(colours)) == len({c.key() + c.stage for c in colours})
-
-
-def test_ordinal_requires_full_stage():
-    for stage in (STAGE1, STAGE2):
-        with pytest.raises(ValueError):
-            colour_pair(1, 201, stage).ordinal()
 
 
 def test_validation_errors():
@@ -101,35 +111,53 @@ def test_validation_errors():
         colour_pair(0, 3)
     with pytest.raises(ValueError):
         colour_pair(1, 2, "stage9")
+    with pytest.raises(ValueError):
+        PairColour.decode(0, "stage9")
+    for stage, count in CODE_COUNTS.items():
+        for code in (-1, count):
+            with pytest.raises(ValueError):
+                PairColour.decode(code, stage)
 
 
 @given(a=small)
 def test_consecutive_pair_colour(a):
-    colour = colour_pair(a, a + 1)
+    colour = _record(a, a + 1)
     assert (colour.c0, colour.c1) == (0, 0)
     assert colour.c3 == "001"
     assert colour.c5 == 1
 
 
-@given(a=small, b=small)
-@settings(max_examples=400)
-def test_ordinal_is_injective_on_keys(a, b):
-    if a == b:
-        return
-    lo, hi = sorted((a, b))
-    p = colour_pair(lo, hi)
-    q = colour_pair(lo, hi + 1)
-    assert 0 <= p.ordinal() <= 863
-    assert (p.key() == q.key()) == (p.ordinal() == q.ordinal())
+def test_codes_fill_each_stage_range_and_decode_injectively():
+    """Each stage's codes fill exactly 0..107, 0..431 or 0..863: 100,000
+    seeded pairs below 2^20 take every code of the range and no other
+    (the pairs below 2^10 still miss 42 full codes), and decode gives
+    distinct records with distinct keys across the range."""
+    rng = random.Random(0)
+    pairs = set()
+    for _ in range(100_000):
+        a, b = rng.randrange(1, 1 << 20), rng.randrange(1, 1 << 20)
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    for stage, count in zip(STAGES, (108, 432, 864)):
+        assert CODE_COUNTS[stage] == count
+        codes = {colour_pair(a, b, stage) for a, b in pairs}
+        assert codes == set(range(count)), stage
+        records = [PairColour.decode(code, stage) for code in range(count)]
+        assert len(set(records)) == count
+        assert len({colour.key() for colour in records}) == count
+        assert all(colour.stage == stage for colour in records)
 
 
 def test_stage_projection_is_exhaustively_consistent():
     limit = 1 << 9
     for a in range(1, limit):
         for b in range(a + 1, limit):
-            full = colour_pair(a, b, FULL)
-            mid = colour_pair(a, b, STAGE2)
-            base = colour_pair(a, b, STAGE1)
+            code = colour_pair(a, b, FULL)
+            assert colour_pair(a, b, STAGE2) == code >> 1
+            assert colour_pair(a, b, STAGE1) == code >> 3
+            full = PairColour.decode(code, FULL)
+            mid = PairColour.decode(code >> 1, STAGE2)
+            base = PairColour.decode(code >> 3, STAGE1)
             shared = (full.c0, full.c1, full.c2, full.c3)
             assert shared == (mid.c0, mid.c1, mid.c2, mid.c3)
             assert shared == (base.c0, base.c1, base.c2, base.c3)
@@ -169,16 +197,16 @@ def test_sum_pair_never_matches_part_pairs(data):
     x = (window | (r1 << 3)) << f
     y = (window | (r2 << 3)) << f
     z = data.draw(small)
-    part1 = colour_pair(z, z + x)
-    part2 = colour_pair(z, z + y)
-    total = colour_pair(z, z + x + y)
+    part1 = _record(z, z + x)
+    part2 = _record(z, z + y)
+    total = _record(z, z + x + y)
     assert part1.c1 == part2.c1 == f % 3
     assert part1.c3 == part2.c3 == w
     assert total.c1 == (f + 1) % 3
     assert total.c1 != part1.c1
     for stage in STAGES:
-        assert colour_pair(z, z + x + y, stage).key() != \
-            colour_pair(z, z + x, stage).key()
+        assert _record(z, z + x + y, stage).key() != \
+            _record(z, z + x, stage).key()
 
 
 @given(a=small, b=small)
@@ -238,7 +266,7 @@ def test_colour_matches_the_scanner_colour_on_every_pair_below_2_8():
     for b in range(2, 1 << 8):
         for a in range(1, b):
             for stage in STAGES:
-                assert colour_pair(a, b, stage) == _scanner_colour(a, b, stage), \
+                assert _record(a, b, stage) == _scanner_colour(a, b, stage), \
                     (a, b, stage)
 
 
@@ -247,7 +275,7 @@ def _assert_difference_components(a, b):
     the referees are the per-digit definitions."""
     d = b - a
     for stage in STAGES:
-        colour = colour_pair(a, b, stage)
+        colour = _record(a, b, stage)
         assert colour.c0 == bits.last_digit(d) % 3
         assert colour.c1 == bits.first_digit(d) % 3
         assert colour.c3 == bits.first_three_digits(d)

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermono import report, search, words
-from supermono.factor_colouring import UNKNOWN
+from supermono.factor_colouring import NOT_FACTOR, UNKNOWN, phi
+from supermono.pair_colouring import PairColour, colour_pair
 from supermono.search import (
     MAX_TERMS,
     Q5_VARIANTS,
@@ -98,11 +99,76 @@ def test_colour_pair_value_lifts():
     assert colour_pair_value(parse_colouring("valmod:4@diff"), 3, 9) == 2
     assert colour_pair_value(parse_colouring("valmod:4@sum"), 3, 9) == 0
     assert colour_pair_value(parse_colouring("valmod:4"), 3, 9) == (3, 1)
-    assert colour_pair_value(parse_colouring("theta"), 1, 201) == "100-001-101"
+    assert colour_pair_value(parse_colouring("theta"), 1, 201) == 293
     with pytest.raises(ValueError):
         colour_pair_value(parse_colouring("valmod:4"), 9, 3)
     with pytest.raises(ValueError):
         colour_pair_value(parse_colouring("lenmod:2"), 1, 2)
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2", "full"])
+def test_theta_pair_values_split_pairs_as_their_keys(stage):
+    """Under theta two pairs share a colour value exactly when their
+    decoded keys agree, so every search meets the same classes."""
+    col = parse_colouring(f"theta:{stage}")
+    key_of = {}
+    for b in range(2, (1 << 7) + 1):
+        for a in range(1, b):
+            value = colour_pair_value(col, a, b)
+            key = PairColour.decode(value, stage).key()
+            assert key_of.setdefault(value, key) == key, (a, b)
+    assert len(set(key_of.values())) == len(key_of)
+
+
+def test_theta_word_values_split_words_as_their_serialised_colours():
+    """Under theta two words share a word-colour value, through either
+    entry point, exactly when their phi colours serialise alike: every
+    factor of length <= 10 of Fibonacci and Thue-Morse within scan 256,
+    and the words of length <= 4 that periodic:ab certifies absent."""
+    cases = []
+    for spec in ("morphic:a->ab,b->a|a", "morphic:a->ab,b->ba|a"):
+        x = parse_word_spec(spec)
+        text = x.prefix(256)
+        cases.append((x, {text[i:i + k] for k in range(1, 11)
+                          for i in range(len(text) - k + 1)}))
+    absent = {"".join(letters) for k in range(1, 5)
+              for letters in itertools.product("ab", repeat=k)}
+    absent = {u for u in absent if phi(_AB, u, 256) is NOT_FACTOR}
+    assert len(absent) == 22
+    cases.append((_AB, absent))
+    text_of = {}
+    for x, us in cases:
+        colour_of = search.word_colour_fn(_THETA, x, 256)
+        for u in sorted(us):
+            text = phi(x, u, 256).serialise()
+            fresh = search.word_colour_fn(_THETA, x, 256)
+            for value in (colour_of(u), fresh.prefixes(u)(len(u))):
+                assert isinstance(value, int), u
+                assert text_of.setdefault(value, text) == text, u
+    assert len(set(text_of.values())) == len(text_of)
+    assert text_of[-1] == "2"
+
+
+def test_colour_code_zero_in_a_chain_and_on_a_search_path():
+    """Code 0 is a real colour: a chain query for it yields its keys, and
+    a search path whose colour is 0 keeps 0 as its fixed colour. Under
+    theta:stage1 at bound 12 and length 3, the path 1, 9, 10 has colour 0
+    on all three pairs, and no other sequence beside 2, 3, 11 joins it."""
+    def colour_at(right):
+        return colour_pair(1, right)
+
+    chain = search._colour_chain(colour_at, 2)
+    steps = list(chain(0, 2, 200, lambda key: ("hit", key)))
+    assert steps == _chain_steps_by_brute_force(colour_at, 0, 2, 200)
+    assert ("hit", 10) in steps
+    col = parse_colouring("theta:stage1")
+    assert {colour_pair_value(col, c.left, c.right)
+            for c in constraints_for([1, 9, 10], X_ALTERNATING)} == {0}
+    assert altsum_search(col, 12, 3).witnesses == [[1, 9, 10]]
+    rep = altsum_search(col, 12, 3, mode="all")
+    assert rep.witnesses == [[1, 9, 10], [2, 3, 11]]
+    assert all(verify_altsum_witness(col, w, X_ALTERNATING)
+               for w in rep.witnesses)
 
 
 def test_xy_transform_examples():

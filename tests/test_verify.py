@@ -306,13 +306,15 @@ def _claim4_fault(position_count, positions, missing=(), present=(),
 
 def _claim6_fault(index):
     """A fault making verify.colour_pair constant on the pair set of the
-    index-th tuple at position count 15, and on no other z1..z4 group."""
+    index-th tuple at position count 15, and on no other z1..z4 group.
+    The constant is -1, which no colour code takes (code 0 is a real
+    colour), so no other pair set can share it."""
     def inject(monkeypatch):
         pairs = set(claim6_pair_set(list(claim6_tuples(14))[index]))
         real = verify.colour_pair
         monkeypatch.setattr(
             verify, "colour_pair",
-            lambda a, b, stage: 0 if (a, b) in pairs else real(a, b, stage))
+            lambda a, b, stage: -1 if (a, b) in pairs else real(a, b, stage))
     return inject
 
 
