@@ -1,17 +1,19 @@
 """Word colouring induced by the pair colouring through first occurrences.
 
 A finite word u occurring in the reference word x picks up the pair
-(A, B) = (start, end) of its first occurrence. Its colour is the full
-pair colour code of (A, B) plus a tag recording whether some two-part
-split u = vw reproduces A from v and B from w. Splits with an empty half
-are not considered: an empty half has no first occurrence to compare.
+(A, B) = (start, end) of its first occurrence. Its colour is the int
+colour_pair(A, B) * 2 + tag (0..1727): the full pair colour code of
+(A, B) and a tag, 0 when some two-part split u = vw reproduces A from v
+and B from w, else 1. Splits with an empty half are not considered: an
+empty half has no first occurrence to compare. A word without a code
+gets one of the word layer's two outcome sentinels: NOT_FACTOR
+(words.NOT_A_FACTOR) when it is certified absent, and UNKNOWN
+(words.UNRESOLVED) when its first occurrence stays unresolved.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .pair_colouring import FULL, PairColour, colour_pair
+from .pair_colouring import colour_pair
 from .words import (
     NOT_A_FACTOR,
     UNRESOLVED,
@@ -21,62 +23,36 @@ from .words import (
     has_aligned_split,
 )
 
-
-class _NotFactorColour:
-    def __repr__(self) -> str:
-        return "NOT_FACTOR"
-
-    def serialise(self) -> str:
-        return "2"
-
-
-class _UnknownColour:
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-NOT_FACTOR = _NotFactorColour()
-UNKNOWN = _UnknownColour()
-
-
-class FactorColour(NamedTuple):
-    """Colour of a factor: the full pair colour code of its first-occurrence
-    span (colour_pair's int) and the split tag (0 when some split u = vw
-    has the start of v's first occurrence equal to A and the end of w's
-    equal to B, else 1). serialise() writes the code's key and the tag."""
-
-    theta: int
-    tag: int
-
-    def serialise(self) -> str:
-        return f"({PairColour.decode(self.theta, FULL).key()},{self.tag})"
+NOT_FACTOR = NOT_A_FACTOR
+UNKNOWN = UNRESOLVED
 
 
 def phi(x: WordSource, u: str, scan_bound: int):
     """Colour u relative to x, scanning a prefix of length scan_bound.
 
-    Returns NOT_FACTOR when u is certified absent, UNKNOWN when u's own
-    first occurrence stays unresolved within the bound, and a FactorColour
-    otherwise. Once u's first occurrence is found, every split half occurs
-    inside it, so the tag is always decided. Whether u[:c] first occurs at
-    A only turns true as the cut c grows, and whether u[c:] first ends at B
-    only turns false, so has_aligned_split decides the tag by bisection on
-    the cut; oracles.split_tag_oracle tries every cut. prefix_colourer
-    gives the same colours to the prefixes of one word from one table.
+    Returns colour_pair(A, B) * 2 + tag for u's first occurrence (A, B),
+    or else first_occurrence's outcome itself: NOT_FACTOR when u is
+    certified absent, UNKNOWN when u's first occurrence stays unresolved
+    within the bound. Once u's first occurrence is found, every split half
+    occurs inside it, so the tag is always decided. Whether u[:c] first
+    occurs at A only turns true as the cut c grows, and whether u[c:]
+    first ends at B only turns false, so has_aligned_split decides the tag
+    by bisection on the cut; oracles.split_tag_oracle tries every cut.
+    prefix_colourer gives the same colours to the prefixes of one word
+    from one table.
     """
     occ = first_occurrence(x, u, scan_bound)
-    if occ is NOT_A_FACTOR:
-        return NOT_FACTOR
-    if occ is UNRESOLVED:
-        return UNKNOWN
+    if occ is NOT_A_FACTOR or occ is UNRESOLVED:
+        return occ
     tag = 0 if has_aligned_split(x, u, occ) else 1
-    return FactorColour(colour_pair(occ.start, occ.end), tag)
+    return colour_pair(occ.start, occ.end) * 2 + tag
 
 
 def prefix_colourer(x: WordSource, y: str, scan_bound: int):
     """Colour the prefixes of y relative to x: a callable n ->
     phi(x, y[:n], scan_bound) for 1 <= n <= len(y), read in any order,
-    and UNKNOWN, unscanned, for n past scan_bound.
+    and UNKNOWN, unscanned, for n past scan_bound. Each value is phi's:
+    the int colour code, NOT_FACTOR or UNKNOWN.
 
     One PrefixOccurrences table gives every prefix found within the scan
     its first occurrence and its least aligned cut, so its tag takes one
@@ -92,7 +68,7 @@ def prefix_colourer(x: WordSource, y: str, scan_bound: int):
         if start is None:
             return phi(x, y[:n], scan_bound)
         tag = 0 if table.has_aligned_split(n) else 1
-        return FactorColour(colour_pair(start, start + n), tag)
+        return colour_pair(start, start + n) * 2 + tag
 
     return colour
 

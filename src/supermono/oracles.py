@@ -111,24 +111,23 @@ def common_fragment_count_oracle(a: int, b: int) -> int:
 def split_tag_oracle(x, u: str, scan_bound: int):
     """phi's split tag by trying every cut, left half shortest first: 0 when
     some split u = vw has v first occurring where u does and w first ending
-    where u does, else 1. NOT_FACTOR and UNKNOWN as phi returns them."""
+    where u does, else 1. A word without a first occurrence gets
+    first_occurrence's outcome, words.NOT_A_FACTOR or words.UNRESOLVED, as
+    phi returns it; a half left unresolved also gives UNRESOLVED."""
     # Imported here: verify imports this module for the digit oracles and
     # has no use for the word layer.
-    from .factor_colouring import NOT_FACTOR, UNKNOWN
     from .words import NOT_A_FACTOR, UNRESOLVED, first_occurrence
 
     occ = first_occurrence(x, u, scan_bound)
-    if occ is NOT_A_FACTOR:
-        return NOT_FACTOR
-    if occ is UNRESOLVED:
-        return UNKNOWN
+    if occ is NOT_A_FACTOR or occ is UNRESOLVED:
+        return occ
     a, b = occ.start, occ.end
     tag = 1
     for cut in range(1, len(u)):
         occ_v = first_occurrence(x, u[:cut], scan_bound)
         occ_w = first_occurrence(x, u[cut:], scan_bound)
         if occ_v is UNRESOLVED or occ_w is UNRESOLVED:
-            return UNKNOWN
+            return UNRESOLVED
         if occ_v.start == a and occ_w.end == b:
             tag = 0
             break

@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import bits
-from .factor_colouring import NOT_FACTOR, UNKNOWN, phi, prefix_colourer
+from .factor_colouring import UNKNOWN, phi, prefix_colourer
 from .pair_colouring import STAGES, colour_pair
 from .words import MAX_LETTERS, Factorisation, WordSource, check_factorisation
 
@@ -241,12 +241,12 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     """Build a word-colouring callable u -> colour value.
 
     The theta family colours words through the induced colouring relative
-    to x and may return the UNKNOWN sentinel within scan_bound; the other
-    families are total. Every other value is an int: under theta a factor
-    colour's full code times 2 plus its tag, and -1 for a word certified
-    absent from x, so two words share a value exactly when their
-    serialised colours agree. A colouring that does not colour words
-    raises ArgumentError.
+    to x and returns phi's value as it is: a factor's int colour code (its
+    full pair code times 2 plus its tag), or one of the two outcome
+    sentinels, NOT_FACTOR for a word certified absent from x and UNKNOWN
+    for one left undecided within scan_bound. The other families are
+    total and return ints. A colouring that does not colour words raises
+    ArgumentError.
 
     The callable's prefixes(y) gives n -> the colour of y[:n], for
     1 <= n <= len(y). Under theta it colours every prefix from one
@@ -273,7 +273,7 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
             return UNKNOWN
         colour = memo.get(u)
         if colour is None:
-            colour = memo[u] = _value(phi(x, u, scan_bound))
+            colour = memo[u] = phi(x, u, scan_bound)
         return colour
 
     def prefixes(y: str):
@@ -285,22 +285,12 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
             u = y[:n]
             colour = memo.get(u)
             if colour is None:
-                colour = memo[u] = _value(colour_at(n))
+                colour = memo[u] = colour_at(n)
             return colour
 
         return colour_prefix
 
     return _with_prefixes(colour_of, prefixes)
-
-
-def _value(colour):
-    """A word colour as a search compares it: UNKNOWN itself, -1 for
-    NOT_FACTOR, else the factor colour's theta * 2 + tag (0..1727)."""
-    if colour is UNKNOWN:
-        return colour
-    if colour is NOT_FACTOR:
-        return -1
-    return colour.theta * 2 + colour.tag
 
 
 def _with_prefixes(colour_of, prefixes=None):

@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermono import factor_colouring
+from supermono import factor_colouring, words
 from supermono.factor_colouring import (
     NOT_FACTOR,
     UNKNOWN,
-    FactorColour,
     altsum_identity_check,
     phi,
     prefix_colourer,
 )
 from supermono.oracles import split_tag_oracle
-from supermono.pair_colouring import colour_pair
+from supermono.pair_colouring import PairColour, colour_pair
 from supermono.words import (
     EventuallyPeriodic,
     ExplicitPrefix,
@@ -37,11 +36,19 @@ from supermono.words import (
 )
 
 
+def _serialised(colour) -> str:
+    """A word colour as the paper writes it: the pair colour key of the
+    first-occurrence span and the split tag, or 2 for a non-factor."""
+    if colour is NOT_FACTOR:
+        return "2"
+    return f"({PairColour.decode(colour >> 1).key()},{colour & 1})"
+
+
 def test_pinned_factor_colours():
     x = Periodic("ab")
-    assert phi(x, "ab", 64).serialise() == "(110-001-111,0)"
-    assert phi(x, "ba", 64).serialise() == "(111-001-010,1)"
-    assert phi(x, "a", 64).serialise() == "(000-001-010,1)"
+    assert _serialised(phi(x, "ab", 64)) == "(110-001-111,0)"
+    assert _serialised(phi(x, "ba", 64)) == "(111-001-010,1)"
+    assert _serialised(phi(x, "a", 64)) == "(000-001-010,1)"
     fib = Morphic({"a": "ab", "b": "a"}, "a")
     for u, serialised in (
         ("b", "(001-001-011,1)"),
@@ -51,39 +58,36 @@ def test_pinned_factor_colours():
         ("baab", "(221-001-111,0)"),
         ("abaab", "(200-101-000,0)"),
     ):
-        assert phi(fib, u, 64).serialise() == serialised, u
+        assert _serialised(phi(fib, u, 64)) == serialised, u
 
 
-def test_factor_colours_and_occurrences_are_immutable_hashable_values():
-    x = Morphic({"a": "ab", "b": "a"}, "a")
-    colour = phi(x, "aba", 64)
-    occ = first_occurrence(x, "aba", 64)
-    for record, fields in ((colour, ("theta", "tag")), (occ, ("start", "end"))):
-        for name in fields:
-            with pytest.raises(AttributeError):
-                setattr(record, name, getattr(record, name))
-    assert colour == FactorColour(colour_pair(1, 4), 0)
-    assert colour != FactorColour(colour_pair(1, 4), 1)
-    assert colour != FactorColour(colour_pair(1, 5), 0)
+def test_occurrences_are_immutable_hashable_values():
+    occ = first_occurrence(Morphic({"a": "ab", "b": "a"}, "a"), "aba", 64)
+    for name in ("start", "end"):
+        with pytest.raises(AttributeError):
+            setattr(occ, name, getattr(occ, name))
     assert occ == Occurrence(1, 4) and occ != Occurrence(1, 5)
     assert occ != Occurrence(2, 4)
-    assert len({colour, FactorColour(colour_pair(1, 4), 0)}) == 1
     assert len({occ, Occurrence(1, 4), Occurrence(4, 7)}) == 2
 
 
 def test_absent_and_undecided_factors():
-    assert phi(Periodic("ab"), "aa", 64) is NOT_FACTOR
-    assert NOT_FACTOR.serialise() == "2"
-    assert phi(ExplicitPrefix("abaab"), "aabb", 5) is UNKNOWN
+    """The two outcome sentinels are the word layer's own, so a lookup of
+    either name finds the object phi returns."""
+    assert NOT_FACTOR is words.NOT_A_FACTOR
+    assert UNKNOWN is words.UNRESOLVED
+    assert phi(Periodic("ab"), "aa", 64) is words.NOT_A_FACTOR
+    assert _serialised(phi(Periodic("ab"), "aa", 64)) == "2"
+    assert phi(ExplicitPrefix("abaab"), "aabb", 5) is words.UNRESOLVED
     with pytest.raises(ValueError):
         phi(Periodic("ab"), "aba", 2)
 
 
 def test_single_letters_never_split():
     colour = phi(Periodic("ab"), "b", 64)
-    assert isinstance(colour, FactorColour)
-    assert colour.tag == 1
-    assert colour.theta == colour_pair(2, 3)
+    assert isinstance(colour, int)
+    assert colour & 1 == 1
+    assert colour >> 1 == colour_pair(2, 3)
 
 
 @given(data=st.data())
@@ -124,11 +128,13 @@ def test_split_tag_matches_the_every_cut_referee(spec, count, zeros):
     tags = []
     for u in factors:
         colour = phi(x, u, 512)
-        assert colour.tag == split_tag_oracle(x, u, 512), u
-        tags.append(colour.tag)
-        tight = first_occurrence(x, u, 512).end - 1
+        occ = first_occurrence(x, u, 512)
+        assert colour >> 1 == colour_pair(occ.start, occ.end), u
+        assert colour & 1 == split_tag_oracle(x, u, 512), u
+        tags.append(colour & 1)
+        tight = occ.end - 1
         assert phi(x, u, tight) == colour, u
-        assert split_tag_oracle(x, u, tight) == colour.tag, u
+        assert split_tag_oracle(x, u, tight) == colour & 1, u
     assert (len(factors), tags.count(0)) == (count, zeros)
 
 
@@ -141,7 +147,7 @@ def test_split_tag_matches_the_referee_on_any_word_and_scan(spec, u, slack):
     x = parse_word_spec(spec)
     scan = len(u) + slack
     colour = phi(x, u, scan)
-    tag = colour.tag if isinstance(colour, FactorColour) else colour
+    tag = colour & 1 if isinstance(colour, int) else colour
     assert tag == split_tag_oracle(x, u, scan)
 
 
@@ -157,7 +163,7 @@ def _outcome_kind(colour, n: int, scan: int) -> str:
         return "not a factor"
     if colour is UNKNOWN:
         return "past the scan" if n > scan else "unresolved"
-    return f"tag {colour.tag}"
+    return f"tag {colour & 1}"
 
 
 @pytest.mark.parametrize("spec", _PREFIX_SPECS)
@@ -181,7 +187,7 @@ def test_prefix_colourer_matches_phi_in_and_out_of_order(spec):
             assert {n: colour_at(n) for n in order} == expected, (y, scan)
         for n in range(1, min(len(y), scan, 12) + 1):
             colour = expected[n]
-            tag = colour.tag if isinstance(colour, FactorColour) else colour
+            tag = colour & 1 if isinstance(colour, int) else colour
             assert tag == split_tag_oracle(x, y[:n], scan), (y[:n], scan)
         kinds |= {_outcome_kind(colour, n, scan)
                   for n, colour in expected.items()}
@@ -204,7 +210,7 @@ def test_phi_searches_one_first_occurrence_per_word(monkeypatch):
     asked = _factors(x.prefix(128), 20) + ["bb", "aaa", "abbab"]
     colours = [phi(x, u, 128) for u in asked]
     assert searched == asked
-    assert sum(isinstance(c, FactorColour) for c in colours) == len(asked) - 3
+    assert sum(isinstance(c, int) for c in colours) == len(asked) - 3
 
 
 def test_tag_zero_closure_for_standardised_neighbours():
@@ -216,8 +222,8 @@ def test_tag_zero_closure_for_standardised_neighbours():
     assert len(factors) >= 2
     for left, right in zip(factors, factors[1:]):
         colour = phi(fib, left + right, 512)
-        assert isinstance(colour, FactorColour)
-        assert colour.tag == 0
+        assert isinstance(colour, int)
+        assert colour & 1 == 0
 
 
 def test_altsum_identity_examples():
@@ -266,6 +272,6 @@ def test_concatenated_factors_colour_as_their_endpoint_pair():
         concat = "".join(slices[k] for k in ks)
         assert first_occurrence(x, concat, 64) == Occurrence(left, right)
         colour = phi(x, concat, 64)
-        assert isinstance(colour, FactorColour)
-        assert colour.theta == colour_pair(left, right)
-    assert phi(x, slices[2] + slices[3], 64).tag == 0
+        assert isinstance(colour, int)
+        assert colour >> 1 == colour_pair(left, right)
+    assert phi(x, slices[2] + slices[3], 64) & 1 == 0
