@@ -9,14 +9,18 @@ the search state; constraints_for builds each family from scratch for
 verify_altsum_witness. The alternating-sum, super-monochromatic and
 Hindman searches hand the engine the candidates their first obligation
 rejects in blocks, found by one lazy colour chain, _colour_chain, once the
-path colour is fixed. Under theta, the words the super-monochromatic and
-Hindman chains read are prefixes of one word (a suffix, or u^ω), and the
-word colouring's prefixes entry colours them from one first-occurrence
-table per word; every other word goes through phi, and one memo per run
-serves both. Reports are deterministic
-functions of the search parameters alone, and every search runs in the
-calling thread. altsum_search and supermono_search still accept a jobs
-argument and ignore it, because the benchmark workloads pass it.
+path colour is fixed. In the alternating-sum and super-monochromatic
+searches the level that fixes the path colour reads its candidates from
+that same chain, so a candidate whose child would reject every one of its
+own candidates is one childless block, with no child built. Under theta,
+the words the super-monochromatic and Hindman chains read are prefixes of
+one word (a suffix, or u^ω), and the word colouring's prefixes entry
+colours them from one first-occurrence table per word; every other word
+goes through phi, and one memo per run serves both. Reports are
+deterministic functions of the search parameters alone, and every search
+runs in the calling thread. altsum_search and supermono_search still
+accept a jobs argument and ignore it, because the benchmark workloads
+pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -447,7 +451,11 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     one by one; unknown_aborts is touched only when j > 0, so a search
     whose counts lack it may yield blocks of defined colours. Blocks come
     in candidate order, so a first-mode stop counts the same nodes either
-    way.
+    way. A childless block (None, (k, j, True)), which the chain's fixing
+    query yields, holds an accepted candidate whose child, not a witness,
+    rejects all of its k - 1 candidates; it counts the same way and also
+    raises max_depth_reached to the child's level, level + 1, as building
+    the child would.
     """
     witnesses: list = []
     nodes = max_depth = evaluated = 0
@@ -462,11 +470,13 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
             return stop
         for candidate, obligations in expand(state, fixed):
             if candidate is None:
-                rejected, unknown = obligations
+                rejected, unknown, *childless = obligations
                 nodes += rejected
                 evaluated += rejected
                 if unknown:
                     counts["unknown_aborts"] += unknown
+                if childless and level >= max_depth:
+                    max_depth = level + 1
                 continue
             nodes += 1
             target = fixed
@@ -499,20 +509,40 @@ def _colour_chain(colour_at, first: int):
     and of the stop the (None, (k, j)) block that _dfs takes for the k
     keys of another colour since the last, j of them UNKNOWN. low may lie
     past the keys read so far: the keys below it that the query reads are
-    filed for later queries but never yielded."""
+    filed for later queries but never yielded.
+
+    candidates.fixing(low, stop, make, span=None) is the query of the
+    level whose candidates fix the path colour, each by its own key's
+    colour, when the child asks this chain for that colour from key + 1
+    up to its stop: key + span, or stop when span is None. For each key
+    in low .. stop - 1 in order it yields make(key) when a later key of
+    the key's colour lies below the child's stop. Otherwise the child
+    would reject all of its k = child stop - key - 1 candidates, and it
+    yields the childless block (None, (1 + k, j, True)), j the UNKNOWN
+    colours among those k keys: the accepted candidate and its child's
+    nodes, which _dfs counts without building the child. An UNKNOWN key
+    is the rejected block (None, (1, 1)). It reads each key's chain only
+    as far as that child would, to the next key of its colour or to the
+    child's stop."""
     hits = collections.defaultdict(list)  # each colour's keys, ascending
+    colours = []  # colours[i]: the colour of key first + i
     unknown = [0]  # unknown[i]: UNKNOWN colours among the first i keys
+
+    def read(key: int) -> None:
+        """Read key, the first key not yet read, and file its colour."""
+        found = colour_at(key)
+        colours.append(found)
+        unknown.append(unknown[-1] + (found is UNKNOWN))
+        if found is not UNKNOWN:
+            hits[found].append(key)
 
     def candidates(colour, low: int, stop: int, make):
         keys = hits[colour]
         i = bisect.bisect_left(keys, low)
         while True:
-            while i == len(keys) and (key := first + len(unknown) - 1) < stop:
-                found = colour_at(key)
-                unknown.append(unknown[-1] + (found is UNKNOWN))
-                if found is not UNKNOWN:
-                    hits[found].append(key)
-                if key < low and found == colour:
+            while i == len(keys) and (key := first + len(colours)) < stop:
+                read(key)
+                if key < low and i < len(keys):
                     i += 1  # filed for later queries, never yielded
             end = min(keys[i], stop) if i < len(keys) else stop
             if end > low:
@@ -523,6 +553,30 @@ def _colour_chain(colour_at, first: int):
             yield make(end)
             low, i = end + 1, i + 1
 
+    def fixing(low: int, stop: int, make, span: int | None = None):
+        child_stop = stop
+        for key in range(low, stop):
+            if span is not None:
+                child_stop = key + span
+            while (unread := first + len(colours)) <= key:
+                read(unread)
+            colour = colours[key - first]
+            if colour is UNKNOWN:
+                yield None, (1, 1)
+                continue
+            # Read on to the next key of this colour or the child's stop.
+            keys = hits[colour]
+            i = bisect.bisect_right(keys, key)
+            while (i == len(keys)
+                   and (unread := first + len(colours)) < child_stop):
+                read(unread)
+            if i < len(keys) and keys[i] < child_stop:
+                yield make(key)
+            else:
+                yield None, (child_stop - key, unknown[child_stop - first]
+                             - unknown[key + 1 - first], True)
+
+    candidates.fixing = fixing
     return candidates
 
 
@@ -566,10 +620,17 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     with the first left, which stays x_1, y_1 or y_1 + y_2 down the path.
     The run keeps one _colour_chain per first left, keyed on the right,
     which yields only the candidates that pass that obligation and rejects
-    the others in blocks. Until the path colour is fixed, and for y_subset
-    with allow_k1_equal_1, where a left may reach the right, candidates
-    are checked one at a time instead. Both ways count and colour
-    exactly the same. constraints_for is the referee behind
+    the others in blocks. The state with one left (x_1, y_1, or y_1 + y_2
+    for y_subset) fixes the path colour, and its candidates are keys of
+    that left's chain too: when its child is not a witness, the chain's
+    fixing query hands _dfs each candidate whose colour has no later key
+    below the child's stop (bound + 1 for x_alternating, the right plus
+    bound + 1 for the y forms) as one childless block, the candidate with
+    all the candidates its child would reject, and builds no child for
+    it. Until the path colour is fixed, and throughout for y_subset with
+    allow_k1_equal_1, where a left may reach the right, candidates are
+    checked one at a time instead. Every way counts and colours exactly
+    the same. constraints_for is the referee behind
     verify_altsum_witness.
     """
     if form not in FORMS:
@@ -588,6 +649,11 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     # One chain per first left, keyed on the right: its colour with the left.
     chain_of = functools.cache(lambda left: _colour_chain(
         functools.partial(colour_of, left), left + 1))
+    # The state with one left fixes the path colour, and its child takes the
+    # chain path, with two lefts or three for y_subset, unless a left may
+    # reach the right (y_subset with allow_k1_equal_1).
+    fixes = not (form == Y_SUBSET and allow_k1_equal_1)
+    child_lefts = 3 if form == Y_SUBSET else 2
 
     # A state is (values, newest right, lefts, evens). For the alternating
     # forms, where y_block is x_alternating over prefix sums, lefts and
@@ -598,7 +664,9 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
         values, x, lefts, _ = state
         shift = 0 if increasing else x  # a candidate v's right is v + shift
         lo = values[-1] + 1 if increasing and values else 1
-        if colour is None or max(lefts) >= lo + shift:
+        fixing = (fixes and colour is None and len(lefts) == 1
+                  and len(values) + 2 <= max_len)
+        if not fixing and (colour is None or max(lefts) >= lo + shift):
             for v in range(lo, bound + 1):
                 pairs = _constraints_with_top(lefts, v + shift)
                 counts["constraints_checked"] += len(pairs)
@@ -611,10 +679,21 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
             counts["constraints_checked"] += len(lefts)
             return right - shift, zip(lefts, itertools.repeat(right))
 
-        for step in chain_of(lefts[0])(colour, lo + shift,
-                                       bound + 1 + shift, make):
-            if step[0] is None:
-                counts["constraints_checked"] += step[1][0] * len(lefts)
+        chain = chain_of(lefts[0])
+        if fixing:
+            # The only obligation, with lefts[0], fixes the path colour, and
+            # the child asks lefts[0]'s chain for it from the right on: a
+            # block is a childless candidate and its child's candidates.
+            steps = chain.fixing(lo + shift, bound + 1 + shift, make,
+                                 None if increasing else bound + 1)
+            later = child_lefts
+        else:
+            steps = chain(colour, lo + shift, bound + 1 + shift, make)
+            later = len(lefts)
+        for step in steps:
+            if step[0] is None:  # the block's first node, then the others
+                counts["constraints_checked"] += (
+                    len(lefts) + (step[1][0] - 1) * later)
             yield step
 
     def grow(state, v: int):
@@ -670,9 +749,14 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
 
     A second factor u's first obligation u_1 u is the suffix's prefix
     ending at u's end, so each suffix start's _colour_chain of prefix
-    colours yields only the second factors that pass it and rejects the
-    others in blocks. Both modes count and colour exactly what checking
-    one candidate at a time would. Under theta the chain reads its prefixes
+    colours, keyed on the prefix's end, yields only the second factors
+    that pass it and rejects the others in blocks. The first factor is
+    itself such a prefix and fixes the path colour: when n >= 2 the
+    chain's fixing query hands _dfs each first factor whose colour has
+    no later prefix within len_bound as one childless block, the factor
+    with all the second factors it would reject, and builds no child for
+    it. Both modes count and colour exactly what checking one candidate
+    at a time would. Under theta the chain reads its prefixes
     through the colouring's prefixes entry, from one first-occurrence table
     for the suffix's text; the other words, a second factor alone or a
     subset word that skips a factor, go through phi unless the run's memo
@@ -699,7 +783,7 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         colour_prefix = colour_of.prefixes(
             text[start - 1:start - 1 + len_bound])
         return (start, start, [], [""], _colour_chain(
-            lambda end: colour_prefix(end - start + 1), start + 1))
+            lambda end: colour_prefix(end - start + 1), start))
 
     def expand(state, colour):
         start, pos, factors, subsets, chain = state
@@ -709,6 +793,10 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
             u = text[pos - 1:end]
             return u, map(operator.add, subsets, itertools.repeat(u))
 
+        if not factors and n_factors >= 2:
+            # The first factor's only obligation is itself, the prefix
+            # ending at its end, and it fixes the path colour.
+            return chain.fixing(pos, stop, make)
         if len(factors) != 1:
             return map(make, range(pos, stop))
         # The second factor's first obligation factors[0] + u is the prefix

@@ -557,14 +557,18 @@ _REFEREE_SPECS = ["periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
 @pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
                                        "theta"])
 def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
-    """The second factor's candidates are rejected in blocks; every count
-    must still be what checking them one at a time gives. Small scan
-    bounds put UNKNOWN ends inside the blocks, and the explicit prefix
-    cuts the ends off at its last letter."""
+    """The second factor's candidates are rejected in blocks, and a first
+    factor with all the second factors it would reject is one childless
+    block; every count must still be what checking them one at a time
+    gives. Small scan bounds put UNKNOWN ends inside the blocks, and the
+    explicit prefix cuts the ends off at its last letter. At n 1 the
+    first factor's child is a witness, so no childless block may be
+    taken."""
     x, col = parse_word_spec(spec), parse_colouring(colouring)
     for suffix_bound, n, len_bound, scan_bound in [
             (1, 2, 5, 2), (3, 2, 6, 2), (3, 3, 6, 3), (4, 3, 8, 5),
-            (5, 2, 12, 4), (2, 4, 10, 5), (6, 3, 14, 64)]:
+            (5, 2, 12, 4), (2, 4, 10, 5), (6, 3, 14, 64), (3, 1, 6, 3),
+            (4, 1, 9, 64)]:
         if spec.startswith("prefix:") and scan_bound > 5:
             continue
         for mode in ("first", "all"):
@@ -599,9 +603,12 @@ def test_hindman_counts_match_a_one_candidate_referee(spec, colouring):
 def test_altsum_counts_match_a_one_candidate_referee(monkeypatch, colouring):
     """Once the path colour is fixed, a candidate's first obligation is
     read from its first left's colour chain, which rejects the off-colour
-    candidates in blocks; y_subset with allow_k1_equal_1 checks them one
-    at a time throughout. Either way the outcome, every count and the set
-    of coloured pairs must be what checking them one at a time gives."""
+    candidates in blocks, and the level that fixes the colour counts a
+    childless candidate with its child's candidates as one block;
+    y_subset with allow_k1_equal_1 checks them one at a time throughout.
+    At L 1 and L 2 the child of that level is a witness, so no childless
+    block may be taken. Every way, the outcome, every count and the set of
+    coloured pairs must be what checking them one at a time gives."""
     coloured = []
     colour_pair_value = search.colour_pair_value
 
@@ -611,9 +618,11 @@ def test_altsum_counts_match_a_one_candidate_referee(monkeypatch, colouring):
 
     monkeypatch.setattr(search, "colour_pair_value", recording)
     col = parse_colouring(colouring)
-    for form, sizes in [(X_ALTERNATING, [(12, 4), (8, 5), (20, 3)]),
-                        (Y_BLOCK, [(5, 4), (4, 5), (9, 3)]),
-                        (Y_SUBSET, [(5, 4), (4, 5), (9, 3)])]:
+    for form, sizes in [(X_ALTERNATING, [(12, 4), (8, 5), (20, 3),
+                                         (12, 1), (12, 2)]),
+                        (Y_BLOCK, [(5, 4), (4, 5), (9, 3), (9, 1), (9, 2)]),
+                        (Y_SUBSET, [(5, 4), (4, 5), (9, 3), (9, 1),
+                                    (9, 2)])]:
         for (bound, max_len), mode, allow in itertools.product(
                 sizes, ("first", "all"), (False, True)):
             args = (col, bound, max_len, form, mode)
@@ -670,6 +679,90 @@ def test_colour_chain_queried_past_its_frontier():
         frontier = max(frontier, stop)
         assert read == list(range(5, 5 + len(read)))
         assert len(read) <= frontier - 5
+
+
+def _fixing_steps_by_brute_force(colour_at, low, stop, span):
+    """What a colour chain's fixing query must yield, from one colour_at
+    per key, and the last key it may read (0 when it reads none): a key
+    of a defined colour reaches the next key of its colour below its
+    child's stop, key + span or stop, or else the key before that stop."""
+    steps, last = [], 0
+    for key in range(low, stop):
+        child_stop = stop if span is None else key + span
+        colour = colour_at(key)
+        later = range(key + 1, child_stop)
+        same = [k for k in later if colour_at(k) == colour]
+        if colour is UNKNOWN:
+            steps.append((None, (1, 1)))
+            last = max(last, key)
+        elif same:
+            steps.append(("hit", key))
+            last = max(last, same[0])
+        else:
+            steps.append((None, (1 + len(later),
+                                 sum(colour_at(k) is UNKNOWN for k in later),
+                                 True)))
+            last = max(last, child_stop - 1)
+    return steps, last
+
+
+def test_colour_chain_fixing_query_matches_its_referee():
+    """For every (low, stop, child stop) in a small range, child stops
+    past the stop included, the fixing query yields make(key) for a key
+    whose colour recurs below its child's stop, the childless block of
+    1 + k nodes with the UNKNOWN count of its child's k keys otherwise,
+    and a one-node block for an UNKNOWN key. A fresh chain reads each key
+    once, in order, and no key past the last one a child would read: the
+    next key of the candidate's colour, or the one before its stop."""
+    def colour_at(key):
+        return UNKNOWN if key % 7 == 0 else key % 3
+
+    for low, stop, span in itertools.product(range(5, 20), range(5, 22),
+                                             (None, 1, 2, 3, 5, 8, 13)):
+        if stop < low:
+            continue
+        read = []
+
+        def reading(key):
+            read.append(key)
+            return colour_at(key)
+
+        chain = search._colour_chain(reading, 5)
+        steps = list(chain.fixing(low, stop, lambda key: ("hit", key), span))
+        expected, last = _fixing_steps_by_brute_force(colour_at, low, stop,
+                                                      span)
+        assert steps == expected, (low, stop, span)
+        assert read == list(range(5, max(last + 1, 5))), (low, stop, span)
+
+
+def test_colour_chain_queries_share_one_read():
+    """Colour and fixing queries on one chain, in any order, yield what
+    their referees give, and the chain still reads each key once, in
+    order."""
+    def colour_at(key):
+        return UNKNOWN if key % 7 == 0 else key % 3
+
+    read = []
+
+    def reading(key):
+        read.append(key)
+        return colour_at(key)
+
+    chain = search._colour_chain(reading, 5)
+    make = (lambda key: ("hit", key))
+    for kind, *query in [
+            ("colour", 1, 12, 20), ("fixing", 5, 9, None),
+            ("fixing", 5, 14, 4), ("colour", 2, 6, 10), ("fixing", 16, 30, 9),
+            ("colour", 0, 5, 20), ("fixing", 8, 10, None),
+            ("colour", 1, 30, 45), ("fixing", 40, 44, 12)]:
+        if kind == "colour":
+            steps = list(chain(*query, make))
+            expected = _chain_steps_by_brute_force(colour_at, *query)
+        else:
+            steps = list(chain.fixing(*query[:2], make, query[2]))
+            expected = _fixing_steps_by_brute_force(colour_at, *query)[0]
+        assert steps == expected, (kind, query)
+        assert read == list(range(5, 5 + len(read))), (kind, query)
 
 
 def test_first_witness_right_after_a_rejected_block(monkeypatch):
@@ -1229,5 +1322,28 @@ def test_benchmark_sized_supermono_outcome_is_the_referee_outcome():
     args = (_word(_FIB), _col("theta"), 24, 4, 100, 4096, "all")
     expected = ([], True, 121_327, 2,
                 {"colour_evaluations": 122_084, "unknown_aborts": 84})
+    assert _supermono_referee(*args) == expected
+    assert _outcome(supermono_search(*args)) == expected
+
+
+def test_benchmark_sized_altsum_outcome_is_the_referee_outcome():
+    """The benchmark's altsum_theta pass, whose gate pins neither the
+    depth nor the constraints checked: every count is what checking one
+    candidate at a time gives, though most of its level-1 candidates are
+    childless blocks."""
+    args = (_col("theta"), 44, 4, X_ALTERNATING, "all")
+    expected = ([], True, 14_234, 2, {"constraints_checked": 27_434})
+    assert _altsum_referee(*args, False) == expected
+    assert _outcome(altsum_search(*args)) == expected
+
+
+def test_childless_blocks_alone_reach_depth_one():
+    """Under theta with suffix bound 2, n 3 and len 6, no second factor of
+    the Fibonacci word's suffixes shares its first factor's colour, so
+    every first factor is a childless block: depth 1 comes from the
+    blocks alone, and the counts are the one-candidate referee's."""
+    args = (_word(_FIB), _col("theta"), 2, 3, 6, 64, "all")
+    expected = ([], True, 42, 1,
+                {"colour_evaluations": 42, "unknown_aborts": 0})
     assert _supermono_referee(*args) == expected
     assert _outcome(supermono_search(*args)) == expected
