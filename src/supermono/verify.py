@@ -6,8 +6,9 @@ raises `_Counterexample(detail, counterexample)` at its first failure. A
 body may yield one instance at a time, or a block's count once the whole
 block has passed; at a failure inside a block it first yields the count
 through the failing instance, so `checked` is the same either way. claim1
-and claim4 check each block as packed sums in one int. A failing claim4
-block, one subset's sums, is still counted through its failing triple;
+checks each group of same-window numbers as packed sums in one int, and
+claim4 a chunk of subsets, one subset per block, with one int per sum. A
+failing claim4 chunk is still counted through its first failing triple;
 claim1 is the exception, and its failing group is not counted. claim6
 checks every tuple, but calls the library centre once per digit-bound
 shape, the run of tuples whose five (first, last) digit pairs agree: the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -37,6 +37,15 @@ _SEED = 988121
 # before it checks one, at about 38 bytes per value (about 40 MB at the cap).
 CLAIM1_MAX_BOUND = 1 << 20
 
+# The largest claim4 and claim6 position count, far beyond any run that
+# finishes: claim4 builds lists of position_count entries, and claim6's
+# itertools.combinations overflows, before either checks anything.
+MAX_POSITION_COUNT = 64
+
+# The most subsets claim4 checks in one bits.jump_marks call per sum; a
+# level's big ints hold at most this many blocks.
+CLAIM4_CHUNK = 4096
+
 
 @dataclass
 class SuiteResult:
@@ -49,6 +58,12 @@ class SuiteResult:
 
 class BoundError(ValueError):
     """A suite bound the suite refuses before it checks anything."""
+
+
+def _check_position_count(suite: str, position_count: int) -> None:
+    if position_count > MAX_POSITION_COUNT:
+        raise BoundError(f"{suite} position count must be at most "
+                         f"{MAX_POSITION_COUNT}, got {position_count}")
 
 
 class _Counterexample(Exception):
@@ -315,68 +330,69 @@ def verify_lastdigit(trials: int = 2000) -> Iterator[int]:
 # Jump elimination
 
 
-def _claim4_layout(k: int, width: int) -> tuple[list[int], list[int], int]:
-    """The packed layout for k-element subsets: one lane of `width` bits
-    per sum, the k - 3 present sums y1+y2+y3 (c3 = 3..k-1) first, then
-    the missing sums y1+y3 in lexicographic triple order.
-
-    Lane j's bit of sums[i] says whether the subset's element i is in
-    lane j's sum, and of marks[i] whether that sum's jump mark is due at
-    element i: at c3 for a present sum, at c1 and c3 for a missing one.
-    Times the subset's powers of 2, they pack every sum and every due
-    mark. ones holds a 1 at the foot of every lane."""
-    lanes = [(range(c3), (c3,)) for c3 in range(3, k)]
-    lanes += [(itertools.chain(range(c1), range(c2, c3)), (c1, c3))
-              for c1, c2, c3 in itertools.combinations(range(1, k), 3)]
-    sums, marks = [0] * k, [0] * k
-    for j, (members, due) in enumerate(lanes):
-        foot = 1 << (j * width)
-        for i in members:
-            sums[i] |= foot
-        for i in due:
-            marks[i] |= foot
-    ones = ((1 << (width * len(lanes))) - 1) // ((1 << width) - 1)
-    return sums, marks, ones
-
-
 @_suite("claim4", "jump count always drops from 2 to 1")
 def verify_claim4(position_count: int = 16) -> Iterator[int]:
     """For every 4-tuple of pairwise right-to-left disjoint staircase
     numbers with supports inside 0..position_count-1, reinstating the
     second term removes exactly one high-to-low jump:
     J(y1+y3, Y) = 2 and J(y1+y2+y3, Y) = 1 where Y is the full sum.
+    A position count above MAX_POSITION_COUNT raises BoundError.
 
-    Each subset takes one bits.jump_marks call: every sum in a lane of
-    position_count bits (see _claim4_layout), against Y in every lane.
-    No carry crosses a lane: every sum lacks Y's top element, which is
-    labelled 1 and absorbs the lane's carry, and above it both read 0
-    to the lane's end, which no carry reaches. If the marks are the due
-    ones, every count is right. Otherwise each lane's marks are counted,
-    and the first triple whose y1+y3 count is not 2, or whose c3's
-    y1+y2+y3 count is not 1, is the counterexample, counted through: the
-    same triple and count as checking both sums of every triple."""
-    powers = [1 << p for p in range(position_count)]
-    lane = (1 << position_count) - 1
+    The suite takes the k-element subsets a chunk of CLAIM4_CHUNK at a
+    time, in itertools.combinations order, and makes one bits.jump_marks
+    call per sum for the whole chunk. Column E_i holds each subset's i-th
+    element, subset s in the block of position_count bits at bit
+    s * position_count; its prefix sums P_c = E_0 + ... + E_{c-1} carry
+    nothing, since a block holds distinct powers of 2, and Y = P_k. The
+    chunk passes when jump_marks(P_c3, Y) == E_c3 for every c3 in
+    3..k-1 and jump_marks(P_c1 + P_c3 - P_c2, Y) == E_c1 | E_c3 for every
+    triple: the due marks of every subset at once. No carry crosses a
+    block: every sum lacks Y's top element, which is labelled 1 and
+    absorbs the block's carry, and above it both read 0 to the block's
+    end, which no carry reaches. A chunk with any other marks is read
+    subset by subset, and the first triple whose y1+y3 count is not 2,
+    or whose c3's y1+y2+y3 count is not 1, is the counterexample,
+    counted through: the same triple and count as checking both sums of
+    every triple. At position count 12 that is 540 calls for 3,797
+    subsets."""
+    _check_position_count("claim4", position_count)
+    jump_marks = bits.jump_marks
+    digits = [format(1 << p, f"0{position_count}b")
+              for p in range(position_count)]
     for k in range(4, position_count + 1):
         triples = list(itertools.combinations(range(1, k), 3))
-        sums, marks, ones = _claim4_layout(k, position_count)
-        for subset in itertools.combinations(powers, k):
-            full = sum(subset)
-            found = bits.jump_marks(sum(map(operator.mul, sums, subset)),
-                                    full * ones)
-            if found == sum(map(operator.mul, marks, subset)):
-                yield len(triples)
+        subsets = itertools.combinations(range(position_count), k)
+        # a chunk is one flat list of positions, subset after subset, so
+        # combinations reuses its result tuple and no tuple per subset is
+        # built or kept
+        while flat := list(itertools.chain.from_iterable(
+                itertools.islice(subsets, CLAIM4_CHUNK))):
+            columns = [int("".join(map(digits.__getitem__,
+                                       reversed(flat[i::k]))), 2)
+                       for i in range(k)]
+            prefix = [0, *itertools.accumulate(columns)]
+            full = prefix[k]
+            if all(jump_marks(prefix[c3], full) == columns[c3]
+                   for c3 in range(3, k)) and all(
+                       jump_marks(prefix[c1] + prefix[c3] - prefix[c2], full)
+                       == columns[c1] | columns[c3]
+                       for c1, c2, c3 in triples):
+                yield len(flat) // k * len(triples)
                 continue
-            counts = [(found >> (j * position_count) & lane).bit_count()
-                      for j in range(k - 3 + len(triples))]
-            for bad, (c1, c2, c3) in enumerate(triples):
-                if counts[k - 3 + bad] != 2 or counts[c3 - 3] != 1:
-                    yield bad + 1
-                    y = [0, *itertools.accumulate(subset)]
-                    raise _Counterexample(
-                        "jump delta is not exactly 1",
-                        (y[c1], y[c2] - y[c1], y[c3] - y[c2], full - y[c3]))
-            yield len(triples)
+            for start in range(0, len(flat), k):
+                y = [0, *itertools.accumulate(
+                    1 << p for p in flat[start:start + k])]
+                present = [jump_marks(y[c3], y[k]).bit_count()
+                           for c3 in range(3, k)]
+                for bad, (c1, c2, c3) in enumerate(triples):
+                    if (jump_marks(y[c1] + y[c3] - y[c2], y[k]).bit_count()
+                            != 2 or present[c3 - 3] != 1):
+                        yield bad + 1
+                        raise _Counterexample(
+                            "jump delta is not exactly 1",
+                            (y[c1], y[c2] - y[c1], y[c3] - y[c2],
+                             y[k] - y[c3]))
+                yield len(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +545,9 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
     colour_pair calls for 1,296 sets at position count 16 (2,810 without
     the memo), 36,434 for 42,078 at 18 (87,963). The colouring is a
     function of the pair, so the memo changes no verdict. A memo kept for
-    the whole run would save little more and grows with the bound."""
+    the whole run would save little more and grows with the bound. A
+    position count above MAX_POSITION_COUNT raises BoundError."""
+    _check_position_count("claim6", position_count)
     intervals = bits.intervals
     shape = coloured = colour_shape = masks = None
     colours: dict[tuple[int, int], object] = {}

@@ -123,6 +123,18 @@ def test_verify_claim1_bound_above_its_cap_is_a_usage_error():
 
 
 @pytest.mark.parametrize("suite, bound", [
+    ("claim4", verify.MAX_POSITION_COUNT + 1),
+    ("claim6", verify.MAX_POSITION_COUNT + 1),
+    ("claim6", 99999999999999999999)])
+def test_verify_position_count_above_its_cap_is_a_usage_error(suite, bound):
+    result = _invoke("verify", suite, "--bound", str(bound))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert (f"{suite} position count must be at most "
+            f"{verify.MAX_POSITION_COUNT}, got {bound}") in result.stderr
+
+
+@pytest.mark.parametrize("suite, bound", [
     ("claim1", 1), ("claim1", 4), ("claim1", 9), ("claim4", 1),
     ("claim4", 3), ("claim6", 1), ("claim6", 12)])
 def test_verify_rejects_a_bound_that_checks_nothing(suite, bound):

@@ -7,6 +7,7 @@ import ast
 import collections
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -318,39 +319,48 @@ def _claim6_fault(index):
     return inject
 
 
+# claim4 against its per-instance referee: (bound, fault, passes)
+_CLAIM4_REFEREE_ROWS = [
+    pytest.param(8, None, True, id="passes"),
+    pytest.param(8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
+                                  present=[5]), False,
+                 id="missing-before-bad-c3"),
+    pytest.param(8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 3, 4)],
+                                  present=[4]), False,
+                 id="bad-c3-before-missing"),
+    pytest.param(8, _claim4_fault(8, (1, 2, 4, 5, 7), present=[4]), False,
+                 id="bad-c3"),
+    pytest.param(8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[4, 5]),
+                 False, id="two-bad-c3"),
+    pytest.param(8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[5, 3]),
+                 False, id="two-bad-c3-first-at-index-0"),
+    pytest.param(8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
+                                  present=[5], move=True), True,
+                 id="moved-mark"),
+    # with passes, every position count from 4 to 10
+    *[pytest.param(n, None, True, id=f"passes-at-{n}")
+      for n in (4, 5, 6, 7, 9, 10)],
+]
+
+
 @pytest.mark.parametrize("suite, bound, fault, passes", [
-    ("claim4", 8, None, True),
-    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
-                                present=[5]), False),
-    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 3, 4)],
-                                present=[4]), False),
-    ("claim4", 8, _claim4_fault(8, (1, 2, 4, 5, 7), present=[4]), False),
-    ("claim4", 8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[4, 5]),
-     False),
-    ("claim4", 8, _claim4_fault(8, (0, 1, 3, 4, 6, 7), present=[5, 3]),
-     False),
-    ("claim4", 8, _claim4_fault(8, (0, 2, 3, 5, 6, 7), missing=[(1, 2, 4)],
-                                present=[5], move=True), True),
-    # with claim4-passes, every layout from 4 to 10 positions
-    *[("claim4", n, None, True) for n in (4, 5, 6, 7, 9, 10)],
-    ("claim6", 15, None, True),
-    ("claim6", 15, _claim6_fault(9), False),
-    ("claim6", 15, _claim6_fault(100), False),
-], ids=["claim4-passes", "claim4-missing-before-bad-c3",
-        "claim4-bad-c3-before-missing", "claim4-bad-c3",
-        "claim4-two-bad-c3", "claim4-two-bad-c3-first-at-index-0",
-        "claim4-moved-mark",
-        *[f"claim4-passes-at-{n}" for n in (4, 5, 6, 7, 9, 10)],
-        "claim6-passes", "claim6-recurring-group", "claim6-mid-group"])
+    *[pytest.param("claim4", *row.values, id=f"claim4-{row.id}")
+      for row in _CLAIM4_REFEREE_ROWS],
+    pytest.param("claim6", 15, None, True, id="claim6-passes"),
+    pytest.param("claim6", 15, _claim6_fault(9), False,
+                 id="claim6-recurring-group"),
+    pytest.param("claim6", 15, _claim6_fault(100), False,
+                 id="claim6-mid-group"),
+])
 def test_claim_suites_match_their_per_instance_referees(
         monkeypatch, suite, bound, fault, passes):
-    """claim4 checks each subset's sums in one packed call and claim6
-    colours a pair set once per run of equal z1..z4; each reports what
-    checking every instance in full reports. A claim4 fault is one
-    extra or moved jump mark in the lanes of chosen sums; a moved mark
-    changes the packed marks but no count, so the subset still passes.
-    The smallest layouts have subsets whose top element sits at a lane's
-    last bit, where the lane's carry stops."""
+    """claim4 checks a chunk of subsets in one packed call per sum and
+    claim6 colours a pair set once per run of equal z1..z4; each reports
+    what checking every instance in full reports. A claim4 fault is one
+    extra or moved jump mark in the lanes of chosen sums of one subset; a
+    moved mark changes the packed marks but no count, so the subset still
+    passes. The smallest position counts have subsets whose top element
+    sits at a lane's last bit, where the lane's carry stops."""
     faulted = fault(monkeypatch) if fault is not None else None
     referee = {"claim4": _claim4_referee, "claim6": _claim6_referee}[suite]
     want = referee(bound)
@@ -362,6 +372,71 @@ def test_claim_suites_match_their_per_instance_referees(
             result.counterexample) == want
     if faulted is not None:
         assert faulted, "the fault never reached the suite's packed call"
+
+
+def _nth_subset(position_count, k, index):
+    """The index-th k-element subset of range(position_count), in the
+    itertools.combinations order claim4 checks them in."""
+    return next(itertools.islice(
+        itertools.combinations(range(position_count), k), index, None))
+
+
+# With chunks of 5, subsets 10..14 of a level form its third chunk, and
+# the 6-element level at 8 positions (28 subsets) ends on a chunk of 3.
+@pytest.mark.parametrize("bound, fault, passes", [
+    *_CLAIM4_REFEREE_ROWS,
+    pytest.param(8, _claim4_fault(8, _nth_subset(8, 6, 10), present=[3]),
+                 False, id="chunk-first-subset"),
+    pytest.param(8, _claim4_fault(8, _nth_subset(8, 6, 14),
+                                  missing=[(2, 3, 5)]),
+                 False, id="chunk-last-subset"),
+    pytest.param(8, _claim4_fault(8, _nth_subset(8, 6, 27), present=[4]),
+                 False, id="level-last-subset"),
+    pytest.param(8, _claim4_fault(8, _nth_subset(8, 6, 14), present=[3],
+                                  move=True),
+                 True, id="moved-mark-on-chunk-last-subset"),
+])
+def test_claim4_reports_the_same_in_chunks_of_five(
+        monkeypatch, bound, fault, passes):
+    """verify_claim4 with CLAIM4_CHUNK at 5, so every level but the
+    smallest spans several chunks, reports what its per-instance referee
+    reports. Each fault lands past a level's first chunk, some on a
+    chunk's first or last subset; a moved mark fails the chunk's packed
+    comparison but no count, so the suite reads that chunk subset by
+    subset and goes on."""
+    monkeypatch.setattr(verify, "CLAIM4_CHUNK", 5)
+    test_claim_suites_match_their_per_instance_referees(
+        monkeypatch, "claim4", bound, fault, passes)
+
+
+def test_claim4_checked_counts_follow_the_closed_form():
+    """A k-element subset holds C(k - 1, 3) triples, so claim4 checks
+    sum_k C(n, k) * C(k - 1, 3) at position count n. At 15 the 7-element
+    level holds more subsets than one chunk."""
+    assert math.comb(15, 7) > verify.CLAIM4_CHUNK
+    for position_count, checked in ((4, 1), (10, 7937), (12, 65_537),
+                                    (15, 1_216_513)):
+        assert checked == sum(
+            math.comb(position_count, k) * math.comb(k - 1, 3)
+            for k in range(4, position_count + 1))
+        result = verify.verify_claim4(position_count)
+        assert (result.ok, result.checked) == (True, checked), position_count
+
+
+@pytest.mark.parametrize("suite, first_call", [
+    ("claim4", (bits, "jump_marks")), ("claim6", (verify, "claim6_tuples"))])
+def test_position_count_suites_refuse_a_count_above_the_cap(
+        monkeypatch, suite, first_call):
+    def no_check(*args):
+        raise AssertionError(f"{suite} checked past its cap")
+
+    monkeypatch.setattr(*first_call, no_check)
+    cap = verify.MAX_POSITION_COUNT
+    for position_count in (cap + 1, 10 ** 20):
+        with pytest.raises(verify.BoundError, match=(
+                f"{suite} position count must be at most {cap}, "
+                f"got {position_count}")):
+            verify.run_suite(suite, position_count)
 
 
 def _digit_bound_shape(zs):
