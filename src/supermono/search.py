@@ -4,23 +4,25 @@ finite Hindman sums, the all-plus pair family, and coefficient-pattern sums.
 
 Every search is an exhaustive depth-first enumeration within its stated
 bounds, extending by the smallest candidate first, and all five run on one
-engine, _dfs. The alternating-sum search carries its left-hand sides in
-the search state; constraints_for builds each family from scratch for
-verify_altsum_witness. The alternating-sum, super-monochromatic and
-Hindman searches hand the engine the candidates their first obligation
-rejects in blocks, found by one lazy colour chain, _colour_chain, once the
-path colour is fixed. In the alternating-sum and super-monochromatic
-searches the level that fixes the path colour reads its candidates from
-that same chain, so a candidate whose child would reject every one of its
-own candidates is one childless block, with no child built. Under theta,
+engine, _dfs. Each search describes a state's level to the engine: its
+candidates' keys, how to make a candidate and, in the alternating-sum,
+super-monochromatic and Hindman searches, the lazy colour chain,
+_colour_chain, of their first obligations. The engine alone picks how to
+read a level: one candidate at a time, or through the chain, which rejects
+whole blocks of candidates and, at the level that fixes the path colour,
+counts a candidate whose child would reject all of its own candidates as
+one childless block, with no child built. Every count and every coloured
+object is what checking one candidate at a time gives. The alternating-sum
+search carries its left-hand sides in the search state; constraints_for
+builds each family from scratch for verify_altsum_witness. Under theta,
 the words the super-monochromatic and Hindman chains read are prefixes of
 one word (a suffix, or u^ω), and the word colouring's prefixes entry
 colours them from one first-occurrence table per word; every other word
 goes through phi, and one memo per run serves both. Reports are
 deterministic functions of the search parameters alone, and every search
 runs in the calling thread. altsum_search and supermono_search still
-accept a jobs argument and ignore it, because the benchmark workloads
-pass it.
+accept a jobs argument and ignore it, because the benchmark workloads pass
+it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -427,39 +429,52 @@ def _check_params(params: dict, letters: dict | None = None,
                 f"{name} must be at most {MAX_LETTERS}, got {count}")
 
 
+def _level(low, stop, make, chain=None, span=None, block_tally=None):
+    """What expand returns, a state's level as _dfs reads it, in a plain
+    tuple, which is quicker to build than a named one."""
+    return low, stop, make, chain, span, block_tally
+
+
 def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
          counts, tally=None) -> SearchReport:
     """Depth-first search shared by the five families.
 
-    Each root is a state at depth 0; roots are not counted as nodes.
-    expand(state, colour) yields (candidate, obligations) smallest
-    candidate first, and every candidate is one counted node. The
-    candidate is accepted when every obligation gets the path colour,
-    which the first obligation on the path fixes and which expand is
-    given, None while unfixed; grow(state, candidate) then builds the
-    child state. obligations may be an iterable that is consumed once, and
-    the engine stops reading it at the first obligation that breaks, so
-    expand may build them lazily. An UNKNOWN colour rejects the candidate
-    and counts under unknown_aborts. tally, when given, names the count of
-    colours evaluated. A state at the given depth is a witness, and in
-    first mode the first witness ends the search.
+    Each root is a state at depth 0; roots are not counted as nodes. A
+    state at the given depth is a witness, and in first mode the first
+    witness ends the search. Any other state's level is expand(state),
+    built by _level: its candidates' keys low .. stop - 1 and make(key) ->
+    (candidate, obligations). Every candidate, smallest key first, is one
+    counted node, accepted when every obligation gets the path colour,
+    which the first obligation on the path fixes; grow(state, candidate)
+    then builds the child state. Obligations are read once, up to the
+    first that breaks, so make may build them lazily. An UNKNOWN colour
+    rejects the candidate and counts under unknown_aborts. tally, when
+    given, names the count of colours evaluated.
 
-    expand may also yield (None, (k, j)), as _colour_chain does: a block
-    of k consecutive candidates already rejected by their first
-    obligation, j of them by an UNKNOWN colour. The block counts k nodes,
-    k colours evaluated and j unknown aborts, as those candidates would
-    one by one; unknown_aborts is touched only when j > 0, so a search
-    whose counts lack it may yield blocks of defined colours. Blocks come
-    in candidate order, so a first-mode stop counts the same nodes either
-    way. A childless block (None, (k, j, True)), which the chain's fixing
-    query yields, holds an accepted candidate whose child, not a witness,
-    rejects all of its k - 1 candidates; it counts the same way and also
-    raises max_depth_reached to the child's level, level + 1, as building
-    the child would.
+    A chained level also names the _colour_chain of its candidates' first
+    obligations, keyed as the candidates are, the span of its child's keys
+    (the child stops at key + span, or at stop when span is None) and,
+    optionally, block_tally = (name, own, child): each candidate of the
+    level adds own to counts[name], and each candidate of its child adds
+    child. The engine alone picks how a level is read. It makes every key in
+    turn at a level without a chain, and at one whose path colour is unfixed
+    and whose child is a witness. With the path colour fixed, the chain's
+    colour query yields the candidates of that colour and (None, (k, j)) for
+    each block of k others between them, j of them of an UNKNOWN colour.
+    With it unfixed, the fixing query yields each candidate whose child
+    would accept a candidate, the block (None, (1, 1)) for one of an UNKNOWN
+    colour, and the childless block (None, (k, j, True)) for any other: the
+    candidate with the k - 1 candidates its child would reject, j of them
+    UNKNOWN. A block counts k nodes, k colours evaluated, j unknown aborts
+    and its block_tally, as its candidates would one by one, and a childless
+    block raises max_depth_reached to the child's level, as building the
+    child would. Blocks come in candidate order, so a first-mode stop counts
+    the same nodes either way.
     """
     witnesses: list = []
     nodes = max_depth = evaluated = 0
-    stop = mode == "first"
+    first_only = mode == "first"
+    last = depth - 1  # a state at this level has witnesses for children
 
     def extend(state, level: int, fixed) -> bool:
         nonlocal nodes, max_depth, evaluated
@@ -467,14 +482,25 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
             max_depth = level
         if level == depth:
             witnesses.append(witness(state))
-            return stop
-        for candidate, obligations in expand(state, fixed):
+            return first_only
+        low, stop, make, chain, span, block_tally = expand(state)
+        if chain is None or (fixed is None and level == last):
+            steps = map(make, range(low, stop))
+        elif fixed is None:
+            steps = chain.fixing(low, stop, make, span)
+        else:
+            steps = chain(fixed, low, stop, make)
+        for candidate, obligations in steps:
             if candidate is None:
                 rejected, unknown, *childless = obligations
                 nodes += rejected
                 evaluated += rejected
                 if unknown:
                     counts["unknown_aborts"] += unknown
+                if block_tally is not None:
+                    name, own, child = block_tally
+                    counts[name] += own + (rejected - 1) * (
+                        child if childless else own)
                 if childless and level >= max_depth:
                     max_depth = level + 1
                 continue
@@ -615,22 +641,11 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
 
     The state carries the left-hand sides, so a candidate only pairs them
     with its right: the value itself for x_alternating, the running total
-    for the y forms. Once the path colour is fixed and every left is below
-    every candidate's right, a candidate's first obligation pairs its right
-    with the first left, which stays x_1, y_1 or y_1 + y_2 down the path.
-    The run keeps one _colour_chain per first left, keyed on the right,
-    which yields only the candidates that pass that obligation and rejects
-    the others in blocks. The state with one left (x_1, y_1, or y_1 + y_2
-    for y_subset) fixes the path colour, and its candidates are keys of
-    that left's chain too: when its child is not a witness, the chain's
-    fixing query hands _dfs each candidate whose colour has no later key
-    below the child's stop (bound + 1 for x_alternating, the right plus
-    bound + 1 for the y forms) as one childless block, the candidate with
-    all the candidates its child would reject, and builds no child for
-    it. Until the path colour is fixed, and throughout for y_subset with
-    allow_k1_equal_1, where a left may reach the right, candidates are
-    checked one at a time instead. Every way counts and colours exactly
-    the same. constraints_for is the referee behind
+    for the y forms. A candidate's first obligation pairs its right with
+    the first left, x_1, y_1 or y_1 + y_2 down the path, so the run keeps
+    one colour chain per first left, keyed on the right, for every level
+    that has a left, except for y_subset with allow_k1_equal_1, where a
+    left may reach the right. constraints_for is the referee behind
     verify_altsum_witness.
     """
     if form not in FORMS:
@@ -649,52 +664,35 @@ def altsum_search(colouring: Colouring, bound: int, max_len: int,
     # One chain per first left, keyed on the right: its colour with the left.
     chain_of = functools.cache(lambda left: _colour_chain(
         functools.partial(colour_of, left), left + 1))
-    # The state with one left fixes the path colour, and its child takes the
-    # chain path, with two lefts or three for y_subset, unless a left may
-    # reach the right (y_subset with allow_k1_equal_1).
-    fixes = not (form == Y_SUBSET and allow_k1_equal_1)
+    chained = not (form == Y_SUBSET and allow_k1_equal_1)
+    # The level that fixes the path colour has one left, and its child two,
+    # or three for y_subset; the y forms' child keys run to its right plus
+    # bound + 1.
     child_lefts = 3 if form == Y_SUBSET else 2
+    span = None if increasing else bound + 1
 
     # A state is (values, newest right, lefts, evens). For the alternating
     # forms, where y_block is x_alternating over prefix sums, lefts and
     # evens are the alternating sums of the odd- and even-size index sets.
     # For y_subset, lefts are y_1 plus each nonempty subset sum of the
     # values from index first on.
-    def expand(state, colour):
+    def expand(state):
         values, x, lefts, _ = state
-        shift = 0 if increasing else x  # a candidate v's right is v + shift
-        lo = values[-1] + 1 if increasing and values else 1
-        fixing = (fixes and colour is None and len(lefts) == 1
-                  and len(values) + 2 <= max_len)
-        if not fixing and (colour is None or max(lefts) >= lo + shift):
-            for v in range(lo, bound + 1):
-                pairs = _constraints_with_top(lefts, v + shift)
-                counts["constraints_checked"] += len(pairs)
-                yield v, pairs
-            return
-        # Every left is below every right, so a candidate's obligations pair
-        # its right with each left, and the first, with lefts[0], must have
-        # the path colour: lefts[0]'s chain rejects the others in blocks.
-        def make(right: int):
-            counts["constraints_checked"] += len(lefts)
-            return right - shift, zip(lefts, itertools.repeat(right))
+        shift = 0 if increasing else x  # a candidate v's key is its right
 
-        chain = chain_of(lefts[0])
-        if fixing:
-            # The only obligation, with lefts[0], fixes the path colour, and
-            # the child asks lefts[0]'s chain for it from the right on: a
-            # block is a childless candidate and its child's candidates.
-            steps = chain.fixing(lo + shift, bound + 1 + shift, make,
-                                 None if increasing else bound + 1)
-            later = child_lefts
-        else:
-            steps = chain(colour, lo + shift, bound + 1 + shift, make)
-            later = len(lefts)
-        for step in steps:
-            if step[0] is None:  # the block's first node, then the others
-                counts["constraints_checked"] += (
-                    len(lefts) + (step[1][0] - 1) * later)
-            yield step
+        def make(right: int):
+            pairs = _constraints_with_top(lefts, right)
+            counts["constraints_checked"] += len(pairs)
+            return right - shift, pairs
+
+        low = (values[-1] + 1 if increasing and values else 1) + shift
+        if not (chained and lefts):
+            return _level(low, bound + 1 + shift, make)
+
+        # Every left is below every right, so a candidate makes one pair
+        # per left.
+        return _level(low, bound + 1 + shift, make, chain_of(lefts[0]), span,
+                      ("constraints_checked", len(lefts), child_lefts))
 
     def grow(state, v: int):
         values, x, lefts, evens = state
@@ -747,20 +745,13 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     because every extension keeps the unresolved subset. Candidate factors
     are sliced from one prefix of suffix_bound + len_bound - 1 letters.
 
-    A second factor u's first obligation u_1 u is the suffix's prefix
-    ending at u's end, so each suffix start's _colour_chain of prefix
-    colours, keyed on the prefix's end, yields only the second factors
-    that pass it and rejects the others in blocks. The first factor is
-    itself such a prefix and fixes the path colour: when n >= 2 the
-    chain's fixing query hands _dfs each first factor whose colour has
-    no later prefix within len_bound as one childless block, the factor
-    with all the second factors it would reject, and builds no child for
-    it. Both modes count and colour exactly what checking one candidate
-    at a time would. Under theta the chain reads its prefixes
-    through the colouring's prefixes entry, from one first-occurrence table
-    for the suffix's text; the other words, a second factor alone or a
-    subset word that skips a factor, go through phi unless the run's memo
-    already holds them.
+    The first factor, and a second factor u's first obligation u_1 u, are
+    prefixes of the suffix, so each suffix start keeps one colour chain of
+    prefix colours, keyed on the prefix's end, for the first two levels.
+    Under theta the chain reads its prefixes through the colouring's
+    prefixes entry, from one first-occurrence table for the suffix's text;
+    the other words, a second factor alone or a subset word that skips a
+    factor, go through phi unless the run's memo already holds them.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -785,24 +776,17 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
         return (start, start, [], [""], _colour_chain(
             lambda end: colour_prefix(end - start + 1), start))
 
-    def expand(state, colour):
+    def expand(state):
         start, pos, factors, subsets, chain = state
-        stop = min(start + len_bound, len(text) + 1)
 
         def make(end: int):
             u = text[pos - 1:end]
             return u, map(operator.add, subsets, itertools.repeat(u))
 
-        if not factors and n_factors >= 2:
-            # The first factor's only obligation is itself, the prefix
-            # ending at its end, and it fixes the path colour.
-            return chain.fixing(pos, stop, make)
-        if len(factors) != 1:
-            return map(make, range(pos, stop))
-        # The second factor's first obligation factors[0] + u is the prefix
-        # ending at u's end, and it must have the path colour, which
-        # factors[0] fixed.
-        return chain(colour, pos, stop, make)
+        # A first factor's only obligation is itself, and a second factor
+        # u's first is factors[0] + u: the prefixes ending at u's end.
+        return _level(pos, min(start + len_bound, len(text) + 1), make,
+                      chain if len(factors) < 2 else None)
 
     def grow(state, u: str):
         start, pos, factors, subsets, chain = state
@@ -846,11 +830,10 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     theta colourings need a reference word x for the induced colouring.
 
     Below the root the first subset sum stays a_1, so a candidate v's first
-    obligation is u^(a_1 + v): a_1's _colour_chain of powers yields only
-    the candidates that pass it and rejects the others in blocks, as in
-    supermono_search. colour_power memoises the run's colours of u^s.
-    Under theta every power within scan_bound letters is a prefix of u^ω
-    and is coloured from one first-occurrence table for it; the longer
+    obligation is u^(a_1 + v), and each a_1 keeps one colour chain of
+    powers keyed on a_1 + v. colour_power memoises the run's colours of
+    u^s. Under theta every power within scan_bound letters is a prefix of
+    u^ω and is coloured from one first-occurrence table for it; the longer
     powers are UNKNOWN unscanned.
     """
     if not u:
@@ -875,7 +858,7 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
 
     # A state is (values, subset sums of the values, a_1's chain), and the
     # empty sum 0 is the last sum, as the empty word is in supermono_search.
-    def expand(state, colour):
+    def expand(state):
         values, sums, chain = state
         # A candidate v below the root is the key a_1 + v of a_1's chain.
         a1 = values[0] if values else 0
@@ -884,10 +867,8 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
             v = key - a1
             return v, map(operator.add, sums, itertools.repeat(v))
 
-        if not values:
-            return map(make, range(1, bound + 1))
-        # The path colour is u^(a_1)'s.
-        return chain(colour, a1 + values[-1] + 1, a1 + bound + 1, make)
+        return _level(a1 + values[-1] + 1 if values else 1, a1 + bound + 1,
+                      make, chain)
 
     def grow(state, v: int):
         values, sums, chain = state
@@ -932,11 +913,14 @@ def plus_pair_search(colouring: Colouring, n: int, bound: int,
     counts = {"constraints_checked": 0}
 
     # A state is (values, nonempty subset sums of the values, their total).
-    def expand(state, _colour):
+    def expand(state):
         _, sums, total = state
-        for v in range(total + 1, bound + 1):
+
+        def make(v: int):
             counts["constraints_checked"] += len(sums)
-            yield v, zip(sums, itertools.repeat(v))
+            return v, zip(sums, itertools.repeat(v))
+
+        return _level(total + 1, bound + 1, make)
 
     def grow(state, v: int):
         values, sums, total = state
@@ -1017,11 +1001,13 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
     _check_role(colouring, "number")
     patterns = [()] + [_q5_patterns(k, variant) for k in range(1, max_len + 1)]
 
-    def expand(values: list, _colour):
-        for v in range(1, bound + 1):
+    def expand(values: list):
+        def make(v: int):
             new = values + [v]
-            yield new, (sum(c * y for c, y in zip(coeffs, new))
-                        for coeffs in patterns[len(new)])
+            return new, (sum(c * y for c, y in zip(coeffs, new))
+                         for coeffs in patterns[len(new)])
+
+        return _level(1, bound + 1, make)
 
     return _dfs(params, [[]], expand,
                 functools.partial(colour_number, colouring),

@@ -240,8 +240,9 @@ def test_subset_form_pairs_embed_in_block_form(ys):
 @given(data=st.data())
 @settings(max_examples=200)
 def test_incremental_constraints_union_to_full_set(data):
-    """Walking a sequence through the altsum search's own expand and grow
-    pairs up every constraint of the family exactly once."""
+    """Walking a sequence through the altsum search's own expand and grow,
+    each candidate made from its level's keys, pairs up every constraint
+    of the family exactly once."""
     form = data.draw(st.sampled_from((X_ALTERNATING, Y_SUBSET, Y_BLOCK)))
     if form == X_ALTERNATING:
         values = sorted(data.draw(st.sets(
@@ -262,8 +263,9 @@ def test_incremental_constraints_union_to_full_set(data):
     (state,) = engine["roots"]
     pairs = Counter()
     for v in values:
+        low, stop, make, *_ = engine["expand"](state)
         step = next(obligations for candidate, obligations
-                    in engine["expand"](state, None) if candidate == v)
+                    in map(make, range(low, stop)) if candidate == v)
         pairs.update(step)
         state = engine["grow"](state, v)
     assert pairs == Counter((c.left, c.right)
@@ -544,6 +546,47 @@ def _altsum_referee(colouring, bound, max_len, form, mode,
             {"constraints_checked": tally["checked"]})
 
 
+def _plus_referee(colouring, n, bound, mode):
+    """plus_pair_search's whole outcome, found one candidate at a time: a
+    candidate v above the sum of the values so far pairs with the sum of
+    each nonempty subset of them, in the order the search carries its
+    sums (by the indices read from the last, an index tuple ahead of each
+    of its prefixes), checked up to the first that breaks."""
+    colours: dict = {}
+    found, tally = [], Counter()
+
+    def extend(values, path_colour):
+        tally["depth"] = max(tally["depth"], len(values))
+        if len(values) == n:
+            found.append(values)
+            return mode == "first"
+        subsets = sorted(
+            (ks for size in range(1, len(values) + 1)
+             for ks in itertools.combinations(range(len(values)), size)),
+            key=lambda ks: ks[::-1] + (math.inf,))
+        sums = [sum(values[k] for k in ks) for ks in subsets]
+        for v in range(sum(values) + 1, bound + 1):
+            tally["nodes"] += 1
+            tally["checked"] += len(sums)
+            colour = path_colour
+            for left in sums:
+                if (left, v) not in colours:
+                    colours[left, v] = search.colour_pair_value(
+                        colouring, left, v)
+                if colour is None:
+                    colour = colours[left, v]
+                elif colours[left, v] != colour:
+                    break
+            else:
+                if extend(values + [v], colour):
+                    return True
+        return False
+
+    exhausted = not extend([], None)
+    return (found, exhausted, tally["nodes"], tally["depth"],
+            {"constraints_checked": tally["checked"]})
+
+
 def _outcome(rep):
     return (rep.witnesses, rep.exhausted, rep.nodes_explored,
             rep.max_depth_reached, rep.counts)
@@ -633,6 +676,34 @@ def test_altsum_counts_match_a_one_candidate_referee(monkeypatch, colouring):
             assert _outcome(rep) == expected, (args, allow)
             assert searched == set(coloured), (args, allow)
             coloured.clear()
+
+
+@pytest.mark.parametrize("colouring", [
+    "const", "valmod:2", "valmod:3@diff", "dbl", "gaps:2,2@right",
+    "theta:stage1", "theta:stage2", "theta:full"])
+def test_plus_counts_match_a_one_candidate_referee(monkeypatch, colouring):
+    """The outcome, every count and the set of coloured pairs of the
+    plus pair search must be what checking one candidate at a time gives,
+    from a bound that leaves no second value to one that only the
+    smallest superincreasing sequences fit (n 5, bound 40)."""
+    coloured = []
+    colour_pair_value = search.colour_pair_value
+
+    def recording(col, a, b):
+        coloured.append((a, b))
+        return colour_pair_value(col, a, b)
+
+    monkeypatch.setattr(search, "colour_pair_value", recording)
+    col = parse_colouring(colouring)
+    for (n, bound), mode in itertools.product(
+            [(2, 1), (2, 9), (3, 24), (4, 40), (5, 40)], ("first", "all")):
+        args = (col, n, bound, mode)
+        rep = plus_pair_search(*args)
+        searched = set(coloured)
+        coloured.clear()
+        assert _outcome(rep) == _plus_referee(*args), args
+        assert searched == set(coloured), args
+        coloured.clear()
 
 
 def _chain_steps_by_brute_force(colour_at, colour, low, stop):
@@ -770,18 +841,25 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
     factor "a". After the first factor "ab", the candidate "a" is
     rejected (aba has odd length) in a block of one, and the next
     candidate "ab" is the first witness. The stop must count the block:
-    11 nodes and 15 colour evaluations in all."""
+    11 nodes and 15 colour evaluations in all. Both levels are chained, so
+    every step the engine reads comes from a chain query."""
     yields = []
-    dfs = search._dfs
+    colour_chain = search._colour_chain
 
-    def recording(params, roots, expand, *rest):
-        def recorded(state, colour):
-            for step in expand(state, colour):
+    def recorded(query):
+        def steps(*args):
+            for step in query(*args):
                 yields.append(step)
                 yield step
-        return dfs(params, roots, recorded, *rest)
+        return steps
 
-    monkeypatch.setattr(search, "_dfs", recording)
+    def recording(colour_at, first):
+        chain = colour_chain(colour_at, first)
+        candidates = recorded(chain)
+        candidates.fixing = recorded(chain.fixing)
+        return candidates
+
+    monkeypatch.setattr(search, "_colour_chain", recording)
     args = (Periodic("ab"), parse_colouring("lenmod:2"), 3, 2, 8, 4096,
             "first")
     rep = supermono_search(*args)
@@ -789,6 +867,41 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
     assert _outcome(rep) == ([[1, "ab", "ab"]], False, 11, 2,
                              {"colour_evaluations": 15, "unknown_aborts": 0})
     assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
+
+
+def test_engine_asks_the_fixing_query_only_above_a_witness_level(
+        monkeypatch):
+    """The engine reads a chained level whose path colour is unfixed
+    through its chain's fixing query when the level's child is not a
+    witness, and key by key when it is: each suffix start's first factor
+    at n 2 but not at n 1, and each x_1's level at L 3 but not at L 2."""
+    queries = []
+    colour_chain = search._colour_chain
+
+    def recording(colour_at, first):
+        chain = colour_chain(colour_at, first)
+        fixing = chain.fixing
+
+        def recorded(low, stop, *rest):
+            queries.append((low, stop))
+            return fixing(low, stop, *rest)
+
+        chain.fixing = recorded
+        return chain
+
+    monkeypatch.setattr(search, "_colour_chain", recording)
+    const, theta = parse_colouring("const"), parse_colouring("theta")
+    for run, expected in [
+            (lambda n: supermono_search(Periodic("ab"), const, 2, n, 4,
+                                        mode="all"),
+             [(1, 5), (2, 6)]),
+            (lambda n: altsum_search(theta, 4, n + 1, mode="all"),
+             [(2, 5), (3, 5), (4, 5), (5, 5)])]:
+        run(1)
+        assert queries == []
+        run(2)
+        assert queries == expected
+        queries.clear()
 
 
 def _record_colourings(monkeypatch) -> list:
@@ -1335,6 +1448,26 @@ def test_benchmark_sized_altsum_outcome_is_the_referee_outcome():
     expected = ([], True, 14_234, 2, {"constraints_checked": 27_434})
     assert _altsum_referee(*args, False) == expected
     assert _outcome(altsum_search(*args)) == expected
+
+
+def test_benchmark_sized_hindman_outcome_is_the_referee_outcome():
+    """Under theta, ab in periodic:ab, n 4, bound 512: most level-1
+    states reject every candidate in one block of a_1's chain, and every
+    count is still what checking one candidate at a time gives."""
+    args = ("ab", _col("theta"), 4, 512, _word("periodic:ab"), 4096, "all")
+    expected = ([], True, 145_760, 2,
+                {"colour_evaluations": 147_070, "unknown_aborts": 0})
+    assert _hindman_referee(*args) == expected
+    assert _outcome(hindman_search(*args)) == expected
+
+
+def test_benchmark_sized_plus_outcome_is_the_referee_outcome():
+    """Under theta:full, n 4, bound 120: every count is what checking one
+    candidate at a time gives."""
+    args = (_col("theta:full"), 4, 120, "all")
+    expected = ([], True, 145_910, 2, {"constraints_checked": 423_090})
+    assert _plus_referee(*args) == expected
+    assert _outcome(plus_pair_search(*args)) == expected
 
 
 def test_childless_blocks_alone_reach_depth_one():
