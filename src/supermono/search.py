@@ -7,22 +7,23 @@ bounds, extending by the smallest candidate first, and all five run on one
 engine, _dfs. Each search describes a state's level to the engine: its
 candidates' keys, how to make a candidate and, in the alternating-sum,
 super-monochromatic and Hindman searches, the lazy colour chain,
-_colour_chain, of their first obligations. The engine alone picks how to
-read a level: one candidate at a time, or through the chain, which rejects
-whole blocks of candidates and, at the level that fixes the path colour,
-counts a candidate whose child would reject all of its own candidates as
-one childless block, with no child built. Every count and every coloured
-object is what checking one candidate at a time gives. The alternating-sum
-search carries its left-hand sides in the search state; constraints_for
-builds each family from scratch for verify_altsum_witness. Under theta,
-the words the super-monochromatic and Hindman chains read are prefixes of
-one word (a suffix, or u^ω), and the word colouring's prefixes entry
-colours them from one first-occurrence table per word; every other word
-goes through phi, and one memo per run serves both. Reports are
-deterministic functions of the search parameters alone, and every search
-runs in the calling thread. altsum_search and supermono_search still
-accept a jobs argument and ignore it, because the benchmark workloads pass
-it.
+_colour_chain, of their first obligations: one chain per first left, per
+suffix start and, since the colour of u^s depends on s alone, per Hindman
+run. The engine alone picks how to read a level: one candidate at a time,
+or through the chain, which rejects whole blocks of candidates and, at the
+level that fixes the path colour, counts a candidate whose child would
+reject all of its own candidates as one childless block, with no child
+built. Every count and every coloured object is what checking one
+candidate at a time gives. The alternating-sum search carries its
+left-hand sides in the search state; constraints_for builds each family
+from scratch for verify_altsum_witness. Under theta, the words the
+super-monochromatic and Hindman chains read are prefixes of one word (a
+suffix, or u^ω), and the word colouring's prefixes entry colours them
+from one first-occurrence table per word; every other word goes through
+phi, and one memo per run serves both. Reports are deterministic
+functions of the search parameters alone, and every search runs in the
+calling thread. altsum_search and supermono_search still accept a jobs
+argument and ignore it, because the benchmark workloads pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -535,7 +536,9 @@ def _colour_chain(colour_at, first: int):
     and of the stop the (None, (k, j)) block that _dfs takes for the k
     keys of another colour since the last, j of them UNKNOWN. low may lie
     past the keys read so far: the keys below it that the query reads are
-    filed for later queries but never yielded.
+    filed for later queries but never yielded. A query over an empty
+    range, low == stop, reads no key, so a level without candidates never
+    reads past the keys its search colours.
 
     candidates.fixing(low, stop, make, span=None) is the query of the
     level whose candidates fix the path colour, each by its own key's
@@ -565,7 +568,7 @@ def _colour_chain(colour_at, first: int):
     def candidates(colour, low: int, stop: int, make):
         keys = hits[colour]
         i = bisect.bisect_left(keys, low)
-        while True:
+        while low < stop:  # an empty range reads no key
             while i == len(keys) and (key := first + len(colours)) < stop:
                 read(key)
                 if key < low and i < len(keys):
@@ -830,11 +833,13 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     theta colourings need a reference word x for the induced colouring.
 
     Below the root the first subset sum stays a_1, so a candidate v's first
-    obligation is u^(a_1 + v), and each a_1 keeps one colour chain of
-    powers keyed on a_1 + v. colour_power memoises the run's colours of
-    u^s. Under theta every power within scan_bound letters is a prefix of
-    u^ω and is coloured from one first-occurrence table for it; the longer
-    powers are UNKNOWN unscanned.
+    obligation is u^(a_1 + v). Its colour depends on the exponent alone,
+    so every level below the root reads one colour chain of powers per
+    run, keyed on the exponent a_1 + v; the root reads its candidates one
+    at a time. colour_power memoises the run's colours of u^s. Under theta
+    every power within scan_bound letters is a prefix of u^ω and is
+    coloured from one first-occurrence table for it; the longer powers are
+    UNKNOWN unscanned.
     """
     if not u:
         raise ArgumentError("u must be a nonempty word")
@@ -856,11 +861,14 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
         else colour_of(u * s))
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
 
-    # A state is (values, subset sums of the values, a_1's chain), and the
-    # empty sum 0 is the last sum, as the empty word is in supermono_search.
+    # The least key a child asks for is a_1 + v with a_1 = 1 and v = 2.
+    chain = _colour_chain(colour_power, 3)
+
+    # A state is (values, subset sums of the values), and the empty sum 0
+    # is the last sum, as the empty word is in supermono_search.
     def expand(state):
-        values, sums, chain = state
-        # A candidate v below the root is the key a_1 + v of a_1's chain.
+        values, sums = state
+        # A candidate v below the root is the key a_1 + v of the chain.
         a1 = values[0] if values else 0
 
         def make(key: int):
@@ -868,14 +876,13 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
             return v, map(operator.add, sums, itertools.repeat(v))
 
         return _level(a1 + values[-1] + 1 if values else 1, a1 + bound + 1,
-                      make, chain)
+                      make, chain if values else None)
 
     def grow(state, v: int):
-        values, sums, chain = state
-        return (values + [v], sums[:-1] + [s + v for s in sums] + [0],
-                chain or _colour_chain(colour_power, 2 * v + 1))
+        values, sums = state
+        return values + [v], sums[:-1] + [s + v for s in sums] + [0]
 
-    return _dfs(params, [([], [0], None)], expand, colour_power, grow, n,
+    return _dfs(params, [([], [0])], expand, colour_power, grow, n,
                 lambda state: list(state[0]), mode, counts,
                 "colour_evaluations")
 
@@ -885,6 +892,8 @@ def verify_hindman_witness(u: str, colouring: Colouring, values,
                            scan_bound: int = DEFAULT_SCAN_BOUND) -> bool:
     """Recolour u^s for every nonempty subset sum s independently; values
     other than a nonempty strictly increasing run of naturals fail."""
+    if not u:
+        raise ArgumentError("u must be a nonempty word")
     if not values or values[0] < 1 or sorted(set(values)) != list(values):
         return False
     colour_of = word_colour_fn(colouring, x, scan_bound)

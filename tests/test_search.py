@@ -836,6 +836,26 @@ def test_colour_chain_queries_share_one_read():
         assert read == list(range(5, 5 + len(read))), (kind, query)
 
 
+def test_colour_chain_reads_no_key_for_an_empty_range():
+    """A query over an empty key range, low == stop, at the chain's first
+    key or past the keys read so far, yields nothing and reads no key:
+    the Hindman level of a_1 = bound has no candidates, and its stop lies
+    past every power that checking one candidate at a time colours."""
+    read = []
+
+    def reading(key):
+        read.append(key)
+        return key % 3
+
+    chain = search._colour_chain(reading, 5)
+    make = (lambda key: ("hit", key))
+    for low in (5, 12):
+        assert list(chain(1, low, low, make)) == []
+        assert list(chain.fixing(low, low, make)) == []
+        assert list(chain.fixing(low, low, make, 4)) == []
+    assert read == []
+
+
 def test_first_witness_right_after_a_rejected_block(monkeypatch):
     """Under lenmod:2 on abab..., no second factor follows the first
     factor "a". After the first factor "ab", the candidate "a" is
@@ -1088,6 +1108,15 @@ def test_q5_refuses_a_pattern_table_over_the_cap_before_building_it(
 def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
     with pytest.raises(search.ArgumentError):
         check()
+
+
+@pytest.mark.parametrize("colouring", ["const", "lenmod:2", "theta"])
+def test_hindman_witness_verifier_refuses_an_empty_u(colouring):
+    """As hindman_search does, under every colouring."""
+    with pytest.raises(search.ArgumentError,
+                       match="u must be a nonempty word"):
+        verify_hindman_witness("", parse_colouring(colouring), [1, 2],
+                               Periodic("ab"))
 
 
 def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
@@ -1459,6 +1488,32 @@ def test_benchmark_sized_hindman_outcome_is_the_referee_outcome():
                 {"colour_evaluations": 147_070, "unknown_aborts": 0})
     assert _hindman_referee(*args) == expected
     assert _outcome(hindman_search(*args)) == expected
+
+
+def test_hindman_run_reads_one_colour_chain(monkeypatch):
+    """The colour of u^s depends on s alone, so a run builds one chain,
+    from the first key a child asks for (a_1 + v = 1 + 2), and reads each
+    key once. Under theta, ab in periodic:ab, n 4, bound 512, that is the
+    1,021 keys 3 .. 511 + 512, and the outcome is the referee's, as the
+    test above pins it."""
+    firsts, reads = [], []
+    colour_chain = search._colour_chain
+
+    def recording(colour_at, first):
+        firsts.append(first)
+
+        def reading(key):
+            reads.append(key)
+            return colour_at(key)
+        return colour_chain(reading, first)
+
+    monkeypatch.setattr(search, "_colour_chain", recording)
+    args = ("ab", _col("theta"), 4, 512, _word("periodic:ab"), 4096, "all")
+    assert _outcome(hindman_search(*args)) == (
+        [], True, 145_760, 2,
+        {"colour_evaluations": 147_070, "unknown_aborts": 0})
+    assert firsts == [3]
+    assert reads == list(range(3, 1024))
 
 
 def test_benchmark_sized_plus_outcome_is_the_referee_outcome():
