@@ -33,13 +33,13 @@ def phi(x: WordSource, u: str, scan_bound: int):
     Returns colour_pair(A, B) * 2 + tag for u's first occurrence (A, B),
     or else first_occurrence's outcome itself: NOT_FACTOR when u is
     certified absent, UNKNOWN when u's first occurrence stays unresolved
-    within the bound. Once u's first occurrence is found, every split half
-    occurs inside it, so the tag is always decided. Whether u[:c] first
-    occurs at A only turns true as the cut c grows, and whether u[c:]
-    first ends at B only turns false, so has_aligned_split decides the tag
-    by bisection on the cut; oracles.split_tag_oracle tries every cut.
-    prefix_colourer gives the same colours to the prefixes of one word
-    from one table.
+    within the bound, as it does for every u longer than the bound. Once
+    u's first occurrence is found, every split half occurs inside it, so
+    the tag is always decided. Whether u[:c] first occurs at A only turns
+    true as the cut c grows, and whether u[c:] first ends at B only turns
+    false, so has_aligned_split decides the tag by bisection on the cut;
+    oracles.split_tag_oracle tries every cut. prefix_colourer gives the
+    same colours to the prefixes of one word from one table.
     """
     occ = first_occurrence(x, u, scan_bound)
     if occ is NOT_A_FACTOR or occ is UNRESOLVED:
@@ -50,20 +50,18 @@ def phi(x: WordSource, u: str, scan_bound: int):
 
 def prefix_colourer(x: WordSource, y: str, scan_bound: int):
     """Colour the prefixes of y relative to x: a callable n ->
-    phi(x, y[:n], scan_bound) for 1 <= n <= len(y), read in any order,
-    and UNKNOWN, unscanned, for n past scan_bound. Each value is phi's:
-    the int colour code, NOT_FACTOR or UNKNOWN.
+    phi(x, y[:n], scan_bound) for 1 <= n <= len(y), read in any order.
+    Each value is phi's: the int colour code, NOT_FACTOR or UNKNOWN.
 
     One PrefixOccurrences table gives every prefix found within the scan
     its first occurrence and its least aligned cut, so its tag takes one
     bounded search. A prefix not found within the scan goes to phi, whose
-    first_occurrence tells NOT_FACTOR from UNKNOWN by its length.
+    first_occurrence tells NOT_FACTOR from UNKNOWN by its length; a prefix
+    past scan_bound is never found, and phi answers UNKNOWN for it.
     """
     table = PrefixOccurrences(x, y, scan_bound)
 
     def colour(n: int):
-        if n > scan_bound:
-            return UNKNOWN
         start = table.start(n)
         if start is None:
             return phi(x, y[:n], scan_bound)

@@ -113,7 +113,8 @@ def split_tag_oracle(x, u: str, scan_bound: int):
     some split u = vw has v first occurring where u does and w first ending
     where u does, else 1. A word without a first occurrence gets
     first_occurrence's outcome, words.NOT_A_FACTOR or words.UNRESOLVED, as
-    phi returns it; a half left unresolved also gives UNRESOLVED."""
+    phi returns it, UNRESOLVED for every u longer than scan_bound; a half
+    left unresolved also gives UNRESOLVED."""
     # Imported here: verify imports this module for the digit oracles and
     # has no use for the word layer.
     from .words import NOT_A_FACTOR, UNRESOLVED, first_occurrence

@@ -260,8 +260,10 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     factor_colouring.prefix_colourer table for y, and the callable itself
     colours each word through phi; one memo, kept for the callable's
     lifetime, serves both, so a word is coloured once whichever path meets
-    it first. Words past scan_bound are UNKNOWN unscanned, and never
-    cached.
+    it first. Words past scan_bound are UNKNOWN, phi's own answer for
+    them, but both paths return it unscanned and never cache it: that is
+    the memo's policy, not a precondition of phi's, and it keeps the memo
+    to words the scan can resolve.
     """
     _check_role(col, "word")
     if col.family == "const":

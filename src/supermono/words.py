@@ -221,12 +221,10 @@ def first_occurrence(x: WordSource, u: str, scan_bound: int):
 
     Returns an Occurrence, NOT_A_FACTOR (periodic-structure sources only,
     once the scan covers the decision bound), or UNRESOLVED. Explicit-prefix
-    sources never certify non-occurrence.
+    sources never certify non-occurrence. A u longer than scan_bound cannot
+    be found within it and covers no decision bound, so it is UNRESOLVED.
     """
     _check_letters(u, "factor")
-    if scan_bound < len(u):
-        raise ValueError(
-            f"scan_bound {scan_bound} is below the factor length {len(u)}")
     at = x._materialise(scan_bound).find(u, 0, scan_bound)
     if at >= 0:
         return Occurrence(at + 1, at + 1 + len(u))
@@ -403,8 +401,10 @@ def standardise(x: WordSource, f: Factorisation, scan_bound: int,
     """Align every factor's first occurrence with its standard position by
     merging forward, or certify eventual periodicity.
 
-    Returns Standardised, PeriodicityWitness or BoundExhausted. A factor
-    first occurring before its standard position is merged with its
+    Returns Standardised, PeriodicityWitness or BoundExhausted, under any
+    scan_bound: a group whose first occurrence the scan leaves unresolved,
+    such as a merge grown longer than the scan, is BoundExhausted. A
+    factor first occurring before its standard position is merged with its
     successor; when the last group still occurs early, the two suffixes are
     compared letter by letter up to scan_bound: agreement yields a
     PeriodicityWitness, a mismatch folds the group into the previous factor

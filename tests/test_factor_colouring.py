@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermono import factor_colouring, words
@@ -79,8 +79,7 @@ def test_absent_and_undecided_factors():
     assert phi(Periodic("ab"), "aa", 64) is words.NOT_A_FACTOR
     assert _serialised(phi(Periodic("ab"), "aa", 64)) == "2"
     assert phi(ExplicitPrefix("abaab"), "aabb", 5) is words.UNRESOLVED
-    with pytest.raises(ValueError):
-        phi(Periodic("ab"), "aba", 2)
+    assert phi(Periodic("ab"), "aba", 2) is words.UNRESOLVED
 
 
 def test_single_letters_never_split():
@@ -141,14 +140,20 @@ def test_split_tag_matches_the_every_cut_referee(spec, count, zeros):
 @given(spec=st.sampled_from(["morphic:a->ab,b->a|a", "morphic:a->ab,b->ba|a",
                              "periodic:aab", "evper:abc|ab", _EXPLICIT]),
        u=st.text(alphabet="abc", min_size=1, max_size=12),
-       slack=st.integers(min_value=0, max_value=200))
+       slack=st.integers(min_value=-11, max_value=200))
 @settings(max_examples=300)
+@example(spec="morphic:a->ab,b->a|a", u="aba", slack=-1)
+@example(spec="periodic:aab", u="aabaabaabaab", slack=-11)
 def test_split_tag_matches_the_referee_on_any_word_and_scan(spec, u, slack):
+    """A scan below len(u), down to 1, cannot find u: both answer
+    UNRESOLVED there."""
     x = parse_word_spec(spec)
-    scan = len(u) + slack
+    scan = max(len(u) + slack, 1)
     colour = phi(x, u, scan)
     tag = colour & 1 if isinstance(colour, int) else colour
     assert tag == split_tag_oracle(x, u, scan)
+    if scan < len(u):
+        assert tag is words.UNRESOLVED
 
 
 # In evper:aab|c, "a" first occurs before "ab", whose "b" first occurs at

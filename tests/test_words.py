@@ -95,8 +95,9 @@ def test_first_occurrence_examples():
     assert first_occurrence(Periodic("ab"), "aa", 16) is NOT_A_FACTOR
     assert first_occurrence(Periodic("ab"), "aa", 2) is UNRESOLVED
     assert first_occurrence(ExplicitPrefix("abaab"), "bb", 5) is UNRESOLVED
-    with pytest.raises(ValueError):
-        first_occurrence(fib, "aba", 2)
+    # A factor longer than the scan cannot be found within it.
+    assert first_occurrence(fib, "aba", 2) is UNRESOLVED
+    assert first_occurrence(Periodic("ab"), "aba", 2) is UNRESOLVED
 
 
 def test_periodic_decision_matches_plain_scan():
@@ -219,6 +220,28 @@ def test_standardise_reports_exhausted_bounds():
     outcome = standardise(fibonacci_word(), Factorisation(("a",), 3), 100, 10)
     assert outcome == BoundExhausted(
         1, 0, "first group occurs early but the two suffixes disagree")
+
+
+def test_standardise_never_raises_on_a_valid_factorisation():
+    """Four factors of 1-3 letters from each start 1..9, at every scan
+    from 1 to 8: a merge that outgrows the scan is BoundExhausted, and no
+    outcome is a traceback."""
+    for x in (fibonacci_word(), Periodic("ab"), Periodic("aab")):
+        for start in range(1, 10):
+            text = x.prefix(start + 11)[start - 1:]
+            for lengths in itertools.product((1, 2, 3), repeat=4):
+                cuts = list(itertools.accumulate(lengths, initial=0))
+                factors = tuple(text[a:b] for a, b in zip(cuts, cuts[1:]))
+                f = Factorisation(factors, start)
+                for scan in range(1, 9):
+                    outcome = standardise(x, f, scan, 50)
+                    assert isinstance(outcome, (
+                        Standardised, PeriodicityWitness, BoundExhausted))
+    outcome = standardise(
+        fibonacci_word(), Factorisation(("a", "b", "a", "ab"), 1), 2, 50)
+    assert outcome == BoundExhausted(
+        3, 1, "scan bound 2 cannot resolve the occurrence of a length-3 "
+              "factor standing at 3")
 
 
 @given(data=st.data())
