@@ -20,10 +20,11 @@ from scratch for verify_altsum_witness. Under theta, the words the
 super-monochromatic and Hindman chains read are prefixes of one word (a
 suffix, or u^ω), and the word colouring's prefixes entry colours them
 from one first-occurrence table per word; every other word goes through
-phi, and one memo per run serves both. Reports are deterministic
-functions of the search parameters alone, and every search runs in the
-calling thread. altsum_search and supermono_search still accept a jobs
-argument and ignore it, because the benchmark workloads pass it.
+phi. supermono_search, the one search that meets a word through both
+entries, keeps the run's word memo. Reports are deterministic functions
+of the search parameters alone, and every search runs in the calling
+thread. altsum_search and supermono_search still accept a jobs argument
+and ignore it, because the benchmark workloads pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -258,12 +259,7 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     The callable's prefixes(y) gives n -> the colour of y[:n], for
     1 <= n <= len(y). Under theta it colours every prefix from one
     factor_colouring.prefix_colourer table for y, and the callable itself
-    colours each word through phi; one memo, kept for the callable's
-    lifetime, serves both, so a word is coloured once whichever path meets
-    it first. Words past scan_bound are UNKNOWN, phi's own answer for
-    them, but both paths return it unscanned and never cache it: that is
-    the memo's policy, not a precondition of phi's, and it keeps the memo
-    to words the scan can resolve.
+    colours each word through phi. Neither keeps what it colours.
     """
     _check_role(col, "word")
     if col.family == "const":
@@ -275,31 +271,8 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
         raise ArgumentError("theta word colouring needs a reference word")
     if col.args[0] != "full":
         raise ArgumentError("word-side theta colouring uses the full stage")
-    memo: dict = {}
-
-    def colour_of(u: str):
-        if len(u) > scan_bound:
-            return UNKNOWN
-        colour = memo.get(u)
-        if colour is None:
-            colour = memo[u] = phi(x, u, scan_bound)
-        return colour
-
-    def prefixes(y: str):
-        colour_at = prefix_colourer(x, y, scan_bound)
-
-        def colour_prefix(n: int):
-            if n > scan_bound:
-                return UNKNOWN
-            u = y[:n]
-            colour = memo.get(u)
-            if colour is None:
-                colour = memo[u] = colour_at(n)
-            return colour
-
-        return colour_prefix
-
-    return _with_prefixes(colour_of, prefixes)
+    return _with_prefixes(lambda u: phi(x, u, scan_bound),
+                          lambda y: prefix_colourer(x, y, scan_bound))
 
 
 def _with_prefixes(colour_of, prefixes=None):
@@ -756,7 +729,12 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     Under theta the chain reads its prefixes through the colouring's
     prefixes entry, from one first-occurrence table for the suffix's text;
     the other words, a second factor alone or a subset word that skips a
-    factor, go through phi unless the run's memo already holds them.
+    factor, go through phi.
+
+    One memo per run stands in front of both entries, so a word is
+    coloured once per run, whichever entry meets it first. A word longer
+    than scan_bound is coloured, UNKNOWN under theta, but never filed, so
+    the memo holds only words the scan can resolve.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -767,19 +745,34 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     _check_params(params, {"scan_bound": scan_bound,
                            "suffix_bound + len_bound - 1": reach},
                   terms="n", suffix_bound=1, n=1, len_bound=1, scan_bound=1)
-    colour_of = word_colour_fn(colouring, x, scan_bound)
+    colour_word = word_colour_fn(colouring, x, scan_bound)
     counts = {"colour_evaluations": 0, "unknown_aborts": 0}
     text = x.prefix(reach)
+    memo: dict = {}  # the run's colours of the words within the scan
+
+    def filed(u: str, colour):
+        if len(u) <= scan_bound:
+            memo[u] = colour
+        return colour
+
+    def colour_of(u: str):
+        colour = memo.get(u)
+        return filed(u, colour_word(u)) if colour is None else colour
 
     # A state is (suffix start, next position, factors, subset words, the
     # start's chain), and the empty word is the last subset word, so a
     # candidate u's obligations, every subset word + u and then u itself,
     # are built one at a time and only until one breaks the path colour.
     def root(start: int):
-        colour_prefix = colour_of.prefixes(
-            text[start - 1:start - 1 + len_bound])
-        return (start, start, [], [""], _colour_chain(
-            lambda end: colour_prefix(end - start + 1), start))
+        y = text[start - 1:start - 1 + len_bound]
+        colour_at = colour_word.prefixes(y)
+
+        def colour_prefix(end: int):
+            u = y[:end - start + 1]
+            colour = memo.get(u)
+            return filed(u, colour_at(len(u))) if colour is None else colour
+
+        return start, start, [], [""], _colour_chain(colour_prefix, start)
 
     def expand(state):
         start, pos, factors, subsets, chain = state
@@ -838,10 +831,10 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     obligation is u^(a_1 + v). Its colour depends on the exponent alone,
     so every level below the root reads one colour chain of powers per
     run, keyed on the exponent a_1 + v; the root reads its candidates one
-    at a time. colour_power memoises the run's colours of u^s. Under theta
-    every power within scan_bound letters is a prefix of u^ω and is
-    coloured from one first-occurrence table for it; the longer powers are
-    UNKNOWN unscanned.
+    at a time. colour_power memoises the run's colours of u^s by s, the
+    run's only memo. Under theta every power within scan_bound letters is
+    a prefix of u^ω and is coloured from one first-occurrence table for
+    it; the longer powers go to phi, which answers UNKNOWN.
     """
     if not u:
         raise ArgumentError("u must be a nonempty word")

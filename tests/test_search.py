@@ -1204,6 +1204,36 @@ def test_words_past_the_scan_bound_are_not_cached():
     assert retained < 100_000
 
 
+def test_supermono_run_colours_each_word_within_the_scan_once(monkeypatch):
+    """supermono_search's memo stands in front of both entries of the word
+    colouring, a word and a chain's prefix, so the run asks the colouring
+    for each word within the scan once, whichever entry meets it first. A
+    word past the scan is coloured but never filed, so it is asked each
+    time it is met."""
+    coloured = _record_colourings(monkeypatch)
+    supermono_search(_AB, _THETA, 4, 3, 10, 4, "all")
+    asked = Counter(coloured)
+    assert asked and all(
+        times == 1 for u, times in asked.items() if len(u) <= 4), asked
+    assert asked["ababa"] > 1
+
+
+def test_hindman_search_keeps_no_word_memo():
+    """The colour of u^s is kept by its exponent alone: no colouring files
+    the powers under their words. At ab in periodic:ab, n 4, bound 512,
+    a word memo would hold the run's 1,021 powers of up to 2,046 letters
+    and peak near 1.28 MB; without one the run peaks near 0.16 MB."""
+    args = ("ab", _THETA, 4, 512, _AB, 4096, "all")
+    tracemalloc.start()
+    try:
+        rep = hindman_search(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.nodes_explored == 145_760
+    assert peak < 500_000, peak
+
+
 _col = parse_colouring
 _word = parse_word_spec
 _FIB = "morphic:a->ab,b->a|a"
