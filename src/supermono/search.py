@@ -803,6 +803,8 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
     they share one defined colour. A witness whose factors do not write
     out x from its start fails, as does one words.Factorisation rejects:
     no factor, an empty factor or a start below 1."""
+    if not witness:
+        return False
     start, factors = witness[0], tuple(witness[1:])
     try:
         check_factorisation(x, Factorisation(factors, start))

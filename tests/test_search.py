@@ -1,6 +1,9 @@
 """Bounded searches: colouring mini-language, constraint families, the
 x/y transform bridge, witness re-verification, per-run colour memos and
-pinned outcomes."""
+pinned outcomes. Each of the five searches is compared with its
+one-candidate twin: one plain loop, _one_at_a_time, run on a description
+of the search's family, which checks every candidate on its own and shares
+nothing with the engine's colour chains and blocks."""
 
 from __future__ import annotations
 
@@ -425,166 +428,151 @@ def test_scan_starved_colours_count_as_unknown_aborts():
     assert rep.counts["unknown_aborts"] == 4
 
 
-def _supermono_referee(x, colouring, suffix_bound, n, len_bound, scan_bound,
-                       mode):
-    """supermono_search's whole outcome, found one candidate at a time: a
-    candidate u's obligations are every nonempty subset word + u, then u,
-    checked in that order up to the first that breaks."""
-    colour_of = search.word_colour_fn(colouring, x, scan_bound)
-    text = x.prefix(suffix_bound + len_bound - 1)
+def _one_at_a_time(roots, candidates, obligations, colour_of, grow, depth,
+                   witness, mode, counts):
+    """A search's whole outcome, found one candidate at a time and without
+    the engine: each of candidates(state) is one node, and its list
+    obligations(state, candidate) is read in order up to the first that is
+    UNKNOWN or breaks the path colour, which the first obligation on the
+    path fixes. counts maps each count of the report to its tally: built
+    (obligations made), evaluated (obligations read) or unknown. One
+    colour dict per run stands in front of colour_of, which is pure, so it
+    changes no count and no coloured set."""
+    colours: dict = {}
     found, tally = [], Counter()
 
-    def extend(start, pos, factors, subsets, path_colour):
-        tally["depth"] = max(tally["depth"], len(factors))
-        if len(factors) == n:
-            found.append([start] + factors)
+    def extend(state, level, path_colour):
+        tally["depth"] = max(tally["depth"], level)
+        if level == depth:
+            found.append(witness(state))
             return mode == "first"
-        for end in range(pos, min(start + len_bound, len(text) + 1)):
-            u = text[pos - 1:end]
+        for candidate in candidates(state):
             tally["nodes"] += 1
+            todo = obligations(state, candidate)
+            tally["built"] += len(todo)
             colour = path_colour
-            for word in [w + u for w in subsets] + [u]:
+            for obligation in todo:
                 tally["evaluated"] += 1
-                word_colour = colour_of(word)
-                if word_colour is UNKNOWN:
+                if obligation not in colours:
+                    colours[obligation] = colour_of(obligation)
+                got = colours[obligation]
+                if got is UNKNOWN:
                     tally["unknown"] += 1
                     break
                 if colour is None:
-                    colour = word_colour
-                elif word_colour != colour:
+                    colour = got
+                elif got != colour:
                     break
             else:
-                if extend(start, end + 1, factors + [u],
-                          subsets + [w + u for w in subsets] + [u], colour):
+                if extend(grow(state, candidate), level + 1, colour):
                     return True
         return False
 
-    exhausted = not any(extend(start, start, [], [], None)
-                        for start in range(1, suffix_bound + 1))
+    exhausted = not any(extend(root, 0, None) for root in roots)
     return (found, exhausted, tally["nodes"], tally["depth"],
-            {"colour_evaluations": tally["evaluated"],
-             "unknown_aborts": tally["unknown"]})
+            {name: tally[kind] for name, kind in counts.items()})
+
+
+_WORD_COUNTS = {"colour_evaluations": "evaluated", "unknown_aborts": "unknown"}
+_SUBSETS: dict = {}  # each length's index subsets, sorted once
+
+
+def _with_subsets(values, combine):
+    """(values, combine of each nonempty subset of values), the subsets in
+    the order the searches carry them: by their indices read from the
+    last, each ahead of its prefixes."""
+    n = len(values)
+    if n not in _SUBSETS:
+        _SUBSETS[n] = sorted(
+            (ks for size in range(1, n + 1)
+             for ks in itertools.combinations(range(n), size)),
+            key=lambda ks: ks[::-1] + (math.inf,))
+    return values, [combine(map(values.__getitem__, ks))
+                    for ks in _SUBSETS[n]]
+
+
+def _supermono_referee(x, colouring, suffix_bound, n, len_bound, scan_bound,
+                       mode):
+    """supermono_search's family: a state is (suffix start, next position,
+    factors, subset words), and a candidate u's obligations are every
+    subset word + u, then u."""
+    text = x.prefix(suffix_bound + len_bound - 1)
+
+    def candidates(state):
+        start, pos = state[:2]
+        return (text[pos - 1:end]
+                for end in range(pos, min(start + len_bound, len(text) + 1)))
+
+    def grow(state, u):
+        start, pos, factors, _ = state
+        return (start, pos + len(u)) + _with_subsets(factors + [u], "".join)
+
+    return _one_at_a_time(
+        [(start, start, [], []) for start in range(1, suffix_bound + 1)],
+        candidates, lambda state, u: [w + u for w in state[3]] + [u],
+        search.word_colour_fn(colouring, x, scan_bound), grow, n,
+        lambda state: [state[0]] + state[2], mode, _WORD_COUNTS)
 
 
 def _hindman_referee(u, colouring, n, bound, x, scan_bound, mode):
-    """hindman_search's whole outcome, found one candidate at a time: a
-    candidate v's obligations are u^(s + v) for every nonempty subset sum
-    s, then u^v, checked in that order up to the first that breaks."""
-    colour_of = search.word_colour_fn(colouring, x, scan_bound)
-    found, tally = [], Counter()
-
-    def extend(values, sums, path_colour):
-        tally["depth"] = max(tally["depth"], len(values))
-        if len(values) == n:
-            found.append(values)
-            return mode == "first"
-        for v in range(values[-1] + 1 if values else 1, bound + 1):
-            tally["nodes"] += 1
-            colour = path_colour
-            for total in [s + v for s in sums] + [v]:
-                tally["evaluated"] += 1
-                power_colour = colour_of(u * total)
-                if power_colour is UNKNOWN:
-                    tally["unknown"] += 1
-                    break
-                if colour is None:
-                    colour = power_colour
-                elif power_colour != colour:
-                    break
-            else:
-                if extend(values + [v], sums + [s + v for s in sums] + [v],
-                          colour):
-                    return True
-        return False
-
-    exhausted = not extend([], [], None)
-    return (found, exhausted, tally["nodes"], tally["depth"],
-            {"colour_evaluations": tally["evaluated"],
-             "unknown_aborts": tally["unknown"]})
+    """hindman_search's family: a state is (values, subset sums), and a
+    candidate v's obligations are u^(s + v) for every subset sum s, then
+    u^v, each named by its exponent."""
+    colour_word = search.word_colour_fn(colouring, x, scan_bound)
+    return _one_at_a_time(
+        [([], [])],
+        lambda state: range(state[0][-1] + 1 if state[0] else 1, bound + 1),
+        lambda state, v: [s + v for s in state[1]] + [v],
+        lambda s: colour_word(u * s),
+        lambda state, v: _with_subsets(state[0] + [v], sum), n,
+        lambda state: state[0], mode, _WORD_COUNTS)
 
 
 def _altsum_referee(colouring, bound, max_len, form, mode,
                     allow_k1_equal_1):
-    """altsum_search's whole outcome, found one candidate at a time: a
-    candidate's obligations are the constraints of constraints_for whose
-    last index is the candidate's, in the order the search carries its
-    lefts (by the other indices read from the last, an index tuple ahead of
-    each of its prefixes), checked up to the first that breaks."""
-    colours: dict = {}
-    found, tally = [], Counter()
+    """altsum_search's family: a state is the values, and a candidate's
+    obligations are the pairs of constraints_for whose last index is the
+    candidate's."""
+    def obligations(values, v):
+        return [(c.left, c.right) for c in sorted(
+            constraints_for(values + [v], form, allow_k1_equal_1),
+            key=lambda c: c.origin[-2::-1] + (math.inf,))
+            if c.origin[-1] == len(values) + 1]
 
-    def extend(values, path_colour):
-        tally["depth"] = max(tally["depth"], len(values))
-        if len(values) == max_len:
-            found.append(values)
-            return mode == "first"
-        top = len(values) + 1
-        low = values[-1] + 1 if form == X_ALTERNATING and values else 1
-        for v in range(low, bound + 1):
-            tally["nodes"] += 1
-            pairs = sorted(
-                (c.origin[-2::-1] + (math.inf,), c.left, c.right)
-                for c in constraints_for(values + [v], form, allow_k1_equal_1)
-                if c.origin[-1] == top)
-            tally["checked"] += len(pairs)
-            colour = path_colour
-            for _, left, right in pairs:
-                if (left, right) not in colours:
-                    colours[left, right] = search.colour_pair_value(
-                        colouring, left, right)
-                if colour is None:
-                    colour = colours[left, right]
-                elif colours[left, right] != colour:
-                    break
-            else:
-                if extend(values + [v], colour):
-                    return True
-        return False
-
-    exhausted = not extend([], None)
-    return (found, exhausted, tally["nodes"], tally["depth"],
-            {"constraints_checked": tally["checked"]})
+    increasing = form == X_ALTERNATING
+    return _one_at_a_time(
+        [[]],
+        lambda values: range(values[-1] + 1 if increasing and values else 1,
+                             bound + 1),
+        obligations, lambda pair: search.colour_pair_value(colouring, *pair),
+        lambda values, v: values + [v], max_len, list, mode,
+        {"constraints_checked": "built"})
 
 
 def _plus_referee(colouring, n, bound, mode):
-    """plus_pair_search's whole outcome, found one candidate at a time: a
-    candidate v above the sum of the values so far pairs with the sum of
-    each nonempty subset of them, in the order the search carries its
-    sums (by the indices read from the last, an index tuple ahead of each
-    of its prefixes), checked up to the first that breaks."""
-    colours: dict = {}
-    found, tally = [], Counter()
+    """plus_pair_search's family: a state is (values, subset sums), and a
+    candidate v above the values' total pairs with every subset sum."""
+    return _one_at_a_time(
+        [([], [])], lambda state: range(sum(state[0]) + 1, bound + 1),
+        lambda state, v: [(s, v) for s in state[1]],
+        lambda pair: search.colour_pair_value(colouring, *pair),
+        lambda state, v: _with_subsets(state[0] + [v], sum), n,
+        lambda state: state[0], mode, {"constraints_checked": "built"})
 
-    def extend(values, path_colour):
-        tally["depth"] = max(tally["depth"], len(values))
-        if len(values) == n:
-            found.append(values)
-            return mode == "first"
-        subsets = sorted(
-            (ks for size in range(1, len(values) + 1)
-             for ks in itertools.combinations(range(len(values)), size)),
-            key=lambda ks: ks[::-1] + (math.inf,))
-        sums = [sum(values[k] for k in ks) for ks in subsets]
-        for v in range(sum(values) + 1, bound + 1):
-            tally["nodes"] += 1
-            tally["checked"] += len(sums)
-            colour = path_colour
-            for left in sums:
-                if (left, v) not in colours:
-                    colours[left, v] = search.colour_pair_value(
-                        colouring, left, v)
-                if colour is None:
-                    colour = colours[left, v]
-                elif colours[left, v] != colour:
-                    break
-            else:
-                if extend(values + [v], colour):
-                    return True
-        return False
 
-    exhausted = not extend([], None)
-    return (found, exhausted, tally["nodes"], tally["depth"],
-            {"constraints_checked": tally["checked"]})
+def _q5_referee(colouring, variant, max_len, bound, mode):
+    """q5_search's family: a state is the values, and a candidate's
+    obligations are the coefficient sums over the prefix it ends, pattern
+    by pattern."""
+    def obligations(values, v):
+        return [sum(c * y for c, y in zip(coeffs, values + [v]))
+                for coeffs in search._q5_patterns(len(values) + 1, variant)]
+
+    return _one_at_a_time(
+        [[]], lambda values: range(1, bound + 1), obligations,
+        lambda s: colour_number(colouring, s),
+        lambda values, v: values + [v], max_len, list, mode,
+        {"sums_checked": "evaluated"})
 
 
 def _outcome(rep):
@@ -704,6 +692,20 @@ def test_plus_counts_match_a_one_candidate_referee(monkeypatch, colouring):
         assert _outcome(rep) == _plus_referee(*args), args
         assert searched == set(coloured), args
         coloured.clear()
+
+
+@pytest.mark.parametrize("variant", Q5_VARIANTS)
+@pytest.mark.parametrize("colouring", ["const", "valmod:2", "valmod:3",
+                                       "base-lsnz:3", "fpmod:2", "dbl"])
+def test_q5_counts_match_a_one_candidate_referee(variant, colouring):
+    """The outcome and the sums checked of the coefficient-pattern search
+    must be what checking one candidate at a time gives, from one value to
+    four."""
+    col = parse_colouring(colouring)
+    for (max_len, bound), mode in itertools.product(
+            [(1, 5), (2, 9), (3, 12), (4, 6)], ("first", "all")):
+        args = (col, variant, max_len, bound, mode)
+        assert _outcome(q5_search(*args)) == _q5_referee(*args), args
 
 
 def _chain_steps_by_brute_force(colour_at, colour, low, stop):
@@ -1137,6 +1139,7 @@ _THETA = parse_colouring("theta")
     (lambda: verify_altsum_witness(_VALMOD2, [3], X_ALTERNATING), True),
     (lambda: verify_plus_witness(_VALMOD2, [5]), True),
     (lambda: verify_supermono_witness(_AB, _LENMOD2, [1]), False),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, []), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, []), False),
     (lambda: verify_q5_witness(_VALMOD2, "plain", []), False),
     (lambda: verify_supermono_witness(_AB, _THETA, [1, "abab"]), True),
@@ -1165,7 +1168,8 @@ _THETA = parse_colouring("theta")
     (lambda: verify_plus_witness(_THETA, [5, 3]), False),
     (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain", [0]),
      False),
-], ids=["altsum-empty", "plus-empty", "supermono-empty", "hindman-empty",
+], ids=["altsum-empty", "plus-empty", "supermono-empty",
+        "supermono-no-start", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
         "hindman-one-word", "hindman-unknown", "altsum-mixed", "plus-mixed",
         "supermono-mixed", "hindman-mixed", "q5-mixed",
@@ -1238,9 +1242,11 @@ _col = parse_colouring
 _word = parse_word_spec
 _FIB = "morphic:a->ab,b->a|a"
 
-# Each case: a search on small bounds and its whole outcome, (witnesses,
-# exhausted, nodes_explored, max_depth_reached, counts), recorded from the
-# searches as they were before the five loops shared one engine.
+# Each case: a search and its whole outcome, (witnesses, exhausted,
+# nodes_explored, max_depth_reached, counts). The cases on small bounds were
+# recorded from the searches as they were before the five loops shared one
+# engine; the last four, at sizes no referee test reaches, from the shared
+# engine.
 _PINNED_OUTCOMES = [
     pytest.param(
         lambda: altsum_search(_col("theta"), 8, 3, X_ALTERNATING, "all"),
@@ -1476,6 +1482,33 @@ _PINNED_OUTCOMES = [
         lambda: q5_search(_col("valmod:4"), "akfree", 3, 20),
         ([[4, 4, 4]], False, 12, 3, {"sums_checked": 20}),
         id="q5-akfree-first-late-branch"),
+    # Twice the bound of the benchmark-sized Hindman referee test: the run's
+    # one colour chain serves all 1,024 values of a_1.
+    pytest.param(
+        lambda: hindman_search("ab", _col("theta"), 4, 1024,
+                               x=_word("periodic:ab"), mode="all"),
+        ([], True, 636_843, 2,
+         {"colour_evaluations": 644_076, "unknown_aborts": 0}),
+        id="hindman-theta-chain-at-scale"),
+    # The Fibonacci word scanned 64 letters deep for words of up to 80: 640
+    # of the 1,298 UNKNOWN colours it asks for are of words past the scan,
+    # which its memo colours but never files.
+    pytest.param(
+        lambda: supermono_search(_word(_FIB), _col("theta"), 40, 3, 80, 64,
+                                 "all"),
+        ([], True, 108_046, 2,
+         {"colour_evaluations": 108_286, "unknown_aborts": 59_434}),
+        id="supermono-fib-theta-past-the-scan"),
+    # Both y forms at B 44, L 4: at this size y_subset's level-2 states with
+    # equal y_1 + y_2 repeat the same fixing queries.
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 44, 4, Y_SUBSET, "all"),
+        ([], True, 3_835_260, 3, {"constraints_checked": 11_329_472}),
+        id="altsum-theta-y-subset-at-scale"),
+    pytest.param(
+        lambda: altsum_search(_col("theta"), 44, 4, Y_BLOCK, "all"),
+        ([], True, 87_164, 2, {"constraints_checked": 172_304}),
+        id="altsum-theta-y-block-at-scale"),
 ]
 
 
