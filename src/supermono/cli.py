@@ -51,6 +51,12 @@ def _emit_record(fmt: str, data: dict, rows, out: str | None) -> None:
           else report.aligned(rows), out)
 
 
+def _rows(data: dict, **text) -> list:
+    """One text row per field of data, in order: the field's text from
+    text when given there, else its value."""
+    return [(key, text.get(key, value)) for key, value in data.items()]
+
+
 _PLAIN_FORMAT = click.option(
     "--format", "fmt", type=click.Choice(("text", "json")), default="text",
     show_default=True, help="Output format.")
@@ -85,14 +91,9 @@ def inspect(n: int, fmt: str, out: str | None) -> None:
         "first_three_digits": bits.first_three_digits(n),
         "intervals": bits.intervals(n),
     }
-    _emit_record(fmt, data, [
-        ("n", n),
-        ("digits", data["digits"]),
-        ("support", " ".join(str(p) for p in data["support"])),
-        ("digit_bounds", f"({first}, {last})"),
-        ("first_three_digits", data["first_three_digits"]),
-        ("intervals", data["intervals"]),
-    ], out)
+    _emit_record(fmt, data, _rows(
+        data, support=" ".join(str(p) for p in data["support"]),
+        digit_bounds=f"({first}, {last})"), out)
 
 
 @main.command("inspect-pair")
@@ -122,18 +123,10 @@ def inspect_pair(a: int, b: int, fmt: str, out: str | None) -> None:
         "colour_key": PairColour.decode(code, FULL).key(),
         "colour_ordinal": code,
     }
-    _emit_record(fmt, data, [
-        ("a", a),
-        ("b", b),
-        ("labels", " ".join(f"{p}:{mark}" for p, mark in labels)),
-        ("jumps", data["jumps"]),
-        ("difference_intervals", data["difference_intervals"]),
-        ("common_fragments", data["common_fragments"]),
-        ("carry_region", "none" if carry is None
-         else f"({carry.start}, {carry.stop})"),
-        ("colour_key", data["colour_key"]),
-        ("colour_ordinal", data["colour_ordinal"]),
-    ], out)
+    _emit_record(fmt, data, _rows(
+        data, labels=" ".join(f"{p}:{mark}" for p, mark in labels),
+        carry_region="none" if carry is None
+        else f"({carry.start}, {carry.stop})"), out)
 
 
 @main.command("verify")

@@ -85,6 +85,8 @@ def _scan_fragments(x: int, y: int, lo: int, hi: int, side: str) -> list[Fragmen
 def fragments_oracle(lower: int, upper: int, side: str) -> list[Fragment]:
     """Window scan for pair fragments; enforces the same standing hypotheses
     as the fast implementation, by string inspection."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     d_lo, d_up = _lsb_digits(lower), _lsb_digits(upper)
     f_lo, l_lo = d_lo.index("1"), len(d_lo) - 1
     f_up, l_up = d_up.index("1"), len(d_up) - 1

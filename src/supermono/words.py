@@ -406,10 +406,10 @@ def standardise(x: WordSource, f: Factorisation, scan_bound: int,
     such as a merge grown longer than the scan, is BoundExhausted. A
     factor first occurring before its standard position is merged with its
     successor; when the last group still occurs early, the two suffixes are
-    compared letter by letter up to scan_bound: agreement yields a
-    PeriodicityWitness, a mismatch folds the group into the previous factor
-    (extension keeps that factor's first occurrence at its standard position,
-    since extending only moves first occurrences later).
+    compared up to scan_bound as two slices of one prefix: agreement yields
+    a PeriodicityWitness, a mismatch folds the group into the previous
+    factor (extension keeps that factor's first occurrence at its standard
+    position, since extending only moves first occurrences later).
     """
     check_factorisation(x, f)
     factors = list(f.factors)
@@ -435,11 +435,9 @@ def standardise(x: WordSource, f: Factorisation, scan_bound: int,
             del factors[i + 1]
             merges += 1
             continue
-        depth = max(len(x.prefix(scan_bound)) - standard + 1, 0)
-        agreed = 0
-        while agreed < depth and x.letter_at(occ.start + agreed) == x.letter_at(standard + agreed):
-            agreed += 1
-        if agreed == depth:
+        text = x.prefix(scan_bound)
+        depth = max(len(text) - standard + 1, 0)
+        if text[occ.start - 1:occ.start - 1 + depth] == text[standard - 1:]:
             return PeriodicityWitness(occ.start, standard, depth)
         if i > 0:
             factors[i - 1] += u

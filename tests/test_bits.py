@@ -7,6 +7,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +323,18 @@ def test_fragment_hypothesis_errors_name_first_failure():
         bits.fragments(0b100100, 0b1000010, "right")
     with pytest.raises(ValueError):
         bits.fragments(18, 40, "sideways")
+
+
+@pytest.mark.parametrize("fragments", [bits.fragments,
+                                       oracles.fragments_oracle],
+                         ids=["kernel", "oracle"])
+def test_fragments_refuse_an_unknown_side_before_any_hypothesis(fragments):
+    """(18, 40) meets every hypothesis and (40, 18) fails the first, so
+    the side is checked before either."""
+    for lower, upper in ((18, 40), (40, 18)):
+        with pytest.raises(ValueError, match=re.escape(
+                "side must be 'right' or 'left', got 'sideways'")):
+            fragments(lower, upper, "sideways")
 
 
 @given(lower=naturals, upper=naturals)

@@ -374,20 +374,6 @@ def test_q5_patterns_by_variant():
     assert "with_gaps" in Q5_VARIANTS
 
 
-def test_q5_search_variants():
-    col = parse_colouring("base-lsnz:3")
-    free = q5_search(col, "a1free", 3, 243)
-    assert free.witnesses == []
-    assert free.exhausted
-    assert free.nodes_explored == 243
-    plain = q5_search(col, "plain", 3, 243)
-    assert plain.witnesses == [[1, 2, 4]]
-    assert verify_q5_witness(col, "plain", [1, 2, 4])
-    assert not verify_q5_witness(col, "plain", [1, 1])
-    with pytest.raises(ValueError):
-        q5_search(col, "spread", 3, 243)
-
-
 def test_supermono_search_examples():
     word = Periodic("ab")
     rep = supermono_search(word, parse_colouring("lenmod:2"), 3, 2, 8)
@@ -1065,13 +1051,15 @@ _TERMS = MAX_TERMS + 1
      f"n must be at most {MAX_TERMS}, got {_TERMS}"),
     (lambda x: altsum_search(parse_colouring("const"), 4, 2, form="z"),
      "unknown constraint form 'z'"),
+    (lambda x: q5_search(parse_colouring("base-lsnz:3"), "spread", 3, 243),
+     "unknown variant 'spread'"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
         "supermono-valmod", "supermono-lift", "supermono-scan-0",
         "hindman-theta-no-word", "hindman-theta-stage2",
         "supermono-scan-over-cap", "supermono-reach-over-cap",
         "hindman-scan-over-cap", "altsum-L-over-cap",
         "supermono-n-over-cap", "hindman-n-over-cap", "plus-n-over-cap",
-        "altsum-unknown-form"])
+        "altsum-unknown-form", "q5-unknown-variant"])
 def test_search_rejects_its_arguments_before_any_node(run, message,
                                                       monkeypatch):
     monkeypatch.setattr(search, "_dfs", _no_engine)
@@ -1168,6 +1156,10 @@ _THETA = parse_colouring("theta")
     (lambda: verify_plus_witness(_THETA, [5, 3]), False),
     (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain", [0]),
      False),
+    (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain",
+                               [1, 2, 4]), True),
+    (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain",
+                               [1, 1]), False),
 ], ids=["altsum-empty", "plus-empty", "supermono-empty",
         "supermono-no-start", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
@@ -1178,7 +1170,8 @@ _THETA = parse_colouring("theta")
         "hindman-repeated", "hindman-decreasing", "hindman-zero",
         "hindman-negative", "hindman-theta-zero", "altsum-x-zero",
         "altsum-x-repeated", "altsum-y-subset-zero", "altsum-y-block-zero",
-        "plus-repeated", "plus-zero", "plus-theta-decreasing", "q5-zero"])
+        "plus-repeated", "plus-zero", "plus-theta-decreasing", "q5-zero",
+        "q5-plain-first-found", "q5-base-mixed"])
 def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
                                                                expected):
     """altsum and plus accept an empty family, the other three need one
@@ -1186,7 +1179,9 @@ def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
     do values no search can return: a supermono witness with an empty
     factor or a start below 1, hindman values that are not strictly
     increasing naturals, altsum values outside their form's domain, plus
-    values that are not superincreasing naturals and q5 values below 1."""
+    values that are not superincreasing naturals and q5 values below 1.
+    A witness that a pinned search outcome reports, a row named found,
+    passes."""
     assert check() is expected
 
 
@@ -1222,19 +1217,26 @@ def test_supermono_run_colours_each_word_within_the_scan_once(monkeypatch):
     assert asked["ababa"] > 1
 
 
+# ab in periodic:ab under theta, n 4, bound 512, scan 4096, all mode, and
+# the run's outcome, which checking one candidate at a time also gives.
+_HINDMAN_AB_512 = (("ab", _THETA, 4, 512, _AB, 4096, "all"),
+                   ([], True, 145_760, 2,
+                    {"colour_evaluations": 147_070, "unknown_aborts": 0}))
+
+
 def test_hindman_search_keeps_no_word_memo():
     """The colour of u^s is kept by its exponent alone: no colouring files
     the powers under their words. At ab in periodic:ab, n 4, bound 512,
     a word memo would hold the run's 1,021 powers of up to 2,046 letters
     and peak near 1.28 MB; without one the run peaks near 0.16 MB."""
-    args = ("ab", _THETA, 4, 512, _AB, 4096, "all")
+    args, expected = _HINDMAN_AB_512
     tracemalloc.start()
     try:
         rep = hindman_search(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.nodes_explored == 145_760
+    assert rep.nodes_explored == expected[2]
     assert peak < 500_000, peak
 
 
@@ -1546,9 +1548,7 @@ def test_benchmark_sized_hindman_outcome_is_the_referee_outcome():
     """Under theta, ab in periodic:ab, n 4, bound 512: most level-1
     states reject every candidate in one block of a_1's chain, and every
     count is still what checking one candidate at a time gives."""
-    args = ("ab", _col("theta"), 4, 512, _word("periodic:ab"), 4096, "all")
-    expected = ([], True, 145_760, 2,
-                {"colour_evaluations": 147_070, "unknown_aborts": 0})
+    args, expected = _HINDMAN_AB_512
     assert _hindman_referee(*args) == expected
     assert _outcome(hindman_search(*args)) == expected
 
@@ -1557,8 +1557,8 @@ def test_hindman_run_reads_one_colour_chain(monkeypatch):
     """The colour of u^s depends on s alone, so a run builds one chain,
     from the first key a child asks for (a_1 + v = 1 + 2), and reads each
     key once. Under theta, ab in periodic:ab, n 4, bound 512, that is the
-    1,021 keys 3 .. 511 + 512, and the outcome is the referee's, as the
-    test above pins it."""
+    1,021 keys 3 .. 511 + 512, and the outcome is the referee's, as
+    _HINDMAN_AB_512 pins it."""
     firsts, reads = [], []
     colour_chain = search._colour_chain
 
@@ -1571,10 +1571,8 @@ def test_hindman_run_reads_one_colour_chain(monkeypatch):
         return colour_chain(reading, first)
 
     monkeypatch.setattr(search, "_colour_chain", recording)
-    args = ("ab", _col("theta"), 4, 512, _word("periodic:ab"), 4096, "all")
-    assert _outcome(hindman_search(*args)) == (
-        [], True, 145_760, 2,
-        {"colour_evaluations": 147_070, "unknown_aborts": 0})
+    args, expected = _HINDMAN_AB_512
+    assert _outcome(hindman_search(*args)) == expected
     assert firsts == [3]
     assert reads == list(range(3, 1024))
 

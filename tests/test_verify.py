@@ -28,7 +28,6 @@ from supermono.verify import (
     partition_pieces,
     run_suite,
     verify_claim1,
-    verify_oracles,
 )
 
 
@@ -37,15 +36,6 @@ def test_suite_registry():
                       "fragments", "stage3")
     with pytest.raises(ValueError):
         run_suite("claim9")
-
-
-def test_oracle_suite_passes_at_small_bounds():
-    result = verify_oracles(64)
-    assert isinstance(result, SuiteResult)
-    assert result.ok
-    assert result.suite == "oracles"
-    assert result.checked == 9516
-    assert result.counterexample is None
 
 
 @pytest.mark.parametrize("build, expected", [
@@ -226,6 +216,7 @@ def test_suite_outcomes_are_pinned(monkeypatch, suite, args, fault, outcome):
     if fault is not None:
         fault(monkeypatch)
     result = getattr(verify, f"verify_{suite}")(*args)
+    assert isinstance(result, SuiteResult)
     assert result.suite == suite
     assert (result.ok, result.checked, result.detail,
             result.counterexample) == outcome
@@ -576,15 +567,6 @@ def test_middles_and_zones_match_their_per_index_definitions():
             bits.Zone(fs[n], js[n]) for n in n_range]
 
 
-def test_remaining_suites_pass_at_small_bounds():
-    for suite, bound in (("claim1", 1024), ("lastdigit", 200), ("claim4", 10),
-                         ("claim6", 15), ("fragments", 150), ("stage3", 50)):
-        result = run_suite(suite, bound)
-        assert result.ok, (suite, result.detail, result.counterexample)
-        assert result.suite == suite
-        assert result.checked > 0
-
-
 def _first_bad_pair(group, f):
     for a in group:
         for b in group:
@@ -617,17 +599,19 @@ def test_claim1_counterexample_matches_a_double_loop_below_1024():
 
 
 def test_claim1_checked_counts_are_pinned():
+    """At 1024 and 16384 the counts are pinned by the suite's _OUTCOMES row
+    and its acceptance run."""
     for bound, checked in ((1, 0), (2, 0), (3, 0), (5, 0), (100, 368),
-                           (777, 24710), (1024, 43180), (16384, 11176620)):
+                           (777, 24710)):
         result = verify_claim1(bound)
         assert (result.ok, result.checked) == (True, checked), bound
 
 
 def test_claim1_refuses_a_bound_above_its_cap_before_grouping(monkeypatch):
-    def no_grouping(v):
-        raise AssertionError("claim1 grouped a value")
+    def no_group(group, f):
+        raise AssertionError("claim1 checked a group")
 
-    monkeypatch.setattr(bits, "first_digit", no_grouping)
+    monkeypatch.setattr(verify, "_claim1_counterexample", no_group)
     over = verify.CLAIM1_MAX_BOUND + 1
     for bound in (over, 10 ** 12):
         with pytest.raises(verify.BoundError, match=(
