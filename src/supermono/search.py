@@ -803,6 +803,7 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
     they share one defined colour. A witness whose factors do not write
     out x from its start fails, as does one words.Factorisation rejects:
     no factor, an empty factor or a start below 1."""
+    colour_of = word_colour_fn(colouring, x, scan_bound)
     if not witness:
         return False
     start, factors = witness[0], tuple(witness[1:])
@@ -810,7 +811,6 @@ def verify_supermono_witness(x: WordSource, colouring: Colouring, witness,
         check_factorisation(x, Factorisation(factors, start))
     except ValueError:
         return False
-    colour_of = word_colour_fn(colouring, x, scan_bound)
     return _at_most_one_colour(
         colour_of("".join(combo)) for combo in _nonempty_subsets(factors))
 
@@ -891,9 +891,9 @@ def verify_hindman_witness(u: str, colouring: Colouring, values,
     other than a nonempty strictly increasing run of naturals fail."""
     if not u:
         raise ArgumentError("u must be a nonempty word")
+    colour_of = word_colour_fn(colouring, x, scan_bound)
     if not values or values[0] < 1 or sorted(set(values)) != list(values):
         return False
-    colour_of = word_colour_fn(colouring, x, scan_bound)
     return _at_most_one_colour(
         colour_of(u * sum(combo)) for combo in _nonempty_subsets(values))
 

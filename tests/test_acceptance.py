@@ -122,18 +122,6 @@ def test_periodic_suffix_factorisations_yield_verified_witnesses():
             "suffix starts 2..6, verified to depth 10000")
 
 
-def test_repeated_letter_sums_admit_a_parity_witness():
-    started = time.perf_counter()
-    colouring = parse_colouring("lenmod:2")
-    report = search.hindman_search("a", colouring, 3, 10, mode="first")
-    ok = bool(report.witnesses)
-    witness = report.witnesses[0] if ok else None
-    if ok:
-        ok = search.verify_hindman_witness("a", colouring, witness)
-    _report("subset-sum parity witness", ok, started, 1.0,
-            f"witness {witness} re-verified")
-
-
 def test_fibonacci_consecutive_factor_search_exhausts_empty():
     started = time.perf_counter()
     fib = words.Morphic({"a": "ab", "b": "a"}, "a")

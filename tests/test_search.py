@@ -341,20 +341,6 @@ def test_pair_colour_memo_does_not_leak_between_runs(run, pinned):
         assert (rep.witnesses, rep.nodes_explored) == pinned[spec]
 
 
-def test_hindman_search_examples():
-    col = parse_colouring("lenmod:2")
-    rep = hindman_search("a", col, 3, 10)
-    assert rep.witnesses == [[2, 4, 6]]
-    assert verify_hindman_witness("a", col, [2, 4, 6])
-    rep = hindman_search("a", col, 3, 2)
-    assert rep.witnesses == []
-    assert rep.exhausted
-    with pytest.raises(ValueError):
-        hindman_search("a", col, 1, 10)
-    with pytest.raises(ValueError):
-        hindman_search("", col, 3, 10)
-
-
 def test_plus_pair_search_example():
     col = parse_colouring("valmod:2")
     rep = plus_pair_search(col, 3, 16)
@@ -372,17 +358,6 @@ def test_q5_patterns_by_variant():
     assert search._q5_patterns(1, "a1free") == [(1,), (2,)]
     assert search._q5_patterns(2, "akfree") == [(1, 1), (1, 2)]
     assert "with_gaps" in Q5_VARIANTS
-
-
-def test_supermono_search_examples():
-    word = Periodic("ab")
-    rep = supermono_search(word, parse_colouring("lenmod:2"), 3, 2, 8)
-    assert rep.witnesses == [[1, "ab", "ab"]]
-    assert verify_supermono_witness(word, parse_colouring("lenmod:2"),
-                                    [1, "ab", "ab"])
-    rep = supermono_search(word, parse_colouring("theta"), 3, 2, 8)
-    assert rep.witnesses == []
-    assert rep.exhausted
 
 
 def test_supermono_search_copies_one_prefix_per_run(monkeypatch):
@@ -872,8 +847,7 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
             "first")
     rep = supermono_search(*args)
     assert _outcome(rep) == _supermono_referee(*args)
-    assert _outcome(rep) == ([[1, "ab", "ab"]], False, 11, 2,
-                             {"colour_evaluations": 15, "unknown_aborts": 0})
+    assert _outcome(rep) == _pinned("supermono-lenmod-first")
     assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
 
 
@@ -1053,13 +1027,39 @@ _TERMS = MAX_TERMS + 1
      "unknown constraint form 'z'"),
     (lambda x: q5_search(parse_colouring("base-lsnz:3"), "spread", 3, 243),
      "unknown variant 'spread'"),
+    (lambda x: hindman_search("a", parse_colouring("lenmod:2"), 1, 10),
+     "n must be at least 2, got 1"),
+    (lambda x: hindman_search("", parse_colouring("lenmod:2"), 3, 10),
+     "u must be a nonempty word"),
+    (lambda x: altsum_search(parse_colouring("const"), 4, 0),
+     "L must be at least 1, got 0"),
+    (lambda x: supermono_search(x, parse_colouring("const"), 0, 2, 4),
+     "suffix_bound must be at least 1, got 0"),
+    (lambda x: supermono_search(x, parse_colouring("const"), 2, 0, 4),
+     "n must be at least 1, got 0"),
+    (lambda x: supermono_search(x, parse_colouring("const"), 2, 2, 0),
+     "len_bound must be at least 1, got 0"),
+    (lambda x: hindman_search("a", parse_colouring("const"), 2, 0),
+     "bound must be at least 1, got 0"),
+    (lambda x: hindman_search("a", parse_colouring("theta"), 2, 4, x=x,
+                              scan_bound=0),
+     "scan_bound must be at least 1, got 0"),
+    (lambda x: plus_pair_search(parse_colouring("const"), 2, 0),
+     "bound must be at least 1, got 0"),
+    (lambda x: q5_search(parse_colouring("const"), "plain", 0, 4),
+     "L must be at least 1, got 0"),
+    (lambda x: q5_search(parse_colouring("const"), "plain", 2, 0),
+     "bound must be at least 1, got 0"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
         "supermono-valmod", "supermono-lift", "supermono-scan-0",
         "hindman-theta-no-word", "hindman-theta-stage2",
         "supermono-scan-over-cap", "supermono-reach-over-cap",
         "hindman-scan-over-cap", "altsum-L-over-cap",
         "supermono-n-over-cap", "hindman-n-over-cap", "plus-n-over-cap",
-        "altsum-unknown-form", "q5-unknown-variant"])
+        "altsum-unknown-form", "q5-unknown-variant", "hindman-n-1",
+        "hindman-empty-u", "altsum-L-0", "supermono-suffix-0",
+        "supermono-n-0", "supermono-len-0", "hindman-bound-0",
+        "hindman-scan-0", "plus-bound-0", "q5-L-0", "q5-bound-0"])
 def test_search_rejects_its_arguments_before_any_node(run, message,
                                                       monkeypatch):
     monkeypatch.setattr(search, "_dfs", _no_engine)
@@ -1089,13 +1089,29 @@ def test_q5_refuses_a_pattern_table_over_the_cap_before_building_it(
             q5_search(parse_colouring("const"), variant, max_len, 1)
 
 
+_AB = Periodic("ab")
+_LENMOD2 = parse_colouring("lenmod:2")
+_VALMOD2 = parse_colouring("valmod:2")
+_THETA = parse_colouring("theta")
+
+
 @pytest.mark.parametrize("check", [
     lambda: verify_altsum_witness(parse_colouring("lenmod:2"), [1],
                                   X_ALTERNATING),
     lambda: verify_plus_witness(parse_colouring("lenmod:2"), [5]),
     lambda: verify_q5_witness(parse_colouring("valmod:3@diff"), "plain", [3]),
-], ids=["altsum-lenmod", "plus-lenmod", "q5-lift"])
+    lambda: verify_supermono_witness(_AB, _VALMOD2, []),
+    lambda: verify_supermono_witness(_AB, _VALMOD2, [1, "b"]),
+    lambda: verify_hindman_witness("a", _VALMOD2, []),
+    lambda: verify_hindman_witness("a", _VALMOD2, [2, 2]),
+    lambda: verify_hindman_witness("a", _THETA, [0]),
+], ids=["altsum-lenmod", "plus-lenmod", "q5-lift", "supermono-valmod-empty",
+        "supermono-valmod-not-x", "hindman-valmod-empty",
+        "hindman-valmod-repeated", "hindman-theta-no-word"])
 def test_witness_verifiers_reject_a_colouring_in_the_wrong_role(check):
+    """A colouring that does not colour the family's objects, or theta on
+    words with no reference word, raises whatever the witness is, as the
+    search given that colouring does."""
     with pytest.raises(search.ArgumentError):
         check()
 
@@ -1115,12 +1131,6 @@ def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
     for values in ([1], [], [0]):
         with pytest.raises(ValueError, match="unknown variant"):
             verify_q5_witness(parse_colouring("valmod:2"), "bogus", values)
-
-
-_AB = Periodic("ab")
-_LENMOD2 = parse_colouring("lenmod:2")
-_VALMOD2 = parse_colouring("valmod:2")
-_THETA = parse_colouring("theta")
 
 
 @pytest.mark.parametrize("check, expected", [
@@ -1160,6 +1170,8 @@ _THETA = parse_colouring("theta")
                                [1, 2, 4]), True),
     (lambda: verify_q5_witness(parse_colouring("base-lsnz:3"), "plain",
                                [1, 1]), False),
+    (lambda: verify_hindman_witness("a", _LENMOD2, [2, 4, 6]), True),
+    (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "ab", "ab"]), True),
 ], ids=["altsum-empty", "plus-empty", "supermono-empty",
         "supermono-no-start", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
@@ -1171,7 +1183,8 @@ _THETA = parse_colouring("theta")
         "hindman-negative", "hindman-theta-zero", "altsum-x-zero",
         "altsum-x-repeated", "altsum-y-subset-zero", "altsum-y-block-zero",
         "plus-repeated", "plus-zero", "plus-theta-decreasing", "q5-zero",
-        "q5-plain-first-found", "q5-base-mixed"])
+        "q5-plain-first-found", "q5-base-mixed", "hindman-lenmod-first-found",
+        "supermono-lenmod-first-found"])
 def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
                                                                expected):
     """altsum and plus accept an empty family, the other three need one
@@ -1400,6 +1413,10 @@ _PINNED_OUTCOMES = [
          {"colour_evaluations": 24, "unknown_aborts": 0}),
         id="hindman-lenmod-first-late-branch"),
     pytest.param(
+        lambda: hindman_search("a", _col("lenmod:2"), 3, 2),
+        ([], True, 3, 1, {"colour_evaluations": 4, "unknown_aborts": 0}),
+        id="hindman-lenmod-first-empty"),
+    pytest.param(
         lambda: hindman_search("a", _col("lenmod:3"), 3, 9, mode="all"),
         ([[3, 6, 9]],
          True,
@@ -1516,9 +1533,12 @@ _PINNED_OUTCOMES = [
 
 @pytest.mark.parametrize("run, expected", _PINNED_OUTCOMES)
 def test_search_outcomes_are_pinned(run, expected):
-    rep = run()
-    assert (rep.witnesses, rep.exhausted, rep.nodes_explored,
-            rep.max_depth_reached, rep.counts) == expected
+    assert _outcome(run()) == expected
+
+
+def _pinned(row_id):
+    """The outcome _PINNED_OUTCOMES pins for its row row_id."""
+    return next(row.values[1] for row in _PINNED_OUTCOMES if row.id == row_id)
 
 
 def test_benchmark_sized_supermono_outcome_is_the_referee_outcome():
