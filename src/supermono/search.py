@@ -695,11 +695,11 @@ def verify_altsum_witness(colouring: Colouring, values, form: str,
     the search's domain fail: the x form takes strictly increasing
     naturals, the y forms positive values."""
     _check_role(colouring, "pair")
+    if form not in FORMS:
+        raise ArgumentError(f"unknown constraint form {form!r}")
     try:
         cs = constraints_for(values, form, allow_k1_equal_1)
     except ValueError:
-        if form not in FORMS:
-            raise
         return False
     return _at_most_one_colour(
         colour_pair_value(colouring, c.left, c.right) for c in cs)
@@ -1024,10 +1024,10 @@ def q5_search(colouring: Colouring, variant: str, max_len: int, bound: int,
 def verify_q5_witness(colouring: Colouring, variant: str, values) -> bool:
     """Recolour every coefficient sum of every prefix from scratch; an
     empty sequence, or one with a value below 1, fails. An unknown variant
-    raises ValueError whatever the values."""
+    raises ArgumentError whatever the values."""
     _check_role(colouring, "number")
     if variant not in Q5_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ArgumentError(f"unknown variant {variant!r}")
     return min(values, default=0) >= 1 and _at_most_one_colour(
         colour_number(colouring, sum(c * y for c, y in zip(coeffs, values)))
         for k in range(1, len(values) + 1)
