@@ -13,8 +13,9 @@ claim1 is the exception, and its failing group is not counted. claim6
 checks every tuple, but calls the library centre once per digit-bound
 shape, the run of tuples whose five (first, last) digit pairs agree: the
 centre's verdict depends only on those bounds, and each later tuple of
-the shape tests its centre windows as masks. The registered function
-sums the yields into a SuiteResult that carries the first
+the shape tests its centre windows as masks; a bookkeeping identity is
+rechecked only when the shape or a term it reads changes. The registered
+function sums the yields into a SuiteResult that carries the first
 counterexample, or `passed` when the body finishes. Suites that construct
 random instances use a fixed seed, so every run checks the same
 instances.
@@ -134,15 +135,17 @@ def _random_fill(rng: random.Random, zs: list[int], regions) -> list[int]:
 def _every_fill(zs, regions) -> Iterator[tuple[int, ...]]:
     """Every way _random_fill can fill zs over the same regions, in
     itertools.product order: the owners in the order given, the last free
-    digit varying fastest."""
-    digits = [(1 << p, owners) for lo, hi, owners in regions
-              for p in range(lo, hi)]
-    for choice in itertools.product(*(owners for _, owners in digits)):
-        filled = list(zs)
-        for (bit, _), owner in zip(digits, choice):
-            if owner >= 0:
-                filled[owner] |= bit
-        yield tuple(filled)
+    digit varying fastest. The fills grow digit by digit, each partial
+    fill once per owner of the next digit, so a fill costs no copy and no
+    loop over every digit."""
+    fills = [tuple(zs)]
+    for lo, hi, owners in regions:
+        for p in range(lo, hi):
+            bit = 1 << p
+            fills = [fill if owner < 0
+                     else (*fill[:owner], fill[owner] | bit, *fill[owner + 1:])
+                     for fill in fills for owner in owners]
+    return iter(fills)
 
 
 def _random_fragment_pair(rng: random.Random) -> tuple[int, int]:
@@ -530,20 +533,28 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
     At a new shape the library centre checks the tuple's five centre
     triples and gives their windows as masks (_claim6_shape_masks);
     every tuple of the shape then passes its centres when each window is
-    all 1 (r & w == w), and its eleven bookkeeping counts read its
-    digits through the shape's four window masks. That is exact: the
-    centre's verdict depends only on the digit bounds of r, p and s, and
-    its text is r's digits in [l_p + 1, f_s - 1]; once the terms are
-    disjoint, z2 + z3 and z3 + z4 carry nothing, so their bounds follow
-    from the shape. At position count 16 that is 1,430 centre calls
-    (286 shapes) for 1,544 tuples, where each tuple's own centres would
-    take 7,720; at the default 18, 15,015 for 53,826 tuples.
+    all 1 (r & w == w), and its bookkeeping counts read its digits
+    through the shape's four window masks. That is exact: the centre's
+    verdict depends only on the digit bounds of r, p and s, and its text
+    is r's digits in [l_p + 1, f_s - 1]; once the terms are disjoint,
+    z2 + z3 and z3 + z4 carry nothing, so their bounds follow from the
+    shape. At position count 16 that is 1,430 centre calls (286 shapes)
+    for 1,544 tuples, where each tuple's own centres would take 7,720;
+    at the default 18, 15,015 for 53,826 tuples.
+
+    The seven identities are grouped by the last term they read, z2's
+    (k1, k2, z2), z3's (k3, z3 & [f3, l2], z3, z2 + z3) and z4's (k4,
+    z4 & [f4, l3], z4, z2 + z4), and a group is rechecked only when its
+    term, the shape or a group before it changes. They are pure and
+    share one detail, so the first counterexample stays: 9,711 intervals
+    calls at position count 16, where eleven per tuple take 16,984.
 
     The pair set reads z1..z4 only, so it is coloured only when they
-    differ from the last coloured tuple's: a repeated set is one just
-    found non-monochromatic, or the suite would have stopped. Its colours
-    come through a memo keyed by pair, cleared whenever z1..z4's digit
-    bounds change, since pair sets of one such shape share pairs: 1,670
+    differ from the last tuple's: a repeated set is one just found
+    non-monochromatic, or the suite would have stopped. Its five pairs
+    are coloured in claim6_pair_set's order, until two colours differ,
+    through a memo keyed by pair, cleared whenever z1..z4's digit bounds
+    change, since pair sets of one such shape share pairs: 1,670
     colour_pair calls for 1,296 sets at position count 16 (2,810 without
     the memo), 36,434 for 42,078 at 18 (87,963). The colouring is a
     function of the pair, so the memo changes no verdict. A memo kept for
@@ -551,7 +562,7 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
     position count above MAX_POSITION_COUNT raises BoundError."""
     _check_position_count("claim6", position_count)
     intervals = bits.intervals
-    shape = coloured = colour_shape = masks = None
+    shape = colour_shape = last1 = last2 = last3 = last4 = None
     colours: dict[tuple[int, int], object] = {}
 
     def colour(a, b):
@@ -574,34 +585,42 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
                   z5 & -z5, z5.bit_length())
         if bounds != shape:
             shape = bounds
-            masks = _claim6_shape_masks(zs)
-        c1, c2, c3, c4, c5, w1, w2, w3, w4 = masks
+            c1, c2, c3, c4, c5, w1, w2, w3, w4 = _claim6_shape_masks(zs)
+            last2 = None
+            if bounds[:8] != colour_shape:
+                colour_shape = bounds[:8]
+                colours.clear()
         z23 = z2 + z3
         if (z2 & c1 != c1 or z3 & c2 != c2 or z4 & c3 != c3
                 or z23 & c4 != c4 or (z3 + z4) & c5 != c5):
             raise _Counterexample("enumerated tuple fails its own hypotheses",
                                   zs)
-        k1 = intervals(z2 & w1)
-        k2 = intervals(z2 & w2)
-        k3 = intervals(z3 & w3)
-        k4 = intervals(z4 & w4)
-        if not (intervals(z3 & w2) == k2
-                and intervals(z4 & w3) == k3
-                and intervals(z2) == 1 + k1 + k2
-                and intervals(z3) == 1 + k2 + k3
-                and intervals(z4) == 1 + k3 + k4
-                and intervals(z23) == 1 + k1 + k3
-                and intervals(z2 + z4) == 2 + k1 + k2 + k3 + k4):
-            raise _Counterexample("interval bookkeeping mismatch", zs)
-        if zs[:4] == coloured:
+        if z2 != last2:
+            k1 = intervals(z2 & w1)
+            k2 = intervals(z2 & w2)
+            if intervals(z2) != 1 + k1 + k2:
+                raise _Counterexample("interval bookkeeping mismatch", zs)
+            last2, last3 = z2, None
+        if z3 != last3:
+            k3 = intervals(z3 & w3)
+            if not (intervals(z3 & w2) == k2 and intervals(z3) == 1 + k2 + k3
+                    and intervals(z23) == 1 + k1 + k3):
+                raise _Counterexample("interval bookkeeping mismatch", zs)
+            last3, last4 = z3, None
+        if z4 != last4:
+            k4 = intervals(z4 & w4)
+            if not (intervals(z4 & w3) == k3 and intervals(z4) == 1 + k3 + k4
+                    and intervals(z2 + z4) == 2 + k1 + k2 + k3 + k4):
+                raise _Counterexample("interval bookkeeping mismatch", zs)
+            last4 = z4
+        elif z1 == last1:  # the last tuple's pair set, which just passed
             continue
-        coloured = zs[:4]
-        if bounds[:8] != colour_shape:
-            colour_shape = bounds[:8]
-            colours.clear()
-        pairs = claim6_pair_set(zs)
-        first = colour(*pairs[0])
-        if all(colour(a, b) == first for a, b in pairs[1:]):
+        last1 = z1
+        s4 = z23 + z1 + z4
+        first = colour(s4 - z2, s4)
+        if (colour(s4 - z3, s4) == first and colour(s4 - z4, s4) == first
+                and colour(s4 - z23, s4) == first
+                and colour(z1 + z3, s4) == first):
             raise _Counterexample("monochromatic pair set", zs)
 
 

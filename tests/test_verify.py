@@ -492,6 +492,57 @@ def test_claim6_checks_each_tuple_of_a_shape_like_its_referee(
             result.counterexample) == want
 
 
+def _new_term_fault(term):
+    """At the first tuple at position count 15 that shares its shape and
+    z2 .. zs[term - 1] with the tuple before it, but not zs[term], shift
+    the interval count of z2 + zs[term] by one: only a recheck of that
+    term's group catches it."""
+    def build(monkeypatch, tuples):
+        index = next(
+            i for i in range(1, len(tuples))
+            if _digit_bound_shape(tuples[i]) == _digit_bound_shape(tuples[i - 1])
+            and tuples[i][1:term] == tuples[i - 1][1:term]
+            and tuples[i][term] != tuples[i - 1][term])
+        zs = tuples[index]
+        _shift(monkeypatch, bits, "intervals",
+               lambda c: c == zs[1] + zs[term], 1)
+        return tuples, (False, index + 1, "interval bookkeeping mismatch", zs)
+    return build
+
+
+def _repeated_z2_new_windows(_monkeypatch, tuples):
+    """The first later tuple with an earlier tuple's z2 but other digits
+    l1 or f3, so other windows [f2, l1] and [f3, l2], checked right after
+    it: k1 and k2 change at the new shape though z2 does not."""
+    def l1_f3(zs):
+        (_, l1), _, (f3, _), _, _ = _digit_bound_shape(zs)
+        return l1, f3
+
+    i, j = next((i, j) for i, j in itertools.combinations(range(len(tuples)), 2)
+                if tuples[i][1] == tuples[j][1]
+                and l1_f3(tuples[i]) != l1_f3(tuples[j]))
+    return (tuples[:i + 1] + [tuples[j]] + tuples[i + 1:],
+            (True, len(tuples) + 1,
+             "no hypothesis-satisfying tuple is two-stage monochromatic", None))
+
+
+@pytest.mark.parametrize("build", [
+    _new_term_fault(3), _new_term_fault(2), _repeated_z2_new_windows,
+], ids=["new-z4-after-z2-z3", "new-z3-after-z2", "repeated-z2-new-shape"])
+def test_claim6_rechecks_a_group_when_a_term_it_reads_changes(
+        monkeypatch, build):
+    """verify_claim6 rechecks each group of bookkeeping identities only
+    when the last term it reads changes, and a new shape rechecks all
+    three; each row needs one such recheck, and suite and referee read
+    the same stream and report the same outcome."""
+    stream, want = build(monkeypatch, list(claim6_tuples(14)))
+    monkeypatch.setattr(verify, "claim6_tuples", lambda max_pos: iter(stream))
+    assert _claim6_referee(15) == want
+    result = verify.verify_claim6(15)
+    assert (result.ok, result.checked, result.detail,
+            result.counterexample) == want
+
+
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that every call is counted; returns the counter."""
     calls = collections.Counter()
@@ -510,12 +561,16 @@ def test_claim6_calls_the_centre_once_per_shape_and_colours_through_a_memo(
     """At position count 16: one library centre call per centre triple of
     each of the 286 digit-bound shapes (each tuple's own would be 7,720),
     and 1,670 colour_pair calls where colouring every pair set's pairs
-    without the memo would make 2,810."""
+    without the memo would make 2,810. bits.intervals is called 11,381
+    times: 9,711 by the suite's per-term rechecks, where every tuple's
+    eleven counts would take 16,984, and one per colour_pair call."""
     centre = _counting(monkeypatch, bits, "centre")
     colour = _counting(monkeypatch, verify, "colour_pair")
+    intervals = _counting(monkeypatch, bits, "intervals")
     assert verify.verify_claim6(16).checked == 1544
     assert centre["centre"] == 1430
     assert colour["colour_pair"] == 1670
+    assert intervals["intervals"] == 11381
     assert verify.verify_claim6(15).checked == 200
 
 
@@ -735,6 +790,35 @@ def test_obstruction_tuples_come_in_product_order(position_count):
     assert len(constructive) == {13: 1, 14: 19, 15: 200}[position_count]
     assert len(set(constructive)) == len(constructive)
     assert list(_brute_survivors(position_count - 1)) == constructive
+
+
+def _every_fill_referee(zs, regions):
+    """Every fill in itertools.product order, one choice of owners at a
+    time: each fill copies zs and walks every free digit."""
+    digits = [(1 << p, owners) for lo, hi, owners in regions
+              for p in range(lo, hi)]
+    for choice in itertools.product(*(owners for _, owners in digits)):
+        filled = list(zs)
+        for (bit, _), owner in zip(digits, choice):
+            if owner >= 0:
+                filled[owner] |= bit
+        yield tuple(filled)
+
+
+@pytest.mark.parametrize("zs, regions", [
+    ((1, 64), ((1, 3, (-1, 0)), (3, 3, (0, 1)), (3, 6, (-1, 0, 1)))),
+    ((1, 2, 512), ((2, 4, (0, 1, -1)), (4, 4, (-1, 2)), (4, 5, (2, 1)),
+                   (6, 9, (1, 2, -1)))),
+    ((5, 8, 0), ((4, 6, (2, 0)),)),
+    ((3,), ()),
+    ((0, 0, 0), ((0, 3, (-1, 2, 0)), (3, 3, (-1, 1)))),
+], ids=["owner-1-first", "owner-1-last", "two-owners", "no-region",
+        "empty-last-region"])
+def test_every_fill_matches_its_product_referee(zs, regions):
+    """_every_fill grows the fills digit by digit and gives what taking
+    each itertools.product choice in turn gives, in the same order."""
+    assert list(verify._every_fill(zs, regions)) == \
+        list(_every_fill_referee(zs, regions))
 
 
 def test_obstruction_pair_differences():
