@@ -17,7 +17,6 @@ from .pair_colouring import colour_pair
 from .words import (
     NOT_A_FACTOR,
     UNRESOLVED,
-    PrefixOccurrences,
     WordSource,
     first_occurrence,
     has_aligned_split,
@@ -39,7 +38,7 @@ def phi(x: WordSource, u: str, scan_bound: int):
     true as the cut c grows, and whether u[c:] first ends at B only turns
     false, so has_aligned_split decides the tag by bisection on the cut;
     oracles.split_tag_oracle tries every cut. prefix_colourer gives the
-    same colours to the prefixes of one word from one table.
+    same colours to the prefixes of one word read in order of length.
     """
     occ = first_occurrence(x, u, scan_bound)
     if occ is NOT_A_FACTOR or occ is UNRESOLVED:
@@ -48,27 +47,51 @@ def phi(x: WordSource, u: str, scan_bound: int):
     return colour_pair(occ.start, occ.end) * 2 + tag
 
 
-def prefix_colourer(x: WordSource, y: str, scan_bound: int):
-    """Colour the prefixes of y relative to x: a callable n ->
-    phi(x, y[:n], scan_bound) for 1 <= n <= len(y), read in any order.
-    Each value is phi's: the int colour code, NOT_FACTOR or UNKNOWN.
+def prefix_colourer(x: WordSource, y: str, scan_bound: int, memo=None,
+                    first: int = 1):
+    """Colour the prefixes of y relative to x: a callable key ->
+    phi(x, y[:n], scan_bound), n = key - first + 1 <= len(y), read in any
+    order. Given a memo dict, it answers a prefix the memo holds from it
+    and files each prefix of at most scan_bound letters that it colours.
 
-    One PrefixOccurrences table gives every prefix found within the scan
-    its first occurrence and its least aligned cut, so its tag takes one
-    bounded search. A prefix not found within the scan goes to phi, whose
-    first_occurrence tells NOT_FACTOR from UNKNOWN by its length; a prefix
-    past scan_bound is never found, and phi answers UNKNOWN for it.
-    """
-    table = PrefixOccurrences(x, y, scan_bound)
+    The callable sends to one generator, whose locals hold the table, so
+    a read is one frame. Read in order of length, y[:n] first starts where
+    y[:n - 1] does when the letter after that occurrence is y's next, or
+    else at the next match, and its least aligned cut is the least length
+    that first starts there, so its tag takes one bounded search. A prefix
+    not found within the scan, as none past scan_bound is, goes to phi,
+    and so does an n at or below one already read."""
+    reader = _read_prefixes(x, y, scan_bound, memo, first - 1)
+    next(reader)
+    return reader.send
 
-    def colour(n: int):
-        start = table.start(n)
-        if start is None:
-            return phi(x, y[:n], scan_bound)
-        tag = 0 if table.has_aligned_split(n) else 1
-        return colour_pair(start, start + n) * 2 + tag
 
-    return colour
+def _read_prefixes(x: WordSource, y: str, scan_bound: int, memo, offset):
+    text = x._materialise(scan_bound)
+    limit = min(scan_bound, len(text))
+    # The table reached y[:c], which first starts at the 0-based at (-1 if
+    # not within the scan), as y[:cut] does and no shorter prefix.
+    c = at = 0
+    cut = 1
+    colour = None
+    while True:
+        n = (yield colour) - offset
+        u = y[:n]
+        if memo is not None and (colour := memo.get(u)) is not None:
+            continue
+        while c < n and at >= 0:
+            c += 1
+            if at + c > limit or text[at + c - 1] != y[c - 1]:
+                at = text.find(y[:c], at + 1, limit)
+                cut = c
+        if c == n and at >= 0:
+            # tag 0 when y[cut:n] first ends with y[:n], not before it
+            tag = cut == n or text.find(y[cut:n], 0, at - 1 + n) >= 0
+            colour = colour_pair(at + 1, at + 1 + n) * 2 + tag
+        else:
+            colour = phi(x, u, scan_bound)
+        if memo is not None and n <= scan_bound:
+            memo[u] = colour
 
 
 def altsum_identity_check(ms, ks) -> tuple[int, int]:

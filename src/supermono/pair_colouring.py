@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import bits
-
 STAGE1 = "stage1"
 STAGE2 = "stage2"
 FULL = "full"
@@ -78,7 +76,8 @@ class PairColour(NamedTuple):
 
 def colour_pair(a: int, b: int, stage: str = FULL) -> int:
     """Colour code of the pair (a, b) under the requested stage. Requires
-    a < b."""
+    1 <= a < b. The bits rules it reads (digit_bounds, last_digit, jumps,
+    intervals, top_run_shared) are written out, so it calls none."""
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     if a < 1:
@@ -86,15 +85,17 @@ def colour_pair(a: int, b: int, stage: str = FULL) -> int:
     if a >= b:
         raise ValueError(f"pair must satisfy a < b, got a={a}, b={b}")
     d = b - a
-    first, last = bits.digit_bounds(d)
+    first = (d & -d).bit_length() - 1
     # the digit at first is 1, so the window (d >> first) & 7 is odd and
     # its index in WINDOWS is the window shifted right once
-    code = ((last % 3 * 3 + first % 3) * 3 + bits.last_digit(a) % 3) * 4 \
-        + ((d >> first & 7) >> 1)
+    code = (((d.bit_length() - 1) % 3 * 3 + first % 3) * 3
+            + (a.bit_length() - 1) % 3) * 4 + ((d >> first & 7) >> 1)
     if stage == STAGE1:
         return code
-    jumps = bits.jumps(a, b)
-    code = code * 4 + (jumps & 1) * 2 + (bits.intervals(d) & 1)
+    differ = a ^ b
+    both = a & b
+    jumps = ((both + ~differ) & differ).bit_count()
+    code = code * 4 + (jumps & 1) * 2 + ((d & ~(d << 1)).bit_count() & 1)
     if stage == STAGE2:
         return code
-    return code * 2 + ((jumps + bits.top_run_shared(a, b)) & 1)
+    return code * 2 + ((jumps + (both.bit_length() > differ.bit_length())) & 1)

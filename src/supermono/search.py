@@ -16,15 +16,17 @@ reject all of its own candidates as one childless block, with no child
 built. Every count and every coloured object is what checking one
 candidate at a time gives. The alternating-sum search carries its
 left-hand sides in the search state; constraints_for builds each family
-from scratch for verify_altsum_witness. Under theta, the words the
-super-monochromatic and Hindman chains read are prefixes of one word (a
-suffix, or u^ω), and the word colouring's prefixes entry colours them
-from one first-occurrence table per word; every other word goes through
-phi. supermono_search, the one search that meets a word through both
-entries, keeps the run's word memo. Reports are deterministic functions
-of the search parameters alone, and every search runs in the calling
-thread. altsum_search and supermono_search still accept a jobs argument
-and ignore it, because the benchmark workloads pass it.
+from scratch for verify_altsum_witness. Under theta, a chain reads a
+pair through the run's pair memo straight into colour_pair, and the
+words the super-monochromatic and Hindman chains read are prefixes of
+one word (a suffix, or u^ω), which the word colouring's prefixes entry
+colours in order from one table per word, in one frame per read; every
+other word goes through phi. supermono_search, the one search that meets
+a word through both entries, keeps the run's word memo. Reports are
+deterministic functions of the search parameters alone, and every search
+runs in the calling thread. altsum_search and supermono_search still
+accept a jobs argument and ignore it, because the benchmark workloads
+pass it.
 
 Each search checks its own arguments, colouring role included, before it
 explores any node, and raises ArgumentError for one it rejects; that
@@ -38,8 +40,6 @@ and applies one rule, _at_most_one_colour, to it.
 
 from __future__ import annotations
 
-import bisect
-import collections
 import functools
 import itertools
 import operator
@@ -239,9 +239,13 @@ def pair_colour_fn(col: Colouring):
 
     A search builds one per run, so the memo never outlives the run; the
     witness verifiers call colour_pair_value directly and recolour from
-    scratch. A colouring that does not colour pairs raises ArgumentError.
+    scratch; under theta the memo calls colour_pair, which refuses the
+    same pairs. A colouring that does not colour pairs raises ArgumentError.
     """
     _check_role(col, "pair")
+    if col.family == "theta":
+        return functools.cache(functools.partial(colour_pair,
+                                                 stage=col.args[0]))
     return functools.cache(functools.partial(colour_pair_value, col))
 
 
@@ -256,30 +260,50 @@ def word_colour_fn(col: Colouring, x: WordSource | None, scan_bound: int):
     total and return ints. A colouring that does not colour words raises
     ArgumentError.
 
-    The callable's prefixes(y) gives n -> the colour of y[:n], for
-    1 <= n <= len(y). Under theta it colours every prefix from one
-    factor_colouring.prefix_colourer table for y, and the callable itself
-    colours each word through phi. Neither keeps what it colours.
+    The callable's prefixes(y, memo=None, first=1) gives key -> the
+    colour of y[:key - first + 1], through memo as _filing reads it; under
+    theta it is factor_colouring.prefix_colourer, which reads a word's
+    prefixes in order of length from one table. Neither entry keeps what
+    it colours outside the memo it is given.
     """
     _check_role(col, "word")
     if col.family == "const":
-        return _with_prefixes(lambda u: 0)
+        return _with_prefixes(lambda u: 0, scan_bound)
     if col.family == "lenmod":
         k = col.args[0]
-        return _with_prefixes(lambda u: len(u) % k)
+        return _with_prefixes(lambda u: len(u) % k, scan_bound)
     if x is None:
         raise ArgumentError("theta word colouring needs a reference word")
     if col.args[0] != "full":
         raise ArgumentError("word-side theta colouring uses the full stage")
-    return _with_prefixes(lambda u: phi(x, u, scan_bound),
-                          lambda y: prefix_colourer(x, y, scan_bound))
-
-
-def _with_prefixes(colour_of, prefixes=None):
-    """colour_of with its prefixes entry point attached; by default a
-    prefix is coloured as a word."""
-    colour_of.prefixes = prefixes or (lambda y: lambda n: colour_of(y[:n]))
+    colour_of = lambda u: phi(x, u, scan_bound)
+    colour_of.prefixes = (lambda y, memo=None, first=1: prefix_colourer(
+        x, y, scan_bound, memo, first))
     return colour_of
+
+
+def _with_prefixes(colour_of, scan_bound: int):
+    """colour_of, with a prefixes entry that colours a prefix as a word."""
+    def prefixes(y: str, memo=None, first: int = 1):
+        colour = colour_of if memo is None else _filing(memo, colour_of,
+                                                        scan_bound)
+        return lambda key: colour(y[:key - first + 1])
+
+    colour_of.prefixes = prefixes
+    return colour_of
+
+
+def _filing(memo, colour_of, scan_bound: int):
+    """colour_of behind memo: a word memo holds is answered from it, and
+    a word within scan_bound letters that is coloured is filed in it."""
+    def colour(u: str):
+        if (found := memo.get(u)) is None:
+            found = colour_of(u)
+            if len(u) <= scan_bound:
+                memo[u] = found
+        return found
+
+    return colour
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +527,10 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     return SearchReport(params, witnesses, exhausted, nodes, max_depth, counts)
 
 
-def _colour_chain(colour_at, first: int):
+class _colour_chain:
     """The colours of the keys first, first + 1, ... read by colour_at in
-    order, only as far as a query needs. Returns candidates(colour, low,
-    stop, make), first <= low <= stop, which yields make(key) for each key
+    order, only as far as a query needs. The colour query chain(colour,
+    low, stop, make), first <= low <= stop, yields make(key) for each key
     in low .. stop - 1 of that colour, smallest first, and ahead of each
     and of the stop the (None, (k, j)) block that _dfs takes for the k
     keys of another colour since the last, j of them UNKNOWN. low may lie
@@ -515,7 +539,7 @@ def _colour_chain(colour_at, first: int):
     range, low == stop, reads no key, so a level without candidates never
     reads past the keys its search colours.
 
-    candidates.fixing(low, stop, make, span=None) is the query of the
+    chain.fixing(low, stop, make, span=None) is the query of the
     level whose candidates fix the path colour, each by its own key's
     colour, when the child asks this chain for that colour from key + 1
     up to its stop: key + span, or stop when span is None. For each key
@@ -527,61 +551,69 @@ def _colour_chain(colour_at, first: int):
     nodes, which _dfs counts without building the child. An UNKNOWN key
     is the rejected block (None, (1, 1)). It reads each key's chain only
     as far as that child would, to the next key of its colour or to the
-    child's stop."""
-    hits = collections.defaultdict(list)  # each colour's keys, ascending
-    colours = []  # colours[i]: the colour of key first + i
-    unknown = [0]  # unknown[i]: UNKNOWN colours among the first i keys
+    child's stop.
 
-    def read(key: int) -> None:
-        """Read key, the first key not yet read, and file its colour."""
-        found = colour_at(key)
-        colours.append(found)
-        unknown.append(unknown[-1] + (found is UNKNOWN))
-        if found is not UNKNOWN:
-            hits[found].append(key)
+    Each key read links to the next one of its colour: a colour query
+    walks the links from its colour's first key, a fixing query reads its
+    key's link, and both read in line, so a read is colour_at's frame."""
 
-    def candidates(colour, low: int, stop: int, make):
-        keys = hits[colour]
-        i = bisect.bisect_left(keys, low)
+    def __init__(self, colour_at, first: int):
+        # links[i]: key first + i's link, 0 until read, None if UNKNOWN;
+        # unknown[i]: UNKNOWN colours among the first i keys; first_of and
+        # last_of: each colour's first and last key read
+        self.state = colour_at, first, [], [0], {}, {}
+
+    def __call__(self, colour, low: int, stop: int, make):
+        colour_at, first, links, unknown, first_of, last_of = self.state
+        key = None  # the last key of the colour passed
         while low < stop:  # an empty range reads no key
-            while i == len(keys) and (key := first + len(colours)) < stop:
-                read(key)
-                if key < low and i < len(keys):
-                    i += 1  # filed for later queries, never yielded
-            end = min(keys[i], stop) if i < len(keys) else stop
+            step = (first_of.get(colour, 0) if key is None
+                    else links[key - first])
+            if step and step < low:
+                key = step  # filed for later queries, never yielded
+                continue
+            if not step and (unread := first + len(links)) < stop:
+                if (found := colour_at(unread)) is not UNKNOWN:
+                    if (last := last_of.get(found)) is not None:
+                        links[last - first] = unread
+                    first_of.setdefault(found, unread)
+                    last_of[found] = unread
+                links.append(None if found is UNKNOWN else 0)
+                unknown.append(unknown[-1] + (found is UNKNOWN))
+                continue
+            end = min(step, stop) if step else stop
             if end > low:
                 yield None, (end - low,
                              unknown[end - first] - unknown[low - first])
             if end == stop:
                 return
             yield make(end)
-            low, i = end + 1, i + 1
+            key, low = end, end + 1
 
-    def fixing(low: int, stop: int, make, span: int | None = None):
+    def fixing(self, low: int, stop: int, make, span: int | None = None):
+        colour_at, first, links, unknown, first_of, last_of = self.state
         child_stop = stop
         for key in range(low, stop):
             if span is not None:
                 child_stop = key + span
-            while (unread := first + len(colours)) <= key:
-                read(unread)
-            colour = colours[key - first]
-            if colour is UNKNOWN:
+            # Read to the key, then on to its colour's next key or child_stop
+            i = key - first
+            while ((len(links) <= i or links[i] == 0)
+                   and (unread := first + len(links)) < child_stop):
+                if (found := colour_at(unread)) is not UNKNOWN:
+                    if (last := last_of.get(found)) is not None:
+                        links[last - first] = unread
+                    first_of.setdefault(found, unread)
+                    last_of[found] = unread
+                links.append(None if found is UNKNOWN else 0)
+                unknown.append(unknown[-1] + (found is UNKNOWN))
+            if links[i] is None:
                 yield None, (1, 1)
-                continue
-            # Read on to the next key of this colour or the child's stop.
-            keys = hits[colour]
-            i = bisect.bisect_right(keys, key)
-            while (i == len(keys)
-                   and (unread := first + len(colours)) < child_stop):
-                read(unread)
-            if i < len(keys) and keys[i] < child_stop:
+            elif 0 < links[i] < child_stop:
                 yield make(key)
             else:
                 yield None, (child_stop - key, unknown[child_stop - first]
                              - unknown[key + 1 - first], True)
-
-    candidates.fixing = fixing
-    return candidates
 
 
 def _nonempty_subsets(items):
@@ -726,15 +758,15 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     The first factor, and a second factor u's first obligation u_1 u, are
     prefixes of the suffix, so each suffix start keeps one colour chain of
     prefix colours, keyed on the prefix's end, for the first two levels.
-    Under theta the chain reads its prefixes through the colouring's
-    prefixes entry, from one first-occurrence table for the suffix's text;
+    The chain reads its prefixes through the colouring's prefixes entry,
+    under theta from one first-occurrence table for the suffix's text;
     the other words, a second factor alone or a subset word that skips a
-    factor, go through phi.
+    factor, go through the colouring itself, under theta phi.
 
-    One memo per run stands in front of both entries, so a word is
-    coloured once per run, whichever entry meets it first. A word longer
-    than scan_bound is coloured, UNKNOWN under theta, but never filed, so
-    the memo holds only words the scan can resolve.
+    One memo per run stands in front of both entries, each handed it, so
+    a word is coloured once per run, whichever entry meets it first. A
+    word longer than scan_bound is coloured, UNKNOWN under theta, but
+    never filed, so the memo holds only words the scan can resolve.
     """
     params = {
         "kind": "supermono", "word": x.spec, "colouring": colouring.spec,
@@ -750,29 +782,17 @@ def supermono_search(x: WordSource, colouring: Colouring, suffix_bound: int,
     text = x.prefix(reach)
     memo: dict = {}  # the run's colours of the words within the scan
 
-    def filed(u: str, colour):
-        if len(u) <= scan_bound:
-            memo[u] = colour
-        return colour
-
-    def colour_of(u: str):
-        colour = memo.get(u)
-        return filed(u, colour_word(u)) if colour is None else colour
+    colour_of = _filing(memo, colour_word, scan_bound)
 
     # A state is (suffix start, next position, factors, subset words, the
     # start's chain), and the empty word is the last subset word, so a
     # candidate u's obligations, every subset word + u and then u itself,
     # are built one at a time and only until one breaks the path colour.
+    # The chain's key is the end of the prefix it colours.
     def root(start: int):
         y = text[start - 1:start - 1 + len_bound]
-        colour_at = colour_word.prefixes(y)
-
-        def colour_prefix(end: int):
-            u = y[:end - start + 1]
-            colour = memo.get(u)
-            return filed(u, colour_at(len(u))) if colour is None else colour
-
-        return start, start, [], [""], _colour_chain(colour_prefix, start)
+        return start, start, [], [""], _colour_chain(
+            colour_word.prefixes(y, memo, start), start)
 
     def expand(state):
         start, pos, factors, subsets, chain = state
@@ -835,8 +855,8 @@ def hindman_search(u: str, colouring: Colouring, n: int, bound: int,
     run, keyed on the exponent a_1 + v; the root reads its candidates one
     at a time. colour_power memoises the run's colours of u^s by s, the
     run's only memo. Under theta every power within scan_bound letters is
-    a prefix of u^ω and is coloured from one first-occurrence table for
-    it; the longer powers go to phi, which answers UNKNOWN.
+    a prefix of u^ω, coloured from one table for it if longer than every
+    power read before and else by phi; the longer powers go to phi too.
     """
     if not u:
         raise ArgumentError("u must be a nonempty word")

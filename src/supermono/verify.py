@@ -490,11 +490,12 @@ def _claim6_bookkeeping(zs) -> bool:
             and bits.intervals(z2 + z4) == 2 + k1 + k2 + k3 + k4)
 
 
-def _claim6_shape_masks(zs) -> tuple[int, ...]:
+def _claim6_shape_masks(zs, shape) -> tuple[int, ...]:
     """The masks every tuple of zs's digit-bound shape is checked against:
     the five centre windows, from the library centre, then the bookkeeping
-    windows [f2, l1], [f3, l2], [f4, l3] and [f5, l4]. A centre that
-    raises or reads a 0 on zs is the hypothesis counterexample."""
+    windows [f2, l1], [f3, l2], [f4, l3] and [f5, l4], from the lowest 1s
+    and lengths of zs's terms in shape. A centre that raises or reads a 0
+    on zs is the hypothesis counterexample."""
     windows = []
     for r, p, s in _claim6_centres(zs):
         try:
@@ -505,9 +506,9 @@ def _claim6_shape_masks(zs) -> tuple[int, ...]:
             raise _Counterexample("enumerated tuple fails its own hypotheses",
                                   zs)
         windows.append(_ones(lo, hi))
-    (f1, l1), (f2, l2), (f3, l3), (f4, l4), (f5, _) = map(bits.digit_bounds, zs)
-    return (*windows, _ones(f2, l1), _ones(f3, l2), _ones(f4, l3),
-            _ones(f5, l4))
+    firsts = [low.bit_length() - 1 for low in shape[2::2]]  # f2 .. f5
+    lasts = [length - 1 for length in shape[1:8:2]]  # l1 .. l4
+    return (*windows, *map(_ones, firsts, lasts))
 
 
 def claim6_pair_set(zs) -> list[tuple[int, int]]:
@@ -585,7 +586,7 @@ def verify_claim6(position_count: int = 18) -> Iterator[int]:
                   z5 & -z5, z5.bit_length())
         if bounds != shape:
             shape = bounds
-            c1, c2, c3, c4, c5, w1, w2, w3, w4 = _claim6_shape_masks(zs)
+            c1, c2, c3, c4, c5, w1, w2, w3, w4 = _claim6_shape_masks(zs, shape)
             last2 = None
             if bounds[:8] != colour_shape:
                 colour_shape = bounds[:8]

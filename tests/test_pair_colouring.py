@@ -291,3 +291,35 @@ def test_difference_components_match_the_digit_referees_below_2_8():
        d=st.integers(min_value=1, max_value=1 << 64))
 def test_difference_components_match_the_digit_referees(a, d):
     _assert_difference_components(a, a + d)
+
+
+def _colour_pair_by_bits(a, b, stage):
+    """Referee for colour_pair, which writes its digit rules out: the
+    colour code composed through the named rules of bits."""
+    d = b - a
+    first, last = bits.digit_bounds(d)
+    code = ((last % 3 * 3 + first % 3) * 3 + bits.last_digit(a) % 3) * 4 \
+        + ((d >> first & 7) >> 1)
+    if stage == STAGE1:
+        return code
+    jumps = bits.jumps(a, b)
+    code = code * 4 + (jumps & 1) * 2 + (bits.intervals(d) & 1)
+    if stage == STAGE2:
+        return code
+    return code * 2 + ((jumps + bits.top_run_shared(a, b)) & 1)
+
+
+def test_colour_pair_matches_its_composition_through_bits_below_2_10():
+    for stage in STAGES:
+        for b in range(2, 1 << 10):
+            assert [colour_pair(a, b, stage) for a in range(1, b)] == [
+                _colour_pair_by_bits(a, b, stage) for a in range(1, b)], \
+                (b, stage)
+
+
+@given(a=st.integers(min_value=1, max_value=1 << 64),
+       d=st.integers(min_value=1, max_value=1 << 64))
+def test_colour_pair_matches_its_composition_through_bits(a, d):
+    for stage in STAGES:
+        assert colour_pair(a, a + d, stage) == _colour_pair_by_bits(
+            a, a + d, stage), stage

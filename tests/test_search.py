@@ -681,12 +681,14 @@ def test_colour_chain_queried_past_its_frontier():
     query, below, across or past the keys read so far, yields exactly the
     keys of its colour in [low, stop) and the blocks between them, and
     the chain reads each key once, in order, only as far as a query
-    reaches."""
+    reaches. Two rows walk the keys already read: (1, 14, 20) starts
+    between the colour's keys 13 and 16, and (5, 20, 26) asks for a
+    colour no key has."""
     chain, read = _reading_chain()
     frontier = 5
     for colour, low, stop in [(1, 12, 20), (2, 6, 10), (0, 5, 20),
-                              (1, 30, 45), (2, 19, 31), (0, 44, 46),
-                              (1, 46, 46)]:
+                              (1, 14, 20), (5, 20, 26), (1, 30, 45),
+                              (2, 19, 31), (0, 44, 46), (1, 46, 46)]:
         steps = list(chain(colour, low, stop, lambda key: ("hit", key)))
         assert steps == _chain_steps_by_brute_force(_key_colour, colour, low,
                                                     stop), (colour, low, stop)
@@ -743,11 +745,13 @@ def test_colour_chain_fixing_query_matches_its_referee():
 def test_colour_chain_queries_share_one_read():
     """Colour and fixing queries on one chain, in any order, yield what
     their referees give, and the chain still reads each key once, in
-    order."""
+    order. In the row ("fixing", 10, 11, 3) the next key of key 10's
+    colour is 13, exactly the child's stop, so key 10 is childless."""
     chain, read = _reading_chain()
     make = (lambda key: ("hit", key))
     for kind, *query in [
             ("colour", 1, 12, 20), ("fixing", 5, 9, None),
+            ("fixing", 10, 11, 3),
             ("fixing", 5, 14, 4), ("colour", 2, 6, 10), ("fixing", 16, 30, 9),
             ("colour", 0, 5, 20), ("fixing", 8, 10, None),
             ("colour", 1, 30, 45), ("fixing", 40, 44, 12)]:
@@ -843,21 +847,48 @@ def test_engine_asks_the_fixing_query_only_above_a_witness_level(
 
 
 def _record_pairs(monkeypatch) -> list:
-    """Make colour_pair_value list each pair it is asked to colour."""
+    """Make colour_pair_value, and the colour_pair that a theta pair memo
+    calls directly, list each pair they are asked to colour."""
     coloured = []
     colour_pair_value = search.colour_pair_value
+    kernel = search.colour_pair
 
     def recording(col, a, b):
         coloured.append((a, b))
         return colour_pair_value(col, a, b)
 
+    def recording_kernel(a, b, stage="full"):
+        coloured.append((a, b))
+        return kernel(a, b, stage)
+
     monkeypatch.setattr(search, "colour_pair_value", recording)
+    monkeypatch.setattr(search, "colour_pair", recording_kernel)
     return coloured
+
+
+class _RecordingMemo:
+    """Stands for the memo a prefixes entry is given, None included, and
+    lists each prefix the entry colours: every prefix it looks up and does
+    not find."""
+
+    def __init__(self, memo, coloured: list):
+        self.memo, self.coloured = memo, coloured
+
+    def get(self, u):
+        colour = None if self.memo is None else self.memo.get(u)
+        if colour is None:
+            self.coloured.append(u)
+        return colour
+
+    def __setitem__(self, u, colour):
+        if self.memo is not None:
+            self.memo[u] = colour
 
 
 def _record_colourings(monkeypatch) -> list:
     """Make every word-colouring callable list each word it is asked for,
-    as a word or as a prefix y[:n] through its prefixes entry point."""
+    as a word, or as a prefix y[:n] that its prefixes entry colours, which
+    looks the prefix up in its memo first."""
     coloured = []
     build = search.word_colour_fn
 
@@ -868,13 +899,9 @@ def _record_colourings(monkeypatch) -> list:
             coloured.append(u)
             return colour_of(u)
 
-        def prefixes(y):
-            colour_prefix = colour_of.prefixes(y)
-
-            def colour_at(n):
-                coloured.append(y[:n])
-                return colour_prefix(n)
-            return colour_at
+        def prefixes(y, memo=None, first=1):
+            return colour_of.prefixes(y, _RecordingMemo(memo, coloured),
+                                      first)
 
         colour.prefixes = prefixes
         return colour

@@ -561,16 +561,17 @@ def test_claim6_calls_the_centre_once_per_shape_and_colours_through_a_memo(
     """At position count 16: one library centre call per centre triple of
     each of the 286 digit-bound shapes (each tuple's own would be 7,720),
     and 1,670 colour_pair calls where colouring every pair set's pairs
-    without the memo would make 2,810. bits.intervals is called 11,381
-    times: 9,711 by the suite's per-term rechecks, where every tuple's
-    eleven counts would take 16,984, and one per colour_pair call."""
+    without the memo would make 2,810. bits.intervals is called 9,711
+    times, all by the suite's per-term rechecks, where every tuple's
+    eleven counts would take 16,984: colour_pair reads the interval
+    parity inline."""
     centre = _counting(monkeypatch, bits, "centre")
     colour = _counting(monkeypatch, verify, "colour_pair")
     intervals = _counting(monkeypatch, bits, "intervals")
     assert verify.verify_claim6(16).checked == 1544
     assert centre["centre"] == 1430
     assert colour["colour_pair"] == 1670
-    assert intervals["intervals"] == 11381
+    assert intervals["intervals"] == 9711
     assert verify.verify_claim6(15).checked == 200
 
 
