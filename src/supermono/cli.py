@@ -294,7 +294,3 @@ for _name, (_run, _help, _options) in _SEARCHES.items():
                          default="first", show_default=True,
                          help="Stop at the first witness or enumerate all."),
         ]))
-
-
-if __name__ == "__main__":
-    main()

@@ -132,17 +132,3 @@ def test_fibonacci_consecutive_factor_search_exhausts_empty():
             f"{report.nodes_explored} nodes, exhausted={report.exhausted}, "
             f"{len(report.witnesses)} witnesses")
 
-
-def test_weighted_prefix_search_exhausts_and_stages_refine():
-    started = time.perf_counter()
-    report = search.q5_search(parse_colouring("base-lsnz:3"), "a1free", 3,
-                              243, "all")
-    ok = report.exhausted and not report.witnesses
-    coarse, middle, fine = (
-        {tuple(w) for w in search.altsum_search(
-            parse_colouring(spec), 8, 3, X_ALTERNATING, "all", 1).witnesses}
-        for spec in ("theta:stage1", "theta:stage2", "theta"))
-    stages_refine = fine <= middle <= coarse
-    _report("weighted prefix exhaustion", ok and stages_refine, started,
-            600.0, f"{report.nodes_explored} nodes, zero witnesses, "
-            f"stage containment holds")

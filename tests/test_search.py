@@ -274,23 +274,9 @@ def test_incremental_constraints_union_to_full_set(data):
                             for c in constraints_for(values, form, allow))
 
 
-def test_altsum_search_first_and_all_modes():
-    rep = altsum_search(parse_colouring("const"), 4, 2, mode="all")
-    assert rep.witnesses == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
-    assert rep.exhausted
-    for witness in rep.witnesses:
-        assert verify_altsum_witness(parse_colouring("const"), witness,
-                                     X_ALTERNATING)
-
-
-def test_altsum_witness_verification_rejects_mixed_colours():
-    assert not verify_altsum_witness(parse_colouring("theta"), [1, 2, 3],
-                                     X_ALTERNATING)
-
-
 def test_theta_stages_refine_witness_sets():
     witnesses = {}
-    for bound, max_len in ((12, 4), (12, 3)):
+    for bound, max_len in ((12, 4), (12, 3), (8, 3)):
         by_stage = {}
         for stage in ("stage1", "stage2", "full"):
             rep = altsum_search(parse_colouring(f"theta:{stage}"), bound,
@@ -331,10 +317,6 @@ def test_pair_colour_memo_does_not_leak_between_runs(run, twin):
     assert report.to_json(reports[0]) == report.to_json(reports[-1])
     for spec, rep in zip(_MEMO_SPECS, reports):
         assert _outcome(rep) == twin(parse_colouring(spec)), spec
-
-
-def test_plus_pair_search_example():
-    assert verify_plus_witness(parse_colouring("valmod:2"), [2, 4, 8])
 
 
 def test_q5_patterns_by_variant():
@@ -476,7 +458,7 @@ def _hindman_referee(u, colouring, n, bound, x, scan_bound, mode):
 
 
 def _altsum_referee(colouring, bound, max_len, form, mode,
-                    allow_k1_equal_1):
+                    allow_k1_equal_1=False):
     """altsum_search's family: a state is the values, and a candidate's
     obligations are the pairs of constraints_for whose last index is the
     candidate's."""
@@ -517,7 +499,7 @@ def _q5_referee(colouring, variant, max_len, bound, mode):
 
     return _one_at_a_time(
         [[]], lambda values: range(1, bound + 1), obligations,
-        lambda s: colour_number(colouring, s),
+        lambda s: search.colour_number(colouring, s),
         lambda values, v: values + [v], max_len, list, mode,
         {"sums_checked": "evaluated"})
 
@@ -527,6 +509,18 @@ def _outcome(rep):
             rep.max_depth_reached, rep.counts)
 
 
+def _assert_referee_agrees(coloured, run, referee, *args, **kwargs):
+    """run(*args, **kwargs) must give its one-candidate referee's whole
+    outcome and colour the same set of objects as the referee; coloured is
+    the list a recording seam fills, emptied before each side."""
+    coloured.clear()
+    outcome = _outcome(run(*args, **kwargs))
+    searched = set(coloured)
+    coloured.clear()
+    expected = referee(*args, **kwargs)
+    assert (outcome, searched) == (expected, set(coloured)), (args, kwargs)
+
+
 _REFEREE_SPECS = ["periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
                   "morphic:a->abc,b->ac,c->b|a", "prefix:abaab"]
 
@@ -534,14 +528,18 @@ _REFEREE_SPECS = ["periodic:ab", "evper:c|ab", "morphic:a->ab,b->a|a",
 @pytest.mark.parametrize("spec", _REFEREE_SPECS)
 @pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
                                        "theta"])
-def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
+def test_supermono_counts_match_a_one_candidate_referee(monkeypatch, spec,
+                                                        colouring):
     """The second factor's candidates are rejected in blocks, and a first
     factor with all the second factors it would reject is one childless
     block; every count must still be what checking them one at a time
     gives. Small scan bounds put UNKNOWN ends inside the blocks, and the
     explicit prefix cuts the ends off at its last letter. At n 1 the
     first factor's child is a witness, so no childless block may be
-    taken."""
+    taken. A colour chain is read only as far as an expand reaches, so a
+    first-mode stop colours no word that checking one candidate at a time
+    would not, and an all-mode run no other word."""
+    coloured = _record_colourings(monkeypatch)
     x, col = parse_word_spec(spec), parse_colouring(colouring)
     for suffix_bound, n, len_bound, scan_bound in [
             (1, 2, 5, 2), (3, 2, 6, 2), (3, 3, 6, 3), (4, 3, 8, 5),
@@ -550,19 +548,22 @@ def test_supermono_counts_match_a_one_candidate_referee(spec, colouring):
         if spec.startswith("prefix:") and scan_bound > 5:
             continue
         for mode in ("first", "all"):
-            args = (x, col, suffix_bound, n, len_bound, scan_bound, mode)
-            assert (_outcome(supermono_search(*args))
-                    == _supermono_referee(*args)), args
+            _assert_referee_agrees(coloured, supermono_search,
+                                   _supermono_referee, x, col, suffix_bound,
+                                   n, len_bound, scan_bound, mode)
 
 
 @pytest.mark.parametrize("spec", _REFEREE_SPECS)
 @pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
                                        "theta"])
-def test_hindman_counts_match_a_one_candidate_referee(spec, colouring):
+def test_hindman_counts_match_a_one_candidate_referee(monkeypatch, spec,
+                                                      colouring):
     """Below the root a candidate's first obligation u^(a_1 + v) is read
     from a_1's colour chain, which rejects the off-colour candidates in
-    blocks; every count must still be what checking them one at a time
-    gives. Small scan bounds put UNKNOWN powers inside the blocks."""
+    blocks; every count, and the set of coloured words, must still be what
+    checking them one at a time gives. Small scan bounds put UNKNOWN
+    powers inside the blocks."""
+    coloured = _record_colourings(monkeypatch)
     x, col = parse_word_spec(spec), parse_colouring(colouring)
     for u in ("a", "ab"):
         for n, bound, scan_bound in [(2, 6, 2), (2, 12, 5), (3, 12, 4),
@@ -570,9 +571,9 @@ def test_hindman_counts_match_a_one_candidate_referee(spec, colouring):
             if spec.startswith("prefix:") and scan_bound > 5:
                 continue
             for mode in ("first", "all"):
-                args = (u, col, n, bound, x, scan_bound, mode)
-                assert (_outcome(hindman_search(*args))
-                        == _hindman_referee(*args)), args
+                _assert_referee_agrees(coloured, hindman_search,
+                                       _hindman_referee, u, col, n, bound, x,
+                                       scan_bound, mode)
 
 
 @pytest.mark.parametrize("colouring", [
@@ -596,14 +597,9 @@ def test_altsum_counts_match_a_one_candidate_referee(monkeypatch, colouring):
                                     (9, 2)])]:
         for (bound, max_len), mode, allow in itertools.product(
                 sizes, ("first", "all"), (False, True)):
-            args = (col, bound, max_len, form, mode)
-            rep = altsum_search(*args, allow_k1_equal_1=allow)
-            searched = set(coloured)
-            coloured.clear()
-            expected = _altsum_referee(*args, allow)
-            assert _outcome(rep) == expected, (args, allow)
-            assert searched == set(coloured), (args, allow)
-            coloured.clear()
+            _assert_referee_agrees(coloured, altsum_search, _altsum_referee,
+                                   col, bound, max_len, form, mode,
+                                   allow_k1_equal_1=allow)
 
 
 @pytest.mark.parametrize("colouring", [
@@ -618,27 +614,24 @@ def test_plus_counts_match_a_one_candidate_referee(monkeypatch, colouring):
     col = parse_colouring(colouring)
     for (n, bound), mode in itertools.product(
             [(2, 1), (2, 9), (3, 24), (4, 40), (5, 40)], ("first", "all")):
-        args = (col, n, bound, mode)
-        rep = plus_pair_search(*args)
-        searched = set(coloured)
-        coloured.clear()
-        assert _outcome(rep) == _plus_referee(*args), args
-        assert searched == set(coloured), args
-        coloured.clear()
+        _assert_referee_agrees(coloured, plus_pair_search, _plus_referee,
+                               col, n, bound, mode)
 
 
 @pytest.mark.parametrize("variant", Q5_VARIANTS)
 @pytest.mark.parametrize("colouring", ["const", "valmod:2", "valmod:3",
                                        "base-lsnz:3", "fpmod:2", "dbl"])
-def test_q5_counts_match_a_one_candidate_referee(variant, colouring):
-    """The outcome and the sums checked of the coefficient-pattern search
-    must be what checking one candidate at a time gives, from one value to
-    four."""
+def test_q5_counts_match_a_one_candidate_referee(monkeypatch, variant,
+                                                 colouring):
+    """The outcome, the sums checked and the set of coloured numbers of
+    the coefficient-pattern search must be what checking one candidate at
+    a time gives, from one value to four."""
+    coloured = _record_numbers(monkeypatch)
     col = parse_colouring(colouring)
     for (max_len, bound), mode in itertools.product(
             [(1, 5), (2, 9), (3, 12), (4, 6)], ("first", "all")):
-        args = (col, variant, max_len, bound, mode)
-        assert _outcome(q5_search(*args)) == _q5_referee(*args), args
+        _assert_referee_agrees(coloured, q5_search, _q5_referee, col,
+                               variant, max_len, bound, mode)
 
 
 def _chain_steps_by_brute_force(colour_at, colour, low, stop):
@@ -807,7 +800,8 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
             "first")
     rep = supermono_search(*args)
     assert _outcome(rep) == _supermono_referee(*args)
-    assert _outcome(rep) == _pinned("supermono-lenmod-first")
+    expected = _row(_PINNED_OUTCOMES, "supermono-lenmod-first")[1]
+    assert _outcome(rep) == expected
     assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
 
 
@@ -866,6 +860,19 @@ def _record_pairs(monkeypatch) -> list:
     return coloured
 
 
+def _record_numbers(monkeypatch) -> list:
+    """Make colour_number list each number it is asked to colour."""
+    coloured = []
+    colour_number = search.colour_number
+
+    def recording(col, n):
+        coloured.append(n)
+        return colour_number(col, n)
+
+    monkeypatch.setattr(search, "colour_number", recording)
+    return coloured
+
+
 class _RecordingMemo:
     """Stands for the memo a prefixes entry is given, None included, and
     lists each prefix the entry colours: every prefix it looks up and does
@@ -910,8 +917,7 @@ def _record_colourings(monkeypatch) -> list:
     return coloured
 
 
-@pytest.mark.parametrize("spec", ["periodic:ab", "evper:c|ab",
-                                  "morphic:a->ab,b->a|a"])
+@pytest.mark.parametrize("spec", _REFEREE_SPECS)
 @pytest.mark.parametrize("colouring", ["const", "lenmod:2", "lenmod:3",
                                        "theta"])
 def test_supermono_colours_what_a_one_candidate_search_colours(
@@ -919,27 +925,23 @@ def test_supermono_colours_what_a_one_candidate_search_colours(
     """A colour chain is read only as far as an expand reaches, so a
     first-mode stop colours no word that checking one candidate at a time
     would not, and an all-mode run no other word: in supermono_search and,
-    with the same words and colourings, in hindman_search."""
+    with the same words and colourings, in hindman_search. Long scan
+    bounds let the chains run far; the outcome must match too."""
     coloured = _record_colourings(monkeypatch)
     x, col = parse_word_spec(spec), parse_colouring(colouring)
-    runs = [(supermono_search, _supermono_referee,
-             (x, col, suffix_bound, n, len_bound, scan_bound))
-            for suffix_bound, n, len_bound, scan_bound in [
-                (1, 2, 9, 4096), (3, 2, 8, 3), (2, 3, 12, 64),
-                (4, 4, 10, 5)]]
+    runs = [(supermono_search, _supermono_referee, (x, col) + size)
+            for size in [(1, 2, 9, 4096), (3, 2, 8, 3), (2, 3, 12, 64),
+                         (4, 4, 10, 5)]]
     runs += [(hindman_search, _hindman_referee,
               (u, col, n, bound, x, scan_bound))
              for u in ("a", "ab")
              for n, bound, scan_bound in [(2, 40, 4096), (3, 16, 5),
                                           (3, 30, 64), (4, 20, 9)]]
     for run, referee, args in runs:
+        if spec.startswith("prefix:") and args[-1] > 5:
+            continue
         for mode in ("first", "all"):
-            run(*args, mode)
-            searched = set(coloured)
-            coloured.clear()
-            referee(*args, mode)
-            assert searched == set(coloured), (run.__name__, args, mode)
-            coloured.clear()
+            _assert_referee_agrees(coloured, run, referee, *args, mode)
 
 
 def test_first_mode_stops_before_reading_far_prefixes(monkeypatch):
@@ -964,12 +966,6 @@ def test_hindman_first_mode_stops_before_reading_far_powers(monkeypatch):
     assert _outcome(rep) == ([[1, 2, 3]], False, 3, 3,
                              {"colour_evaluations": 7, "unknown_aborts": 0})
     assert sorted(coloured) == ["a" * s for s in range(1, 7)]
-
-
-def test_search_mode_validation():
-    with pytest.raises(search.ArgumentError, match=re.escape(
-            "mode must be 'first' or 'all', got 'sampled'")):
-        altsum_search(parse_colouring("const"), 4, 2, mode="sampled")
 
 
 def _no_engine(*args, **kwargs):
@@ -1049,6 +1045,8 @@ _TERMS = MAX_TERMS + 1
      "L must be at least 1, got 0"),
     (lambda x: q5_search(parse_colouring("const"), "plain", 2, 0),
      "bound must be at least 1, got 0"),
+    (lambda x: altsum_search(parse_colouring("const"), 4, 2, mode="sampled"),
+     "mode must be 'first' or 'all', got 'sampled'"),
 ], ids=["altsum-lenmod", "plus-lenmod", "q5-theta", "q5-lift",
         "supermono-valmod", "supermono-lift", "supermono-scan-0",
         "hindman-theta-no-word", "hindman-theta-stage2",
@@ -1058,7 +1056,8 @@ _TERMS = MAX_TERMS + 1
         "altsum-unknown-form", "q5-unknown-variant", "hindman-n-1",
         "plus-n-1", "hindman-empty-u", "altsum-L-0", "supermono-suffix-0",
         "supermono-n-0", "supermono-len-0", "hindman-bound-0",
-        "hindman-scan-0", "plus-bound-0", "q5-L-0", "q5-bound-0"])
+        "hindman-scan-0", "plus-bound-0", "q5-L-0", "q5-bound-0",
+        "altsum-mode-sampled"])
 def test_search_rejects_its_arguments_before_any_node(run, message,
                                                       monkeypatch):
     monkeypatch.setattr(search, "_dfs", _no_engine)
@@ -1089,6 +1088,7 @@ def test_q5_refuses_a_pattern_table_over_the_cap_before_building_it(
 
 
 _AB = Periodic("ab")
+_CONST = parse_colouring("const")
 _LENMOD2 = parse_colouring("lenmod:2")
 _VALMOD2 = parse_colouring("valmod:2")
 _THETA = parse_colouring("theta")
@@ -1173,6 +1173,14 @@ def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
                                [1, 1]), False),
     (lambda: verify_hindman_witness("a", _LENMOD2, [2, 4, 6]), True),
     (lambda: verify_supermono_witness(_AB, _LENMOD2, [1, "ab", "ab"]), True),
+    (lambda: verify_altsum_witness(_THETA, [1, 2, 3], X_ALTERNATING), False),
+    (lambda: verify_plus_witness(_VALMOD2, [2, 4, 8]), True),
+    (lambda: verify_altsum_witness(_CONST, [1, 2], X_ALTERNATING), True),
+    (lambda: verify_altsum_witness(_CONST, [1, 3], X_ALTERNATING), True),
+    (lambda: verify_altsum_witness(_CONST, [1, 4], X_ALTERNATING), True),
+    (lambda: verify_altsum_witness(_CONST, [2, 3], X_ALTERNATING), True),
+    (lambda: verify_altsum_witness(_CONST, [2, 4], X_ALTERNATING), True),
+    (lambda: verify_altsum_witness(_CONST, [3, 4], X_ALTERNATING), True),
 ], ids=["altsum-empty", "plus-empty", "supermono-empty",
         "supermono-no-start", "hindman-empty",
         "q5-empty", "supermono-one-word", "supermono-unknown",
@@ -1185,7 +1193,11 @@ def test_witness_verifiers_raise_on_an_unknown_form_or_variant():
         "altsum-x-repeated", "altsum-y-subset-zero", "altsum-y-block-zero",
         "plus-repeated", "plus-zero", "plus-theta-decreasing", "q5-zero",
         "q5-plain-first-found", "q5-base-mixed", "hindman-lenmod-first-found",
-        "supermono-lenmod-first-found"])
+        "supermono-lenmod-first-found", "altsum-theta-mixed",
+        "plus-valmod-first-found", "altsum-const-all-found-1-2",
+        "altsum-const-all-found-1-3", "altsum-const-all-found-1-4",
+        "altsum-const-all-found-2-3", "altsum-const-all-found-2-4",
+        "altsum-const-all-found-3-4"])
 def test_witness_verifiers_on_empty_unknown_and_mixed_families(check,
                                                                expected):
     """altsum and plus accept an empty family, the other three need one
@@ -1231,19 +1243,12 @@ def test_supermono_run_colours_each_word_within_the_scan_once(monkeypatch):
     assert asked["ababa"] > 1
 
 
-# ab in periodic:ab under theta, n 4, bound 512, scan 4096, all mode, and
-# the run's outcome, which checking one candidate at a time also gives.
-_HINDMAN_AB_512 = (("ab", _THETA, 4, 512, _AB, 4096, "all"),
-                   ([], True, 145_760, 2,
-                    {"colour_evaluations": 147_070, "unknown_aborts": 0}))
-
-
 def test_hindman_search_keeps_no_word_memo():
     """The colour of u^s is kept by its exponent alone: no colouring files
     the powers under their words. At ab in periodic:ab, n 4, bound 512,
     a word memo would hold the run's 1,021 powers of up to 2,046 letters
     and peak near 1.28 MB; without one the run peaks near 0.16 MB."""
-    args, expected = _HINDMAN_AB_512
+    *_, args, expected = _row(_REFEREE_SIZED, "hindman-ab-512")
     tracemalloc.start()
     try:
         rep = hindman_search(*args)
@@ -1261,8 +1266,8 @@ _FIB = "morphic:a->ab,b->a|a"
 # Each case: a search and its whole outcome, (witnesses, exhausted,
 # nodes_explored, max_depth_reached, counts). The cases on small bounds were
 # recorded from the searches as they were before the five loops shared one
-# engine; the last four, at sizes no referee test reaches, from the shared
-# engine.
+# engine, except altsum-const-all and q5-a1free-all-243; those two, and the
+# last four, at sizes no referee test reaches, from the shared engine.
 _PINNED_OUTCOMES = [
     pytest.param(
         lambda: altsum_search(_col("theta"), 8, 3, X_ALTERNATING, "all"),
@@ -1315,6 +1320,14 @@ _PINNED_OUTCOMES = [
         lambda: altsum_search(_col("const"), 10, 6),
         ([[1, 2, 3, 4, 5, 6]], False, 6, 6, {"constraints_checked": 31}),
         id="altsum-const-first"),
+    pytest.param(
+        lambda: altsum_search(_col("const"), 4, 2, mode="all"),
+        ([[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+         True,
+         10,
+         2,
+         {"constraints_checked": 6}),
+        id="altsum-const-all"),
     pytest.param(
         lambda: altsum_search(_col("dbl"), 8, 3, Y_BLOCK),
         ([[2, 6, 1]], False, 121, 3, {"constraints_checked": 224}),
@@ -1499,10 +1512,14 @@ _PINNED_OUTCOMES = [
         ([], True, 243, 0, {"sums_checked": 486}),
         id="q5-a1free-first-empty"),
     pytest.param(
+        lambda: q5_search(_col("base-lsnz:3"), "a1free", 3, 243, "all"),
+        ([], True, 243, 0, {"sums_checked": 486}),
+        id="q5-a1free-all-243"),
+    pytest.param(
         lambda: q5_search(_col("valmod:4"), "akfree", 3, 20),
         ([[4, 4, 4]], False, 12, 3, {"sums_checked": 20}),
         id="q5-akfree-first-late-branch"),
-    # Twice the bound of the benchmark-sized Hindman referee test: the run's
+    # Twice the bound of _REFEREE_SIZED's Hindman row: the run's
     # one colour chain serves all 1,024 values of a_1.
     pytest.param(
         lambda: hindman_search("ab", _col("theta"), 4, 1024,
@@ -1537,49 +1554,70 @@ def test_search_outcomes_are_pinned(run, expected):
     assert _outcome(run()) == expected
 
 
-def _pinned(row_id):
-    """The outcome _PINNED_OUTCOMES pins for its row row_id."""
-    return next(row.values[1] for row in _PINNED_OUTCOMES if row.id == row_id)
+def _row(table, row_id):
+    """The values of the row of table whose id is row_id."""
+    return next(row.values for row in table if row.id == row_id)
 
 
-def test_benchmark_sized_supermono_outcome_is_the_referee_outcome():
-    """The benchmark's fib_supermono pass, whose gate pins neither the
-    colour evaluations nor the unknown aborts: every count is what checking
-    one candidate at a time gives, the 84 unknown aborts included, which
-    phi gives on words that no prefix table colours."""
-    args = (_word(_FIB), _col("theta"), 24, 4, 100, 4096, "all")
-    expected = ([], True, 121_327, 2,
-                {"colour_evaluations": 122_084, "unknown_aborts": 84})
-    assert _supermono_referee(*args) == expected
-    assert _outcome(supermono_search(*args)) == expected
+# Each row: a search, its one-candidate referee, the arguments both are
+# given, and the whole outcome both give, at a size the referee sweeps do
+# not reach.
+_REFEREE_SIZED = [
+    # The benchmark's fib_supermono pass, whose gate pins neither the colour
+    # evaluations nor the unknown aborts: the 84 unknown aborts included,
+    # which phi gives on words that no prefix table colours.
+    pytest.param(
+        supermono_search, _supermono_referee,
+        (_word(_FIB), _THETA, 24, 4, 100, 4096, "all"),
+        ([], True, 121_327, 2,
+         {"colour_evaluations": 122_084, "unknown_aborts": 84}),
+        id="supermono-fib-benchmark"),
+    # The benchmark's altsum_theta pass, whose gate pins neither the depth
+    # nor the constraints checked, though most of its level-1 candidates
+    # are childless blocks. allow_k1_equal_1 is left at its default, False,
+    # on both sides: altsum_search's sixth positional parameter is jobs.
+    pytest.param(
+        altsum_search, _altsum_referee,
+        (_THETA, 44, 4, X_ALTERNATING, "all"),
+        ([], True, 14_234, 2, {"constraints_checked": 27_434}),
+        id="altsum-theta-benchmark"),
+    # ab in periodic:ab, n 4, bound 512, scan 4096: most level-1 states
+    # reject every candidate in one block of a_1's chain.
+    pytest.param(
+        hindman_search, _hindman_referee,
+        ("ab", _THETA, 4, 512, _AB, 4096, "all"),
+        ([], True, 145_760, 2,
+         {"colour_evaluations": 147_070, "unknown_aborts": 0}),
+        id="hindman-ab-512"),
+    pytest.param(
+        plus_pair_search, _plus_referee,
+        (_col("theta:full"), 4, 120, "all"),
+        ([], True, 145_910, 2, {"constraints_checked": 423_090}),
+        id="plus-theta-120"),
+    # Suffix bound 2, n 3, len 6: no second factor of the Fibonacci word's
+    # suffixes shares its first factor's colour, so every first factor is
+    # a childless block and depth 1 comes from the blocks alone.
+    pytest.param(
+        supermono_search, _supermono_referee,
+        (_word(_FIB), _THETA, 2, 3, 6, 64, "all"),
+        ([], True, 42, 1, {"colour_evaluations": 42, "unknown_aborts": 0}),
+        id="supermono-fib-childless"),
+]
 
 
-def test_benchmark_sized_altsum_outcome_is_the_referee_outcome():
-    """The benchmark's altsum_theta pass, whose gate pins neither the
-    depth nor the constraints checked: every count is what checking one
-    candidate at a time gives, though most of its level-1 candidates are
-    childless blocks."""
-    args = (_col("theta"), 44, 4, X_ALTERNATING, "all")
-    expected = ([], True, 14_234, 2, {"constraints_checked": 27_434})
-    assert _altsum_referee(*args, False) == expected
-    assert _outcome(altsum_search(*args)) == expected
-
-
-def test_benchmark_sized_hindman_outcome_is_the_referee_outcome():
-    """Under theta, ab in periodic:ab, n 4, bound 512: most level-1
-    states reject every candidate in one block of a_1's chain, and every
-    count is still what checking one candidate at a time gives."""
-    args, expected = _HINDMAN_AB_512
-    assert _hindman_referee(*args) == expected
-    assert _outcome(hindman_search(*args)) == expected
+@pytest.mark.parametrize("run, referee, args, expected", _REFEREE_SIZED)
+def test_referee_sized_outcomes_are_the_referee_outcome(run, referee, args,
+                                                        expected):
+    assert referee(*args) == expected
+    assert _outcome(run(*args)) == expected
 
 
 def test_hindman_run_reads_one_colour_chain(monkeypatch):
     """The colour of u^s depends on s alone, so a run builds one chain,
     from the first key a child asks for (a_1 + v = 1 + 2), and reads each
     key once. Under theta, ab in periodic:ab, n 4, bound 512, that is the
-    1,021 keys 3 .. 511 + 512, and the outcome is the referee's, as
-    _HINDMAN_AB_512 pins it."""
+    1,021 keys 3 .. 511 + 512, and the outcome is the referee's, as the
+    hindman-ab-512 row of _REFEREE_SIZED pins it."""
     firsts, reads = [], []
     colour_chain = search._colour_chain
 
@@ -1592,28 +1630,7 @@ def test_hindman_run_reads_one_colour_chain(monkeypatch):
         return colour_chain(reading, first)
 
     monkeypatch.setattr(search, "_colour_chain", recording)
-    args, expected = _HINDMAN_AB_512
+    *_, args, expected = _row(_REFEREE_SIZED, "hindman-ab-512")
     assert _outcome(hindman_search(*args)) == expected
     assert firsts == [3]
     assert reads == list(range(3, 1024))
-
-
-def test_benchmark_sized_plus_outcome_is_the_referee_outcome():
-    """Under theta:full, n 4, bound 120: every count is what checking one
-    candidate at a time gives."""
-    args = (_col("theta:full"), 4, 120, "all")
-    expected = ([], True, 145_910, 2, {"constraints_checked": 423_090})
-    assert _plus_referee(*args) == expected
-    assert _outcome(plus_pair_search(*args)) == expected
-
-
-def test_childless_blocks_alone_reach_depth_one():
-    """Under theta with suffix bound 2, n 3 and len 6, no second factor of
-    the Fibonacci word's suffixes shares its first factor's colour, so
-    every first factor is a childless block: depth 1 comes from the
-    blocks alone, and the counts are the one-candidate referee's."""
-    args = (_word(_FIB), _col("theta"), 2, 3, 6, 64, "all")
-    expected = ([], True, 42, 1,
-                {"colour_evaluations": 42, "unknown_aborts": 0})
-    assert _supermono_referee(*args) == expected
-    assert _outcome(supermono_search(*args)) == expected
