@@ -11,14 +11,14 @@ _colour_chain, of their first obligations: one chain per first left, per
 suffix start and, since the colour of u^s depends on s alone, per Hindman
 run. The engine alone picks how to read a level: one candidate at a time,
 or through the chain, which rejects whole blocks of candidates and, at the
-level that fixes the path colour, counts a candidate whose child would
-reject all of its own candidates as one childless block, with no child
-built. Every count and every coloured object is what checking one
-candidate at a time gives. The alternating-sum search carries its
-left-hand sides in the search state; constraints_for builds each family
-from scratch for verify_altsum_witness. Under theta, a chain reads a
-pair through the run's pair memo straight into colour_pair, and the
-words the super-monochromatic and Hindman chains read are prefixes of
+level that fixes the path colour, counts each run of candidates whose
+children would reject all of their own candidates as one childless block,
+with no child built. Every count and every coloured object is what
+checking one candidate at a time gives. The alternating-sum search
+carries its left-hand sides in the search state; constraints_for builds
+each family from scratch for verify_altsum_witness. Under theta, a chain
+reads a pair through the run's pair memo straight into colour_pair, and
+the words the super-monochromatic and Hindman chains read are prefixes of
 one word (a suffix, or u^ω), which the word colouring's prefixes entry
 colours in order from one table per word, in one frame per read; every
 other word goes through phi. supermono_search, the one search that meets
@@ -458,18 +458,22 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
     level adds own to counts[name], and each candidate of its child adds
     child. The engine alone picks how a level is read. It makes every key in
     turn at a level without a chain, and at one whose path colour is unfixed
-    and whose child is a witness. With the path colour fixed, the chain's
-    colour query yields the candidates of that colour and (None, (k, j)) for
-    each block of k others between them, j of them of an UNKNOWN colour.
-    With it unfixed, the fixing query yields each candidate whose child
-    would accept a candidate, the block (None, (1, 1)) for one of an UNKNOWN
-    colour, and the childless block (None, (k, j, True)) for any other: the
-    candidate with the k - 1 candidates its child would reject, j of them
-    UNKNOWN. A block counts k nodes, k colours evaluated, j unknown aborts
-    and its block_tally, as its candidates would one by one, and a childless
-    block raises max_depth_reached to the child's level, as building the
-    child would. Blocks come in candidate order, so a first-mode stop counts
-    the same nodes either way.
+    and whose child is a witness. A chain query yields candidates and
+    blocks (None, (k, j, m)) in candidate order. With the path colour
+    fixed, the colour query yields the candidates of that colour and the
+    block (None, (k, j, 0)) for each k others between them, j of them of
+    an UNKNOWN colour. With it unfixed, the fixing query yields each
+    candidate whose child would accept a candidate, the block
+    (None, (1, 1, 0)) for one of an UNKNOWN colour, and one childless
+    block (None, (k, j, m)) for each run of m others between them: those
+    candidates with the candidates their children would reject, k nodes
+    in all, j of the children's candidates UNKNOWN. A block counts k nodes,
+    k colours evaluated and j unknown aborts, and adds m * own +
+    (k - m) * child to its block_tally, or k * own when m is 0, as its
+    candidates would one by one. A childless block raises
+    max_depth_reached to the child's level, as building a child would. A
+    childless run holds no witness, so a first-mode stop counts the same
+    nodes either way.
     """
     witnesses: list = []
     nodes = max_depth = evaluated = 0
@@ -492,15 +496,15 @@ def _dfs(params, roots, expand, colour_of, grow, depth, witness, mode,
             steps = chain(fixed, low, stop, make)
         for candidate, obligations in steps:
             if candidate is None:
-                rejected, unknown, *childless = obligations
-                nodes += rejected
-                evaluated += rejected
+                size, unknown, childless = obligations
+                nodes += size
+                evaluated += size
                 if unknown:
                     counts["unknown_aborts"] += unknown
                 if block_tally is not None:
                     name, own, child = block_tally
-                    counts[name] += own + (rejected - 1) * (
-                        child if childless else own)
+                    counts[name] += (childless * own + (size - childless)
+                                     * child if childless else size * own)
                 if childless and level >= max_depth:
                     max_depth = level + 1
                 continue
@@ -532,7 +536,7 @@ class _colour_chain:
     order, only as far as a query needs. The colour query chain(colour,
     low, stop, make), first <= low <= stop, yields make(key) for each key
     in low .. stop - 1 of that colour, smallest first, and ahead of each
-    and of the stop the (None, (k, j)) block that _dfs takes for the k
+    and of the stop the (None, (k, j, 0)) block that _dfs takes for the k
     keys of another colour since the last, j of them UNKNOWN. low may lie
     past the keys read so far: the keys below it that the query reads are
     filed for later queries but never yielded. A query over an empty
@@ -544,14 +548,15 @@ class _colour_chain:
     colour, when the child asks this chain for that colour from key + 1
     up to its stop: key + span, or stop when span is None. For each key
     in low .. stop - 1 in order it yields make(key) when a later key of
-    the key's colour lies below the child's stop. Otherwise the child
-    would reject all of its k = child stop - key - 1 candidates, and it
-    yields the childless block (None, (1 + k, j, True)), j the UNKNOWN
-    colours among those k keys: the accepted candidate and its child's
-    nodes, which _dfs counts without building the child. An UNKNOWN key
-    is the rejected block (None, (1, 1)). It reads each key's chain only
-    as far as that child would, to the next key of its colour or to the
-    child's stop.
+    the key's colour lies below the child's stop, and the rejected block
+    (None, (1, 1, 0)) for an UNKNOWN key. Any other key is childless: its
+    child would reject all of its child stop - key - 1 candidates. Each
+    run of m childless keys, which a yielded key or the stop ends, is one
+    block (None, (k, j, m)), which _dfs counts without building a child:
+    k the run's keys and their children's candidates, j the UNKNOWN
+    colours among those candidates. It reads each key's chain only as far
+    as that child would, to the next key of its colour or to the child's
+    stop.
 
     Each key read links to the next one of its colour: a colour query
     walks the links from its colour's first key, a fixing query reads its
@@ -584,7 +589,7 @@ class _colour_chain:
             end = min(step, stop) if step else stop
             if end > low:
                 yield None, (end - low,
-                             unknown[end - first] - unknown[low - first])
+                             unknown[end - first] - unknown[low - first], 0)
             if end == stop:
                 return
             yield make(end)
@@ -593,6 +598,7 @@ class _colour_chain:
     def fixing(self, low: int, stop: int, make, span: int | None = None):
         colour_at, first, links, unknown, first_of, last_of = self.state
         child_stop = stop
+        nodes = unknowns = childless = 0  # the childless run so far
         for key in range(low, stop):
             if span is not None:
                 child_stop = key + span
@@ -607,13 +613,18 @@ class _colour_chain:
                     last_of[found] = unread
                 links.append(None if found is UNKNOWN else 0)
                 unknown.append(unknown[-1] + (found is UNKNOWN))
-            if links[i] is None:
-                yield None, (1, 1)
-            elif 0 < links[i] < child_stop:
-                yield make(key)
-            else:
-                yield None, (child_stop - key, unknown[child_stop - first]
-                             - unknown[key + 1 - first], True)
+            if (link := links[i]) is not None and not 0 < link < child_stop:
+                nodes += child_stop - key
+                unknowns += (unknown[child_stop - first]
+                             - unknown[key + 1 - first])
+                childless += 1
+                continue
+            if childless:
+                yield None, (nodes, unknowns, childless)
+                nodes = unknowns = childless = 0
+            yield make(key) if link else (None, (1, 1, 0))
+        if childless:
+            yield None, (nodes, unknowns, childless)
 
 
 def _nonempty_subsets(items):

@@ -641,14 +641,14 @@ def _chain_steps_by_brute_force(colour_at, colour, low, stop):
         found = colour_at(key)
         if found == colour:
             if block[0]:
-                steps.append((None, tuple(block)))
+                steps.append((None, (*block, 0)))
                 block = [0, 0]
             steps.append(("hit", key))
         else:
             block[0] += 1
             block[1] += found is UNKNOWN
     if block[0]:
-        steps.append((None, tuple(block)))
+        steps.append((None, (*block, 0)))
     return steps
 
 
@@ -694,7 +694,8 @@ def _fixing_steps_by_brute_force(colour_at, low, stop, span):
     """What a colour chain's fixing query must yield, from one colour_at
     per key, and the last key it may read (0 when it reads none): a key
     of a defined colour reaches the next key of its colour below its
-    child's stop, key + span or stop, or else the key before that stop."""
+    child's stop, key + span or stop, or else the key before that stop.
+    Consecutive childless keys make one block."""
     steps, last = [], 0
     for key in range(low, stop):
         child_stop = stop if span is None else key + span
@@ -702,15 +703,18 @@ def _fixing_steps_by_brute_force(colour_at, low, stop, span):
         later = range(key + 1, child_stop)
         same = [k for k in later if colour_at(k) == colour]
         if colour is UNKNOWN:
-            steps.append((None, (1, 1)))
+            steps.append((None, (1, 1, 0)))
             last = max(last, key)
         elif same:
             steps.append(("hit", key))
             last = max(last, same[0])
         else:
-            steps.append((None, (1 + len(later),
-                                 sum(colour_at(k) is UNKNOWN for k in later),
-                                 True)))
+            nodes, unknown, run = 1 + len(later), sum(
+                colour_at(k) is UNKNOWN for k in later), 1
+            if steps and steps[-1][0] is None and steps[-1][1][2]:
+                k, j, m = steps.pop()[1]
+                nodes, unknown, run = k + nodes, j + unknown, m + 1
+            steps.append((None, (nodes, unknown, run)))
             last = max(last, child_stop - 1)
     return steps, last
 
@@ -718,11 +722,13 @@ def _fixing_steps_by_brute_force(colour_at, low, stop, span):
 def test_colour_chain_fixing_query_matches_its_referee():
     """For every (low, stop, child stop) in a small range, child stops
     past the stop included, the fixing query yields make(key) for a key
-    whose colour recurs below its child's stop, the childless block of
-    1 + k nodes with the UNKNOWN count of its child's k keys otherwise,
-    and a one-node block for an UNKNOWN key. A fresh chain reads each key
-    once, in order, and no key past the last one a child would read: the
-    next key of the candidate's colour, or the one before its stop."""
+    whose colour recurs below its child's stop, a one-node block for an
+    UNKNOWN key, and one childless block for each run of other keys: the
+    1 + k nodes of each key and its child's k keys, the UNKNOWN count of
+    those child keys, and the number of keys in the run. A fresh chain
+    reads each key once, in order, and no key past the last one a child
+    would read: the next key of the candidate's colour, or the one before
+    its stop."""
     for low, stop, span in itertools.product(range(5, 20), range(5, 22),
                                              (None, 1, 2, 3, 5, 8, 13)):
         if stop < low:
@@ -756,6 +762,30 @@ def test_colour_chain_queries_share_one_read():
             expected = _fixing_steps_by_brute_force(_key_colour, *query)[0]
         assert steps == expected, (kind, query)
         assert read == list(range(5, 5 + len(read))), (kind, query)
+
+
+def test_fixing_query_yields_each_childless_run_as_one_block():
+    """A run of childless keys is one block (k, j, m): m keys, the k
+    nodes of those keys and their children's keys, and the j UNKNOWN
+    colours among the child keys. A key yielded through make cuts a run,
+    and so do an UNKNOWN key, which stays its own block (1, 1, 0), and
+    the stop. With a span, each key of a run has its own child stop,
+    here past the query's stop."""
+    colours = dict(enumerate("abccdeUfg"))
+    make = (lambda key: ("hit", key))
+    for low, stop, span, expected in [
+            (0, 9, None, [(None, (17, 2, 2)), ("hit", 2), (None, (15, 3, 3)),
+                          (None, (1, 1, 0)), (None, (3, 0, 2))]),
+            (0, 6, 3, [(None, (6, 0, 2)), ("hit", 2), (None, (9, 2, 3))])]:
+        read = []
+
+        def colour_at(key):
+            read.append(key)
+            return UNKNOWN if colours[key] == "U" else colours[key]
+
+        chain = search._colour_chain(colour_at, 0)
+        assert list(chain.fixing(low, stop, make, span)) == expected
+        assert read == list(range(len(read))), (low, stop, span)
 
 
 def test_colour_chain_reads_no_key_for_an_empty_range():
@@ -802,7 +832,7 @@ def test_first_witness_right_after_a_rejected_block(monkeypatch):
     assert _outcome(rep) == _supermono_referee(*args)
     expected = _row(_PINNED_OUTCOMES, "supermono-lenmod-first")[1]
     assert _outcome(rep) == expected
-    assert yields[-2:] == [(None, (1, 0)), ("ab", yields[-1][1])]
+    assert yields[-2:] == [(None, (1, 0, 0)), ("ab", yields[-1][1])]
 
 
 def test_engine_asks_the_fixing_query_only_above_a_witness_level(
